@@ -10,6 +10,7 @@ from .carrier import BlockPayload, CarrierObject, CarrierPool
 from .disc import ChainReport, Disc, DiscConfig, FileEntry, TradeoffStats, compute_chain_length
 from .osn import BackendConfig, DirectoryBackend, MemoryBackend, open_backend
 from .steghash import (
+    CheckpointLadder,
     HashtagAlphabet,
     ReplayCursor,
     SamplerState,
@@ -37,6 +38,7 @@ __all__ = [
     "DirectoryBackend",
     "MemoryBackend",
     "open_backend",
+    "CheckpointLadder",
     "HashtagAlphabet",
     "ReplayCursor",
     "SamplerState",

@@ -13,7 +13,11 @@ Three addressing modes trade local state for recomputation:
   B  no used-address set: uniqueness is checked live against the
      network; pointers are still rank codes (needs 2^p > n!).
   C  no dictionaries at all: pointers are positions in the hash
-     stream, so resolving one replays the stream from the seed.
+     stream, so resolving one replays the stream from the nearest
+     checkpoint of the session's ladder.  Every walk of the stream
+     (allocation, reopen sync, traversal, read) leaves checkpoints
+     behind; the ladder is never persisted, so a fresh session replays
+     from the seed.
 
 Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.
@@ -55,6 +59,7 @@ from .errors import (
     UnsupportedCarrier,
 )
 from .steghash import (
+    CheckpointLadder,
     HashtagAlphabet,
     Perm,
     ReplayCursor,
@@ -201,6 +206,7 @@ class TradeoffStats:
     replay_iterations: int  # stream hashes spent resolving pointers on reads/traversals
     block_count: int  # live data blocks
     file_count: int
+    checkpoints: int  # mode C session ladder length, 0 otherwise
 
 
 # -- superblock document ---------------------------------------------------
@@ -208,12 +214,10 @@ class TradeoffStats:
 _HEADER_KEYS = ("disc_id", "mode", "n", "p", "m", "genesis", "alphabet")
 
 
-def serialize_superblock(
-    config: DiscConfig,
-    entries: list[FileEntry],
-    used_codes=None,
-) -> str:
-    lines = [
+def _superblock_lines(config: DiscConfig, entries, used_codes) -> tuple[list[str], list[str]]:
+    """The document's header lines (the used= line last, if any) and its
+    catalog lines, one per file."""
+    header = [
         f"disc_id={config.disc_id}",
         f"mode={config.mode}",
         f"n={config.n}",
@@ -223,10 +227,18 @@ def serialize_superblock(
         "alphabet=" + ",".join(config.alphabet.tags),
     ]
     if used_codes is not None:
-        lines.append("used=" + ",".join(str(c) for c in sorted(used_codes)))
-    for entry in entries:
-        lines.append(f"{quote(entry.name, safe='')}\t{entry.start_counter}\t{entry.length}")
-    return "\n".join(lines) + "\n"
+        header.append("used=" + ",".join(str(c) for c in sorted(used_codes)))
+    catalog = [f"{quote(e.name, safe='')}\t{e.start_counter}\t{e.length}" for e in entries]
+    return header, catalog
+
+
+def serialize_superblock(
+    config: DiscConfig,
+    entries: list[FileEntry],
+    used_codes=None,
+) -> str:
+    header, catalog = _superblock_lines(config, entries, used_codes)
+    return "\n".join(header + catalog) + "\n"
 
 
 def parse_superblock(text: str):
@@ -330,6 +342,8 @@ class Disc:
         # tail; a reopened disc walks the stream up to the tail first
         self._sampler_synced = config.mode != "C"
         self._tail: Optional[tuple[Perm, int]] = None  # (address, pointer code)
+        # mode C: session-local resume points in the stream, never persisted
+        self._ladder = CheckpointLadder() if config.mode == "C" else None
         self._hash_iterations = 0
         self._replay_iterations = 0
         self._lock = threading.RLock()
@@ -391,18 +405,24 @@ class Disc:
         except CodeOutOfRange as exc:
             raise ChainBroken(f"pointer {code} is not a valid address code") from exc
 
-    def _fetch_block(self, addr: Perm) -> BlockPayload:
+    def _fetch(self, addr: Perm) -> tuple[CarrierObject, BlockPayload]:
+        """One fetch and one parse: the posted object and its payload."""
         try:
-            raw = self.backend.fetch(self._tags(addr))
+            carrier = CarrierObject.from_bytes(self.backend.fetch(self._tags(addr)))
         except NotFound as exc:
             raise ChainBroken(f"no object at {' '.join(self._tags(addr))}") from exc
         try:
-            return read_payload(CarrierObject.from_bytes(raw), self.config.p)
+            return carrier, read_payload(carrier, self.config.p)
         except (TruncatedPayload, BadVersion, UnsupportedCarrier) as exc:
             raise ChainBroken(f"undecodable block at {' '.join(self._tags(addr))}") from exc
 
+    def _fetch_block(self, addr: Perm) -> BlockPayload:
+        return self._fetch(addr)[1]
+
     def _new_cursor(self) -> Optional[ReplayCursor]:
-        return ReplayCursor(self.config.genesis) if self.config.mode == "C" else None
+        if self.config.mode != "C":
+            return None
+        return ReplayCursor(self.config.genesis, self._ladder)
 
     def _traverse(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Walk genesis -> tail; returns (code, address, payload) per data block."""
@@ -427,27 +447,28 @@ class Disc:
 
     def _rewrite_next(self, addr: Perm, new_next: int) -> None:
         """Replace one posted block's pointer, keeping its data and flags."""
-        tags = self._tags(addr)
-        payload = self._fetch_block(addr)
+        carrier, payload = self._fetch(addr)
         fresh = BlockPayload(next_counter=new_next, data=payload.data, flags=payload.flags)
-        raw = self.backend.fetch(tags)
-        stego = embed(CarrierObject.from_bytes(raw), encode_payload(fresh, self.config.p))
-        self.backend.replace(tags, stego.data)
+        stego = embed(carrier, encode_payload(fresh, self.config.p))
+        self.backend.replace(self._tags(addr), stego.data)
 
     def _sync_from(self, blocks) -> None:
         """Refresh the tail cache; mode C also advances the allocation
-        sampler past the last live counter so new counters stay above it."""
+        sampler past the last live counter so new counters stay above it,
+        starting from the ladder checkpoint nearest below that counter."""
         if blocks:
             self._tail = (blocks[-1][1], blocks[-1][0])
         else:
             self._tail = (self.config.genesis, 0)
         if not self._sampler_synced:
             if self.config.mode == "C" and blocks:
-                state = self._sampler
-                base = state.iteration
-                while state.iteration < blocks[-1][0]:
+                target = blocks[-1][0]
+                state = self._ladder.resume(self._sampler, target)
+                while state.iteration < target:
+                    before = state.iteration
                     _, _, state = sampler_advance(state)
-                self._hash_iterations += state.iteration - base
+                    self._hash_iterations += state.iteration - before
+                    self._ladder.record(state)
                 self._sampler = state
             self._sampler_synced = True
 
@@ -492,7 +513,9 @@ class Disc:
         base = state.iteration
         occupied = self._occupied_predicate(pending_addrs)
         for _ in range(count):
-            addr, counter, state = allocate_address(state, occupied)
+            # the ladder keeps what a rolled-back write walked: the stream
+            # is a pure function of the seed
+            addr, counter, state = allocate_address(state, occupied, ladder=self._ladder)
             code = counter if cfg.mode == "C" else rank(addr)
             run.append((addr, code))
             pending_addrs.add(addr)
@@ -745,23 +768,18 @@ class Disc:
     def stats(self) -> TradeoffStats:
         with self._lock:
             used = self._used if self.config.mode == "A" else None
-            doc = serialize_superblock(self.config, self._entries, used)
-            catalog = sum(
-                len(f"{quote(e.name, safe='')}\t{e.start_counter}\t{e.length}") + 1
-                for e in self._entries
-            )
-            dictionary = 0
-            if used is not None:
-                dictionary = len("used=" + ",".join(str(c) for c in sorted(used))) + 1
+            header, catalog = _superblock_lines(self.config, self._entries, used)
+            # each line is followed by a newline; quoted catalog lines are ASCII
             return TradeoffStats(
                 mode=self.config.mode,
-                persistent_bytes=len(doc.encode("utf-8")),
-                catalog_bytes=catalog,
-                dictionary_bytes=dictionary,
+                persistent_bytes=sum(len(line.encode("utf-8")) + 1 for line in header + catalog),
+                catalog_bytes=sum(len(line) + 1 for line in catalog),
+                dictionary_bytes=len(header[-1]) + 1 if used is not None else 0,
                 hash_iterations=self._hash_iterations,
                 replay_iterations=self._replay_iterations,
                 block_count=sum(
                     compute_chain_length(e.length, self.config.m) for e in self._entries
                 ),
                 file_count=len(self._entries),
+                checkpoints=len(self._ladder) if self._ladder is not None else 0,
             )

@@ -13,7 +13,8 @@ materializing the dictionary.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from math import factorial
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -189,38 +190,102 @@ def sampler_advance(state: SamplerState) -> tuple[Perm, int, SamplerState]:
             return perm, i, new_state
 
 
-class ReplayCursor:
-    """Fresh walk of the address stream that resolves completion counters.
+# -- checkpoint ladder -----------------------------------------------------------
+#
+# The stream is a pure function of the seed, so any completion state seen
+# by any walk is a valid place for a later walk to resume.  Keeping one
+# state per CHECKPOINT_EVERY iterations trades O(stream / K) memory for
+# replays of at most about K hashes (Hellman's time-memory tradeoff).  The
+# ladder lives in the session only; nothing of it is persisted.
 
-    Chain traversals resolve many counters in increasing order; the cursor
-    keeps the walk's position so each traversal costs one pass over the
-    stream instead of one pass per block.  Asking for a counter behind the
-    current position restarts the walk from the seed, so the result always
-    equals sampler_replay(seed, counter).
+CHECKPOINT_EVERY = 256
+
+
+def _perm_of(state: SamplerState) -> Perm:
+    """Permutation a completion state just emitted (it reseeded the input)."""
+    return tuple(int(v) for v in state.current_input.split(","))
+
+
+class CheckpointLadder:
+    """Sorted completion states, at most one per CHECKPOINT_EVERY-iteration
+    bucket.
+
+    Every walk starts from the seed or from a state some walk recorded, and
+    records each completion it passes, so the first state recorded in a
+    bucket is the bucket's lowest completion: a walk resumed from the
+    ladder then stays within one bucket of its counter."""
+
+    def __init__(self):
+        self._iterations: list[int] = []
+        self._states: list[SamplerState] = []
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def record(self, state: SamplerState) -> None:
+        """Remember a completion state (iteration > 0, empty partial),
+        unless its bucket already holds one."""
+        it = state.iteration
+        bucket = it // CHECKPOINT_EVERY
+        keys = self._iterations
+        i = bisect_right(keys, it)
+        if i and keys[i - 1] // CHECKPOINT_EVERY == bucket:
+            return
+        if i < len(keys) and keys[i] // CHECKPOINT_EVERY == bucket:
+            return
+        keys.insert(i, it)
+        self._states.insert(i, state)
+
+    def resume(self, state: SamplerState, counter: int) -> SamplerState:
+        """Where a walk from `state` towards `counter` should start: the
+        highest checkpoint at or below counter if it is further along than
+        state, else state itself.
+
+        The result carries state's limit, not the recorder's, so a
+        checkpoint left by the bounded allocation sampler and one left by
+        an unbounded replay resume alike."""
+        i = bisect_right(self._iterations, counter)
+        if i and self._iterations[i - 1] > state.iteration:
+            return replace(self._states[i - 1], limit=state.limit)
+        return state
+
+
+class ReplayCursor:
+    """Walk of the address stream that resolves completion counters.
+
+    Each resolve starts from the nearest known state at or below the
+    counter: the cursor's own position, a checkpoint of the shared ladder,
+    or the seed.  Every completion the walk passes is offered to the
+    ladder.  Chain traversals resolve counters in increasing order, so one
+    traversal costs one pass over the stream.  The result always equals
+    sampler_replay(seed, counter).
     """
 
-    def __init__(self, seed: Sequence[int]):
+    def __init__(self, seed: Sequence[int], ladder: Optional[CheckpointLadder] = None):
         self._seed = validate_permutation(seed)
+        self._ladder = ladder
         self._state = SamplerState.fresh(self._seed)
-        self._last: Optional[tuple[int, Perm]] = None
         self.iterations = 0  # total hash evaluations consumed by this cursor
 
     def resolve(self, counter: int) -> Perm:
         if counter <= 0:
             raise InvalidCounter(f"counter {counter} is the NULL pointer")
-        if counter < self._state.iteration:
-            self._state = SamplerState.fresh(self._seed)
-            self._last = None
-        if self._last is not None and self._last[0] == counter:
-            return self._last[1]
-        while self._state.iteration < counter:
-            before = self._state.iteration
-            perm, completed_at, self._state = sampler_advance(self._state)
+        state = self._state
+        if state.iteration > counter:
+            state = SamplerState.fresh(self._seed)
+        ladder = self._ladder
+        if ladder is not None:
+            state = ladder.resume(state, counter)
+        while state.iteration < counter:
+            before = state.iteration
+            _, completed_at, state = sampler_advance(state)
             self.iterations += completed_at - before
-            self._last = (completed_at, perm)
-            if completed_at == counter:
-                return perm
-        raise InvalidCounter(f"counter {counter} is not a completion point")
+            if ladder is not None:
+                ladder.record(state)
+        self._state = state
+        if state.iteration != counter:
+            raise InvalidCounter(f"counter {counter} is not a completion point")
+        return _perm_of(state)
 
 
 def sampler_replay(seed: Sequence[int], counter: int) -> Perm:
@@ -237,19 +302,23 @@ def allocate_address(
     state: SamplerState,
     occupied: Callable[[Perm], bool],
     max_occupied: Optional[int] = None,
+    ladder: Optional[CheckpointLadder] = None,
 ) -> tuple[Perm, int, SamplerState]:
     """Advance the stream until a permutation the predicate reports free.
 
     Occupied emissions are discarded but their iterations stay consumed,
     which is what lets freed addresses return to the pool later in the
-    stream.  Raises AllocationStall after max_occupied consecutive occupied
-    emissions (default 10*n! for n <= 8, else 10^6).
+    stream.  Every completion passed, occupied or not, is offered to
+    `ladder`.  Raises AllocationStall after max_occupied consecutive
+    occupied emissions (default 10*n! for n <= 8, else 10^6).
     """
     if max_occupied is None:
         max_occupied = default_stall_limit(len(state.seed))
     misses = 0
     while True:
         perm, counter, state = sampler_advance(state)
+        if ladder is not None:
+            ladder.record(state)
         if not occupied(perm):
             return perm, counter, state
         misses += 1

@@ -15,6 +15,7 @@ from stegdisc.disc import (
 )
 from stegdisc.errors import (
     AllocationStall,
+    BackendUnavailable,
     ChainBroken,
     ConfigInvalid,
     CounterOverflow,
@@ -24,7 +25,13 @@ from stegdisc.errors import (
     NameExists,
 )
 from stegdisc.osn import MemoryBackend
-from stegdisc.steghash import HashtagAlphabet, perm_to_hashtags, rank, sampler_replay
+from stegdisc.steghash import (
+    CHECKPOINT_EVERY,
+    HashtagAlphabet,
+    perm_to_hashtags,
+    rank,
+    sampler_replay,
+)
 
 MODES = ("A", "B", "C")
 
@@ -516,6 +523,7 @@ class TestStats:
             stats = disc.stats()
             assert stats.block_count == 3
             assert stats.file_count == 1
+            assert (stats.checkpoints > 0) == (mode == "C")
             if mode == "A":
                 assert stats.dictionary_bytes > 0
             else:
@@ -527,3 +535,65 @@ class TestStats:
         ten = disc.stats().dictionary_bytes
         disc.delete_file("f")
         assert disc.stats().dictionary_bytes < ten
+
+
+class TestCheckpointLadder:
+    def test_warm_reads_replay_at_most_one_bucket_plus_the_run(self):
+        disc, backend = make_disc("C", n=7, p=24, m=8)
+        rng = random.Random(300)
+        files = {f"f{i:03d}": rng.randbytes(rng.randrange(1, 25)) for i in range(300)}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        codes = [code for code, _, _ in disc.chain_blocks()]
+        entries = {e.name: e for e in disc.list_files()}
+        for name, blob in files.items():
+            start = codes.index(entries[name].start_counter)
+            run = codes[start: start + compute_chain_length(len(blob), 8)]
+            before = disc.stats().replay_iterations
+            assert disc.read_file(name) == blob
+            assert disc.stats().replay_iterations - before <= CHECKPOINT_EVERY + run[-1] - run[0]
+        # a fresh session has no ladder: it replays from the seed to the run's end
+        for name in list(files)[::37]:
+            cold = Disc(disc.config, backend, disc.pool, entries=list(entries.values()))
+            assert cold.read_file(name) == files[name]
+            start = codes.index(entries[name].start_counter)
+            last = codes[start + compute_chain_length(len(files[name]), 8) - 1]
+            assert cold.stats().replay_iterations == last
+            assert cold.stats().checkpoints > 0
+
+    def test_rolled_back_write_leaves_sound_checkpoints(self):
+        disc, backend = make_disc("C", n=7, p=24, m=8)
+        backend.config.failure_rate = 0.02
+        with pytest.raises(BackendUnavailable):
+            disc.write_file("big", bytes(range(256)) * 2)  # 64 blocks
+        stats = disc.stats()
+        assert stats.hash_iterations == 0  # no allocation committed ...
+        assert stats.checkpoints >= 2  # ... yet the walk left checkpoints
+        backend.config.failure_rate = 0.0
+        assert disc.fsck().ok
+        rng = random.Random(2)
+        files = {f"g{i}": rng.randbytes(rng.randrange(1, 60)) for i in range(40)}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        for name, blob in files.items():
+            assert disc.read_file(name) == blob
+        for code, addr, _ in disc.chain_blocks():
+            assert addr == sampler_replay(disc.config.genesis, code)
+        assert disc.fsck().ok
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reads_leave_the_superblock_untouched(self, mode, tmp_path):
+        doc = tmp_path / "sb.txt"
+        config = DiscConfig.create(n=5, p=24, m=8, mode=mode, disc_id="ro")
+        disc = Disc.format(config, MemoryBackend(), small_pool(), doc_path=doc)
+        rng = random.Random(9)
+        files = {f"h{i}": rng.randbytes(rng.randrange(1, 40)) for i in range(30)}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        before = doc.read_bytes()
+        for _ in range(3):
+            for name, blob in files.items():
+                assert disc.read_file(name) == blob
+        assert disc.fsck().ok
+        assert doc.read_bytes() == before
+        assert (disc.stats().checkpoints > 0) == (mode == "C")

@@ -12,7 +12,7 @@ from stegdisc.disc import Disc, DiscConfig
 from stegdisc.errors import UsageError
 from stegdisc.osn import BackendConfig, DirectoryBackend, MemoryBackend
 from stegdisc.shell import ShellSession, default_disc_path, main
-from stegdisc.steghash import perm_to_hashtags
+from stegdisc.steghash import CHECKPOINT_EVERY, perm_to_hashtags
 
 
 def session(tmp_path, backend_spec="memory", **kwargs):
@@ -64,7 +64,9 @@ class TestDispatch:
         sess.execute(["get", "doc", str(tmp_path / "out")])
         assert (tmp_path / "out").read_bytes() == b"v2 is longer"
         assert sess.execute(["stat"]) == 0
-        assert "file_count: 1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "file_count: 1" in out
+        assert "checkpoints: 0" in out  # mode B keeps no ladder
 
     def test_fsck_clean_exit_zero(self, tmp_path):
         sess = session(tmp_path)
@@ -90,6 +92,10 @@ class TestDispatch:
         assert payload["status"] == 0
         assert payload["files"][0]["name"] == "doc"
         assert payload["files"][0]["length"] == 20
+        assert sess.execute(["get", "doc", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert sess.execute(["stat"]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["checkpoints"] >= 1
 
     def test_history_recorded(self, tmp_path):
         sess = session(tmp_path)
@@ -207,6 +213,17 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         rows = [line for line in out.splitlines()[1:] if line]
         assert sorted(line.split()[0] for line in rows) == ["B", "B", "C", "C"]
+
+    def test_bench_json_has_cold_and_warm_reads(self, tmp_path, capsys):
+        sess = session(tmp_path, json_out=True)
+        assert sess.execute(["bench", "--counts", "60", "--modes", "B,C", "--p", "16"]) == 0
+        rows = {row["mode"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+        assert set(rows["B"]["per_read_iterations"]) == {0}
+        assert set(rows["B"]["warm_per_read_iterations"]) == {0}
+        cold, warm = rows["C"]["per_read_iterations"], rows["C"]["warm_per_read_iterations"]
+        assert all(a < b for a, b in zip(cold, cold[1:]))  # fresh sessions replay from the seed
+        assert all(w < CHECKPOINT_EVERY for w in warm)  # one-block files: one bucket at most
+        assert sum(warm) < sum(cold)
 
     def test_bench_bad_spec(self, tmp_path):
         sess = session(tmp_path)

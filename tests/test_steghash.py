@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -18,6 +19,8 @@ from stegdisc.errors import (
     UnknownTag,
 )
 from stegdisc.steghash import (
+    CHECKPOINT_EVERY,
+    CheckpointLadder,
     HashtagAlphabet,
     ReplayCursor,
     SamplerState,
@@ -248,6 +251,96 @@ class TestReplay:
         cursor = ReplayCursor((0, 1, 2))
         with pytest.raises(InvalidCounter):
             cursor.resolve(4)  # stream completes at 3 then 7
+
+
+LADDER_SEED = (0, 1, 2, 3)
+LADDER_STREAM = advance_many(LADDER_SEED, 150)  # about 1,250 iterations
+LADDER_COMPLETIONS = dict(LADDER_STREAM)
+LADDER_TOP = LADDER_STREAM[-1][0]
+
+
+@lru_cache(maxsize=None)
+def ladder_replay(counter):
+    return sampler_replay(LADDER_SEED, counter)
+
+
+def walked_ladder():
+    """A ladder fed by one cursor walk over the whole test stream."""
+    ladder = CheckpointLadder()
+    ReplayCursor(LADDER_SEED, ladder).resolve(LADDER_TOP)
+    return ladder
+
+
+class TestCheckpointLadder:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.one_of(st.sampled_from(sorted(LADDER_COMPLETIONS)), st.integers(1, LADDER_TOP)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cursors_sharing_a_ladder_agree_with_replay(self, requests):
+        # three cursors feed and use one ladder; requests jump forward and
+        # backward, and non-completion counters must still be rejected
+        ladder = CheckpointLadder()
+        cursors = [ReplayCursor(LADDER_SEED, ladder) for _ in range(3)]
+        for which, counter in requests:
+            if counter in LADDER_COMPLETIONS:
+                assert cursors[which].resolve(counter) == ladder_replay(counter)
+            else:
+                with pytest.raises(InvalidCounter):
+                    cursors[which].resolve(counter)
+
+    def test_one_checkpoint_per_bucket(self):
+        ladder = walked_ladder()
+        buckets = {c // CHECKPOINT_EVERY for c in LADDER_COMPLETIONS}
+        assert len(ladder) == len(buckets) > 1
+
+    def test_counter_on_a_checkpoint_costs_nothing(self):
+        ladder = walked_ladder()
+        free = []
+        for counter in LADDER_COMPLETIONS:
+            cursor = ReplayCursor(LADDER_SEED, ladder)
+            assert cursor.resolve(counter) == ladder_replay(counter)
+            if cursor.iterations == 0:
+                free.append(counter)
+        # exactly the checkpoints resolve without hashing: the lowest
+        # completion of each bucket
+        assert len(free) == len(ladder)
+        assert [c // CHECKPOINT_EVERY for c in free] == sorted({c // CHECKPOINT_EVERY for c in free})
+
+    def test_warm_replay_stays_within_one_bucket(self):
+        ladder = walked_ladder()
+        for counter in LADDER_COMPLETIONS:
+            cursor = ReplayCursor(LADDER_SEED, ladder)
+            cursor.resolve(counter)
+            assert cursor.iterations < CHECKPOINT_EVERY
+
+    def test_allocation_checkpoints_resume_like_cursor_ones(self):
+        # the allocation sampler records states bounded by its limit; a
+        # cursor resuming from them must not inherit that bound, and a
+        # bounded sampler resuming from cursor states must keep its own
+        limit = LADDER_STREAM[60][0]
+        from_alloc = CheckpointLadder()
+        state = SamplerState.fresh(LADDER_SEED, limit=limit)
+        for _ in range(61):
+            _, _, state = allocate_address(state, lambda p: False, ladder=from_alloc)
+        from_cursor = CheckpointLadder()
+        ReplayCursor(LADDER_SEED, from_cursor).resolve(limit)
+        fresh = SamplerState.fresh(LADDER_SEED)
+        for counter in LADDER_COMPLETIONS:
+            assert from_alloc.resume(fresh, counter) == from_cursor.resume(fresh, counter)
+        cursor = ReplayCursor(LADDER_SEED, from_alloc)
+        assert cursor.resolve(LADDER_TOP) == ladder_replay(LADDER_TOP)  # past the bound
+        bounded = from_cursor.resume(SamplerState.fresh(LADDER_SEED, limit=limit), limit)
+        assert bounded.limit == limit and bounded.iteration > 0
+        with pytest.raises(CounterOverflow):
+            while True:
+                _, _, bounded = sampler_advance(bounded)
 
 
 class TestAllocate:
