@@ -21,6 +21,16 @@ Three addressing modes trade local state for recomputation:
 
 Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.
+
+Catalog order is chain order: writes and edits put their run at the
+chain tail and their entry at the end of the catalog.  So a splice
+finds its predecessor as the last block of the previous non-empty
+entry (or the genesis block), and the first mutation of a session finds
+the tail as the last block of the last non-empty entry (or the genesis
+block), each by walking one run.  Either is accepted only if the
+pointer it holds leads where it should (to the spliced run, or NULL);
+on a mismatch or a broken run the chain is walked from the genesis
+block, as fsck and chain_blocks always do.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import tempfile
 import threading
 import uuid
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 from pathlib import Path
 from typing import Optional
@@ -166,11 +177,25 @@ def _parse_echo(data: bytes) -> dict[str, str]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileEntry:
     name: str
     start_counter: int  # pointer code of the first block; 0 for empty files
     length: int  # bytes
+
+    @cached_property
+    def line(self) -> str:
+        """The entry's catalog line in the superblock document, formatted once."""
+        return f"{quote(self.name, safe='')}\t{self.start_counter}\t{self.length}"
+
+    @classmethod
+    def parse(cls, line: str) -> "FileEntry":
+        """Inverse of `line`; the entry keeps the line it was read from, so
+        writing an opened catalog back formats none of its lines again."""
+        name, start, length = line.split("\t")
+        entry = cls(unquote(name), int(start), int(length))
+        entry.__dict__["line"] = line
+        return entry
 
 
 def check_name(name: str) -> str:
@@ -228,13 +253,12 @@ def _superblock_lines(config: DiscConfig, entries, used_codes) -> tuple[list[str
     ]
     if used_codes is not None:
         header.append("used=" + ",".join(str(c) for c in sorted(used_codes)))
-    catalog = [f"{quote(e.name, safe='')}\t{e.start_counter}\t{e.length}" for e in entries]
-    return header, catalog
+    return header, [entry.line for entry in entries]
 
 
 def serialize_superblock(
     config: DiscConfig,
-    entries: list[FileEntry],
+    entries,
     used_codes=None,
 ) -> str:
     header, catalog = _superblock_lines(config, entries, used_codes)
@@ -254,11 +278,8 @@ def parse_superblock(text: str):
         if not line:
             continue
         if "\t" in line:
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ConfigInvalid(f"bad catalog line {line!r}")
             try:
-                entries.append(FileEntry(unquote(parts[0]), int(parts[1]), int(parts[2])))
+                entries.append(FileEntry.parse(line))
             except ValueError as exc:
                 raise ConfigInvalid(f"bad catalog line {line!r}") from exc
         else:
@@ -334,7 +355,11 @@ class Disc:
         self.backend = backend
         self.pool = pool if pool is not None else default_pool(config)
         self.doc_path = Path(doc_path) if doc_path is not None else None
-        self._entries: list[FileEntry] = list(entries or [])
+        # the catalog, in chain order: name -> entry
+        entries = list(entries or ())
+        self._entries: dict[str, FileEntry] = {entry.name: entry for entry in entries}
+        if len(self._entries) != len(entries):
+            raise ConfigInvalid("the catalog names a file twice")
         self._used: set[int] = set(used_codes or ())  # mode A: rank codes of live blocks
         limit = 2 ** config.p - 1 if config.mode == "C" else None
         self._sampler = SamplerState.fresh(config.genesis, limit=limit)
@@ -385,13 +410,13 @@ class Disc:
         if self.doc_path is None:
             return
         used = self._used if self.config.mode == "A" else None
-        write_superblock(self.doc_path, self.config, self._entries, used)
+        write_superblock(self.doc_path, self.config, self._entries.values(), used)
 
     def _entry(self, name: str) -> FileEntry:
-        for entry in self._entries:
-            if entry.name == name:
-                return entry
-        raise FileNotFound(f"file {name!r} not found")
+        try:
+            return self._entries[name]
+        except KeyError:
+            raise FileNotFound(f"file {name!r} not found") from None
 
     def _resolve(self, code: int, cursor: Optional[ReplayCursor]) -> Perm:
         """Pointer code -> address; mode C replays the stream via `cursor`."""
@@ -424,6 +449,10 @@ class Disc:
             return None
         return ReplayCursor(self.config.genesis, self._ladder)
 
+    def _count_replay(self, cursor: Optional[ReplayCursor]) -> None:
+        if cursor is not None:
+            self._replay_iterations += cursor.iterations
+
     def _traverse(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Walk genesis -> tail; returns (code, address, payload) per data block."""
         genesis_payload = self._fetch_block(self.config.genesis)
@@ -441,40 +470,72 @@ class Disc:
                 blocks.append((code, addr, payload))
                 code = payload.next_counter
         finally:
-            if cursor is not None:
-                self._replay_iterations += cursor.iterations
+            self._count_replay(cursor)
         return blocks
 
-    def _rewrite_next(self, addr: Perm, new_next: int) -> None:
-        """Replace one posted block's pointer, keeping its data and flags."""
-        carrier, payload = self._fetch(addr)
+    def _run(self, entry: FileEntry, cursor: Optional[ReplayCursor]):
+        """Walk one file's blocks from its catalog entry: yields
+        (code, address, carrier, payload) per block."""
+        code = entry.start_counter
+        for _ in range(compute_chain_length(entry.length, self.config.m)):
+            if code == 0:
+                raise ChainBroken(f"chain ends inside file {entry.name!r}")
+            addr = self._resolve(code, cursor)
+            carrier, payload = self._fetch(addr)
+            yield code, addr, carrier, payload
+            code = payload.next_counter
+
+    def _last_block(self, entry: Optional[FileEntry], cursor):
+        """(code, address, carrier, payload) of the last block of `entry`'s
+        run, or of the genesis block when `entry` is None."""
+        if entry is None:
+            return (0, self.config.genesis) + self._fetch(self.config.genesis)
+        block = None
+        for block in self._run(entry, cursor):
+            pass
+        return block
+
+    def _rewrite_next(self, addr: Perm, new_next: int, fetched=None) -> None:
+        """Replace one posted block's pointer, keeping its data and flags;
+        `fetched` is the block's (carrier, payload) if already in hand."""
+        carrier, payload = fetched or self._fetch(addr)
         fresh = BlockPayload(next_counter=new_next, data=payload.data, flags=payload.flags)
         stego = embed(carrier, encode_payload(fresh, self.config.p))
         self.backend.replace(self._tags(addr), stego.data)
 
-    def _sync_from(self, blocks) -> None:
-        """Refresh the tail cache; mode C also advances the allocation
-        sampler past the last live counter so new counters stay above it,
-        starting from the ladder checkpoint nearest below that counter."""
-        if blocks:
-            self._tail = (blocks[-1][1], blocks[-1][0])
-        else:
-            self._tail = (self.config.genesis, 0)
-        if not self._sampler_synced:
-            if self.config.mode == "C" and blocks:
-                target = blocks[-1][0]
-                state = self._ladder.resume(self._sampler, target)
-                while state.iteration < target:
-                    before = state.iteration
-                    _, _, state = sampler_advance(state)
-                    self._hash_iterations += state.iteration - before
-                    self._ladder.record(state)
-                self._sampler = state
-            self._sampler_synced = True
+    def _find_tail(self) -> tuple[Perm, int]:
+        """The chain tail (address, pointer code): the last block of the
+        last non-empty catalog entry, accepted if its pointer is NULL;
+        otherwise the end of a full traversal."""
+        last = next((e for e in reversed(self._entries.values()) if e.length), None)
+        cursor = self._new_cursor()
+        try:
+            code, addr, _, payload = self._last_block(last, cursor)
+            if payload.next_counter == 0:
+                return addr, code
+        except ChainBroken:
+            pass
+        finally:
+            self._count_replay(cursor)
+        blocks = self._traverse()
+        return (blocks[-1][1], blocks[-1][0]) if blocks else (self.config.genesis, 0)
 
     def _prepare_mutation(self) -> None:
-        if self._tail is None or not self._sampler_synced:
-            self._sync_from(self._traverse())
+        """Find the chain tail; mode C also advances the allocation sampler
+        to the tail counter, so new counters stay above every live one,
+        starting from the ladder checkpoint nearest below it."""
+        if self._tail is None:
+            self._tail = self._find_tail()
+        if not self._sampler_synced:
+            target = self._tail[1]
+            state = self._ladder.resume(self._sampler, target)
+            while state.iteration < target:
+                before = state.iteration
+                _, _, state = sampler_advance(state)
+                self._hash_iterations += state.iteration - before
+                self._ladder.record(state)
+            self._sampler = state
+            self._sampler_synced = True
 
     def _occupied_predicate(self, pending: set[Perm]):
         identity = tuple(range(self.config.n))
@@ -544,11 +605,32 @@ class Disc:
         self._tail = run[-1]
         return run[0][1]
 
-    def _splice_run(self, entry: FileEntry, blocks=None) -> None:
-        """Unlink and remove one file's blocks (§ the delete procedure):
-        the predecessor takes over the pointer held by the run's last block."""
-        if blocks is None:
-            blocks = self._traverse()
+    def _neighbours(self, entry: FileEntry):
+        """The block before `entry`'s run, as (code, address, fetched), and
+        the run's (code, address, payload) triples.
+
+        Catalog order is chain order, so the predecessor is the last block
+        of the previous non-empty entry, or the genesis block.  It is
+        accepted only if its pointer leads to the run; otherwise the chain
+        is walked from the genesis block.  `fetched` is the predecessor's
+        (carrier, payload), or None when it must be fetched again."""
+        prev = None
+        for other in self._entries.values():
+            if other is entry:
+                break
+            if other.length:
+                prev = other
+        cursor = self._new_cursor()
+        try:
+            code, addr, carrier, payload = self._last_block(prev, cursor)
+            if payload.next_counter == entry.start_counter:
+                run = [(c, a, pl) for c, a, _, pl in self._run(entry, cursor)]
+                return (code, addr, (carrier, payload)), run
+        except ChainBroken:
+            pass
+        finally:
+            self._count_replay(cursor)
+        blocks = self._traverse()
         codes = [code for code, _, _ in blocks]
         try:
             start = codes.index(entry.start_counter)
@@ -560,21 +642,36 @@ class Disc:
         run = blocks[start: start + count]
         if len(run) < count:
             raise ChainBroken(f"chain ends inside file {entry.name!r}")
+        if start == 0:
+            return (0, self.config.genesis, None), run
+        return (blocks[start - 1][0], blocks[start - 1][1], None), run
+
+    def _splice_run(self, entry: FileEntry) -> None:
+        """Unlink and remove one file's blocks (§ the delete procedure):
+        the predecessor takes over the pointer held by the run's last block.
+
+        The predecessor rewrite is the point where the run leaves the
+        chain.  Removal after it is best effort: a post that fails to go
+        stays behind as an orphan, and in mode A its code stays used, so
+        allocation never lands on it."""
+        (pred_code, pred_addr, fetched), run = self._neighbours(entry)
         tail_ptr = run[-1][2].next_counter
-        pred_addr = self.config.genesis if start == 0 else blocks[start - 1][1]
-        self._rewrite_next(pred_addr, tail_ptr)
+        self._rewrite_next(pred_addr, tail_ptr, fetched)
+        removed = []
         for _, addr, _ in run:
             try:
                 self.backend.remove(self._tags(addr))
-            except NotFound as exc:
-                raise ChainBroken(f"block vanished during delete: {exc}") from exc
+            except NotFound:
+                pass  # already gone
+            except Exception:
+                # the run is off the chain already: raising here would leave
+                # a catalog entry naming a spliced-out run
+                continue
+            removed.append(addr)
         if self.config.mode == "A":
-            self._used.difference_update(rank(addr) for _, addr, _ in run)
+            self._used.difference_update(rank(addr) for addr in removed)
         if tail_ptr == 0:
-            if start == 0:
-                self._tail = (self.config.genesis, 0)
-            else:
-                self._tail = (blocks[start - 1][1], blocks[start - 1][0])
+            self._tail = (pred_addr, pred_code)
 
     # -- file operations -----------------------------------------------------
 
@@ -582,7 +679,7 @@ class Disc:
         check_name(name)
         data = bytes(data)
         with self._lock:
-            if any(entry.name == name for entry in self._entries):
+            if name in self._entries:
                 raise NameExists(f"file {name!r} already exists")
             if not data:
                 entry = FileEntry(name, 0, 0)
@@ -590,31 +687,18 @@ class Disc:
                 self._prepare_mutation()
                 first = self._append_chain(data)
                 entry = FileEntry(name, first, len(data))
-            self._entries.append(entry)
+            self._entries[name] = entry
             self._persist()
             return entry
 
     def read_file(self, name: str) -> bytes:
         with self._lock:
             entry = self._entry(name)
-            if entry.length == 0:
-                return b""
-            count = compute_chain_length(entry.length, self.config.m)
             cursor = self._new_cursor()
-            chunks = []
-            code = entry.start_counter
             try:
-                for _ in range(count):
-                    if code == 0:
-                        raise ChainBroken(f"chain ends inside file {name!r}")
-                    addr = self._resolve(code, cursor)
-                    payload = self._fetch_block(addr)
-                    chunks.append(payload.data)
-                    code = payload.next_counter
+                data = b"".join(payload.data for _, _, _, payload in self._run(entry, cursor))
             finally:
-                if cursor is not None:
-                    self._replay_iterations += cursor.iterations
-            data = b"".join(chunks)
+                self._count_replay(cursor)
             if len(data) != entry.length:
                 raise ChainBroken(
                     f"file {name!r} yielded {len(data)} bytes, expected {entry.length}"
@@ -625,31 +709,36 @@ class Disc:
         with self._lock:
             entry = self._entry(name)
             if entry.length > 0:
-                blocks = self._traverse()
-                self._sync_from(blocks)
-                self._splice_run(entry, blocks)
-            self._entries.remove(entry)
+                self._splice_run(entry)
+            del self._entries[name]
             self._persist()
 
     def modify_file(self, name: str, data: bytes) -> FileEntry:
         """Replace a file's contents: the new run is posted before the old
         one is spliced out, so the catalog never points at a half-written
-        chain."""
+        chain.  The new run sits at the chain tail, so the entry moves to
+        the end of the catalog."""
         data = bytes(data)
         with self._lock:
             entry = self._entry(name)
             self._prepare_mutation()
             first = self._append_chain(data) if data else 0
             if entry.length > 0:
-                self._splice_run(entry)
+                try:
+                    self._splice_run(entry)
+                except BaseException:
+                    # the new run stays linked; mode A must keep its codes used
+                    self._persist()
+                    raise
             fresh = FileEntry(name, first, len(data))
-            self._entries[self._entries.index(entry)] = fresh
+            del self._entries[name]
+            self._entries[name] = fresh
             self._persist()
             return fresh
 
     def list_files(self) -> list[FileEntry]:
         with self._lock:
-            return sorted(self._entries, key=lambda entry: entry.name)
+            return sorted(self._entries.values(), key=lambda entry: entry.name)
 
     def chain_blocks(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Read-only traversal from the genesis block: one
@@ -718,13 +807,12 @@ class Disc:
                     prev = code
                     code = payload.next_counter
             finally:
-                if cursor is not None:
-                    self._replay_iterations += cursor.iterations
+                self._count_replay(cursor)
             if broken:
                 return report
             codes = [c for c, _ in blocks]
             total_expected = 0
-            for entry in self._entries:
+            for entry in self._entries.values():
                 count = compute_chain_length(entry.length, self.config.m)
                 total_expected += count
                 if count == 0:
@@ -768,17 +856,18 @@ class Disc:
     def stats(self) -> TradeoffStats:
         with self._lock:
             used = self._used if self.config.mode == "A" else None
-            header, catalog = _superblock_lines(self.config, self._entries, used)
+            header, catalog = _superblock_lines(self.config, self._entries.values(), used)
             # each line is followed by a newline; quoted catalog lines are ASCII
+            catalog_bytes = sum(len(line) + 1 for line in catalog)
             return TradeoffStats(
                 mode=self.config.mode,
-                persistent_bytes=sum(len(line.encode("utf-8")) + 1 for line in header + catalog),
-                catalog_bytes=sum(len(line) + 1 for line in catalog),
+                persistent_bytes=sum(len(line.encode("utf-8")) + 1 for line in header) + catalog_bytes,
+                catalog_bytes=catalog_bytes,
                 dictionary_bytes=len(header[-1]) + 1 if used is not None else 0,
                 hash_iterations=self._hash_iterations,
                 replay_iterations=self._replay_iterations,
                 block_count=sum(
-                    compute_chain_length(e.length, self.config.m) for e in self._entries
+                    compute_chain_length(e.length, self.config.m) for e in self._entries.values()
                 ),
                 file_count=len(self._entries),
                 checkpoints=len(self._ladder) if self._ladder is not None else 0,

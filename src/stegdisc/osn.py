@@ -153,23 +153,25 @@ class _BackendBase:
 
 
 class MemoryBackend(_BackendBase):
-    """Volatile backend; the default for tests and benchmarks."""
+    """Volatile backend; the default for tests and benchmarks.  It keeps
+    only each address's object bytes: post ids and timestamps are not
+    read back."""
 
     def __init__(self, config: Optional[BackendConfig] = None):
         super().__init__(config or BackendConfig(mode="memory"))
-        self._posts: dict[Hashtags, Post] = {}
+        self._posts: dict[Hashtags, bytes] = {}
 
     def _has(self, tags):
         return tags in self._posts
 
     def _put(self, rec):
-        self._posts[rec.hashtags] = rec
+        self._posts[rec.hashtags] = rec.data
 
     def _get(self, tags):
-        return self._posts[tags].data
+        return self._posts[tags]
 
     def _rewrite(self, tags, data):
-        self._posts[tags].data = data
+        self._posts[tags] = data
 
     def _drop(self, tags):
         del self._posts[tags]

@@ -1,6 +1,7 @@
 """Filesystem core: chains, catalog, splice, fsck, and the three modes."""
 
 import random
+from math import factorial
 
 import pytest
 
@@ -348,7 +349,7 @@ class TestFsck:
     def test_catalog_mismatch_detected(self):
         disc, _ = make_disc("B", m=4)
         disc.write_file("a", b"0123456789")
-        disc._entries[0] = FileEntry("a", disc._entries[0].start_counter, 6)
+        disc._entries["a"] = FileEntry("a", disc._entries["a"].start_counter, 6)
         report = disc.fsck()
         kinds = {v.kind for v in report.violations}
         assert "file-bytes" in kinds or "block-count" in kinds
@@ -597,3 +598,212 @@ class TestCheckpointLadder:
         assert disc.fsck().ok
         assert doc.read_bytes() == before
         assert (disc.stats().checkpoints > 0) == (mode == "C")
+
+
+class ProxyBackend:
+    """A backend that counts queries by verb and, once armed, fails the
+    k-th query (of one verb, or of any) with a transient error, once."""
+
+    VERBS = ("post", "exists", "fetch", "replace", "remove", "live_addresses")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.counts = {verb: 0 for verb in self.VERBS}
+        self._left = None
+        self._verb = None
+
+    def arm(self, k, verb=None):
+        self._left, self._verb = k, verb
+
+    def _call(self, verb, *args):
+        self.counts[verb] += 1
+        if self._left is not None and self._verb in (None, verb):
+            self._left -= 1
+            if self._left == 0:
+                self._left = None
+                raise BackendUnavailable(f"injected failure of {verb}")
+        return getattr(self.inner, verb)(*args)
+
+    def __getattr__(self, verb):
+        if verb not in self.VERBS:
+            raise AttributeError(verb)
+        return lambda *args: self._call(verb, *args)
+
+
+def make_doc_disc(mode, tmp_path, n=7, p=24, m=8):
+    backend = ProxyBackend(MemoryBackend())
+    config = DiscConfig.create(n=n, p=p, m=m, mode=mode, disc_id=f"nb-{mode}")
+    doc = tmp_path / "sb.txt"
+    return Disc.format(config, backend, small_pool(), doc_path=doc), backend, doc
+
+
+def run_starts(disc):
+    """First pointer of each file's run, in chain order, from a traversal
+    and the catalog's block counts."""
+    codes = [code for code, _, _ in disc.chain_blocks()]
+    by_start = {e.start_counter: e for e in disc.list_files() if e.length}
+    starts, idx = [], 0
+    while idx < len(codes):
+        entry = by_start[codes[idx]]
+        starts.append(entry.start_counter)
+        idx += compute_chain_length(entry.length, disc.config.m)
+    return starts
+
+
+class TestCatalogNeighbours:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rm_and_reopen_fetch_only_neighbouring_runs(self, mode, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path)
+        rng = random.Random(41)
+        files = {f"f{i:03d}": rng.randbytes(rng.randrange(1, 25)) for i in range(300)}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        names = list(files)
+
+        def blocks(name):
+            return compute_chain_length(len(files[name]), 8)
+
+        for idx in (0, 100, 150, 200, 299):
+            prev = blocks(names[idx - 1]) if idx else 0
+            before = backend.counts["fetch"]
+            disc.delete_file(names[idx])
+            assert backend.counts["fetch"] - before <= prev + blocks(names[idx]) + 2
+            del files[names[idx]]
+        last = list(files)[-1]
+        fresh = Disc.open(doc, backend, small_pool())
+        before = backend.counts["fetch"]
+        fresh.write_file("new", b"appended after reopen")
+        assert backend.counts["fetch"] - before <= blocks(last) + 2
+        files["new"] = b"appended after reopen"
+        assert fresh.fsck().ok
+        for name, blob in files.items():
+            assert fresh.read_file(name) == blob
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_catalog_order_is_chain_order(self, mode, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path, n=6, m=8)
+        rng = random.Random(ord(mode) + 5)
+        reference = {}
+        for step in range(120):
+            name = f"d{rng.randrange(12)}"
+            blob = rng.randbytes(rng.choice((0, rng.randrange(1, 40))))
+            if name not in reference:
+                disc.write_file(name, blob)
+                reference[name] = blob
+            elif rng.random() < 0.5:
+                disc.modify_file(name, blob)
+                reference[name] = blob
+            else:
+                disc.delete_file(name)
+                del reference[name]
+            if step % 40 == 39:
+                disc = Disc.open(doc, backend, small_pool())
+            _, entries, _ = parse_superblock(doc.read_text(encoding="utf-8"))
+            assert [e.start_counter for e in entries if e.length] == run_starts(disc)
+        assert disc.fsck().ok
+        for name, blob in reference.items():
+            assert disc.read_file(name) == blob
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_out_of_order_catalog_falls_back_to_a_traversal(self, mode, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path, n=6, m=4)
+        for name in ("a", "b", "c", "d"):
+            disc.write_file(name, name.encode() * 9)
+        disc.modify_file("b", b"B" * 7)  # chain order is now a c d b
+        config, entries, used = parse_superblock(doc.read_text(encoding="utf-8"))
+        by_name = {e.name: e for e in entries}
+        # the catalog order an in-place edit used to leave behind
+        doc.write_text(
+            serialize_superblock(config, [by_name[n] for n in "abcd"], used), encoding="utf-8"
+        )
+        fresh = Disc.open(doc, backend, small_pool())
+        fresh.write_file("e", b"after the real tail")
+        assert fresh.read_file("e") == b"after the real tail"
+        fresh.delete_file("c")
+        fresh.delete_file("b")
+        assert fresh.fsck().ok
+        assert fresh.read_file("a") == b"a" * 9
+        assert fresh.read_file("d") == b"d" * 9
+        again = Disc.open(doc, backend, small_pool())
+        again.write_file("f", b"tail after fallback deletes")
+        assert again.fsck().ok
+        assert again.read_file("f") == b"tail after fallback deletes"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_put_after_a_failed_edit_appends_at_the_real_tail(self, mode, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path, n=6, m=4)
+        disc.write_file("a", b"a" * 9)
+        disc.write_file("b", b"b" * 9)
+        backend.arm(2, "replace")  # the first replace links the new run, the second splices
+        with pytest.raises(BackendUnavailable):
+            disc.modify_file("a", b"new content for a")
+        # the new run is linked after b, and no entry names it
+        assert len(disc.chain_blocks()) == 3 + 3 + 5
+        fresh = Disc.open(doc, backend, small_pool())
+        fresh.write_file("c", b"c" * 9)
+        runs = [code for code, _, _ in fresh.chain_blocks()]
+        assert fresh.list_files()[2].start_counter == runs[-3]
+        assert fresh.read_file("c") == b"c" * 9
+        assert fresh.read_file("a") == b"a" * 9
+        assert fresh.read_file("b") == b"b" * 9
+
+
+class TestDeleteFaults:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("k", range(1, 11))  # rm of b makes 10 queries
+    def test_transient_failure_in_rm(self, mode, k, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path, n=4, p=16, m=4)
+        files = {name: name.encode() * 10 for name in ("a", "b", "c")}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        backend.arm(k)
+        try:
+            disc.delete_file("b")
+        except BackendUnavailable:
+            disc.delete_file("b")
+        assert backend._left is None  # the failure did happen, inside rm
+        del files["b"]
+        assert disc.fsck().ok
+        with pytest.raises(FileNotFound):
+            disc.read_file("b")
+        for name, blob in files.items():
+            assert disc.read_file(name) == blob
+        # a leaked post must stay occupied: fill every free address
+        fresh = Disc.open(doc, backend.inner, small_pool())
+        free = factorial(4) - len(backend.inner.live_addresses())
+        fresh.write_file("fill", bytes(range(4 * free)))
+        assert fresh.fsck().ok
+        assert fresh.read_file("fill") == bytes(range(4 * free))
+
+
+class TestCatalog:
+    def test_duplicate_name_rejected(self, tmp_path):
+        config = DiscConfig.create(n=4, p=16, m=8, mode="C", disc_id="dup")
+        doc = tmp_path / "sb.txt"
+        doc.write_text(
+            serialize_superblock(config, [FileEntry("x", 1, 3), FileEntry("x", 9, 3)]),
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigInvalid):
+            Disc.open(doc, MemoryBackend())
+
+    def test_lines_are_quoted_once(self, monkeypatch, tmp_path):
+        import stegdisc.disc as disc_mod
+
+        disc, backend, doc = make_doc_disc("A", tmp_path, m=4)
+        for i in range(20):
+            disc.write_file(f"file {i}", b"x")
+        calls = []
+        real_quote = disc_mod.quote
+        monkeypatch.setattr(disc_mod, "quote", lambda *a, **kw: calls.append(a) or real_quote(*a, **kw))
+        disc.stats()
+        disc.write_file("one more", b"y")
+        disc.stats()
+        # an opened catalog keeps the lines it was read from
+        fresh = Disc.open(doc, backend, small_pool())
+        fresh.write_file("after reopen", b"z")
+        fresh.stats()
+        assert calls == [("one more",), ("after reopen",)]
+        config, entries, used = parse_superblock(doc.read_text(encoding="utf-8"))
+        formatted = [FileEntry(e.name, e.start_counter, e.length) for e in entries]
+        assert doc.read_text(encoding="utf-8") == serialize_superblock(config, formatted, used)

@@ -40,6 +40,11 @@ class TestCrud:
             backend.fetch(ABC)
         assert backend.fetch(CAB) == b"obj"
 
+    def test_post_ids_are_fresh(self, backend):
+        first = backend.post(b"obj", ABC)
+        second = backend.post(b"obj", CAB)
+        assert first and second and first != second
+
     def test_fetch_round_trip(self, backend):
         blob = bytes(range(256)) * 3
         backend.post(blob, ABC)
