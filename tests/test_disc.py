@@ -1,5 +1,6 @@
 """Filesystem core: chains, catalog, splice, fsck, and the three modes."""
 
+import dataclasses
 import random
 from math import factorial
 
@@ -353,6 +354,122 @@ class TestFsck:
         report = disc.fsck()
         kinds = {v.kind for v in report.violations}
         assert "file-bytes" in kinds or "block-count" in kinds
+
+
+def _rewrite_block(disc, backend, addr, **changes):
+    """Re-embed one posted block with some payload fields changed."""
+    tags = perm_to_hashtags(addr, disc.config.alphabet)
+    carrier = CarrierObject.from_bytes(backend.fetch(tags))
+    payload = dataclasses.replace(read_payload(carrier, disc.config.p), **changes)
+    backend.replace(tags, embed(carrier, encode_payload(payload, disc.config.p)).data)
+
+
+def _resize(disc, name, **changes):
+    disc._entries[name] = dataclasses.replace(disc._entries[name], **changes)
+
+
+# Each corruption gets a disc holding a (3 blocks: a0 a1 a2) then b (2
+# blocks: b0 b1), with m=4, and returns the (kind, counter) violations and
+# the block_count fsck must report.  `code` maps a0..b1 to pointer codes.
+
+def _genesis_missing(disc, backend, code):
+    backend.remove(perm_to_hashtags(disc.config.genesis, disc.config.alphabet))
+    return [("genesis-missing", 0)], 0
+
+
+def _genesis_flags(disc, backend, code):
+    _rewrite_block(disc, backend, disc.config.genesis, flags=0)
+    return [("genesis-flags", 0)], 6
+
+
+def _genesis_echo(disc, backend, code):
+    _rewrite_block(disc, backend, disc.config.genesis, data=b"n=4;p=16;m=4;mode=C;id=other")
+    return [("genesis-echo", 0)], 6
+
+
+def _order(disc, backend, code):
+    _rewrite_block(disc, backend, code.addr["a1"], next_counter=code["a0"])
+    return [("order", code["a0"])], 3
+
+
+def _cycle(disc, backend, code):
+    _rewrite_block(disc, backend, code.addr["b1"], next_counter=code["a1"])
+    return [("cycle", code["a1"])], 6
+
+
+def _missing_post(disc, backend, code):
+    backend.remove(perm_to_hashtags(code.addr["a2"], disc.config.alphabet))
+    return [("bad-block", code["a2"])], 3
+
+
+def _out_of_range(disc, backend, code):
+    bad = factorial(disc.config.n) + 5
+    _rewrite_block(disc, backend, code.addr["a0"], next_counter=bad)
+    return [("bad-block", bad)], 2
+
+
+def _file_missing(disc, backend, code):
+    bogus = next(c for c in range(1, factorial(disc.config.n)) if c not in code.values())
+    _resize(disc, "b", start_counter=bogus)
+    return [("file-missing", bogus)], 6
+
+
+def _file_truncated(disc, backend, code):
+    _resize(disc, "b", length=16)
+    return [("file-truncated", code["b0"]), ("block-count", 0)], 6
+
+
+def _file_bytes(disc, backend, code):
+    _resize(disc, "a", length=9)
+    return [("file-bytes", code["a0"])], 6
+
+
+def _block_count(disc, backend, code):
+    del disc._entries["b"]
+    return [("block-count", 0)], 6
+
+
+class _Codes(dict):
+    """Block name -> pointer code, with the addresses in `addr`."""
+
+    def __init__(self, blocks):
+        names = ("a0", "a1", "a2", "b0", "b1")
+        super().__init__((name, code) for name, (code, _, _) in zip(names, blocks))
+        self.addr = {name: addr for name, (_, addr, _) in zip(names, blocks)}
+
+
+FSCK_FAULTS = [
+    ("A", _genesis_missing),
+    ("A", _genesis_flags),
+    ("C", _genesis_echo),
+    ("C", _order),
+    ("B", _cycle),
+    ("A", _missing_post),
+    ("B", _out_of_range),
+    ("A", _file_missing),
+    ("C", _file_truncated),
+    ("B", _file_bytes),
+    ("A", _block_count),
+]
+
+
+def _corrupted(mode, corrupt):
+    disc, backend = make_disc(mode, m=4)
+    disc.write_file("a", b"0123456789")
+    disc.write_file("b", b"abcdefgh")
+    expected, block_count = corrupt(disc, backend, _Codes(disc.chain_blocks()))
+    return disc, expected, block_count
+
+
+class TestFsckFaults:
+    @pytest.mark.parametrize(
+        "mode, corrupt", FSCK_FAULTS, ids=[fn.__name__.lstrip("_") for _, fn in FSCK_FAULTS]
+    )
+    def test_violation_kinds_and_counters(self, mode, corrupt):
+        disc, expected, block_count = _corrupted(mode, corrupt)
+        report = disc.fsck()
+        assert [(v.kind, v.counter) for v in report.violations] == expected
+        assert report.block_count == block_count
 
 
 class TestReplaySoundness:
