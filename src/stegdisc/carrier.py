@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -160,26 +161,35 @@ def _parse_bmp(data: bytes) -> tuple[int, int, int, int]:
     return width, height, offset, stride
 
 
-def is_bitmap(data: bytes) -> bool:
-    try:
-        _parse_bmp(data)
-        return True
-    except UnsupportedCarrier:
-        return False
-
-
 # -- carrier objects -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class CarrierObject:
-    """A multimedia object: kind "bitmap" (24-bit BMP bytes) or "opaque" blob."""
+    """A multimedia object: kind "bitmap" (24-bit BMP bytes) or "opaque" blob.
+
+    Embedding does not change an object's shape, so a stego object is a
+    carrier too, with payload bits in its LSBs.
+    """
 
     kind: str
     data: bytes
 
+    @cached_property
+    def geometry(self) -> tuple[int, int, int, int]:
+        """A bitmap's (width, height, pixel_offset, stride), parsed once."""
+        return _parse_bmp(self.data)
+
     @classmethod
     def from_bytes(cls, data: bytes) -> "CarrierObject":
-        return cls("bitmap" if is_bitmap(data) else "opaque", bytes(data))
+        """Classify raw bytes; a bitmap keeps the geometry this one parse found."""
+        data = bytes(data)
+        try:
+            geometry = _parse_bmp(data)
+        except UnsupportedCarrier:
+            return cls("opaque", data)
+        carrier = cls("bitmap", data)
+        carrier.__dict__["geometry"] = geometry
+        return carrier
 
     @classmethod
     def bitmap(cls, width: int, height: int, channel_bytes: Optional[bytes] = None) -> "CarrierObject":
@@ -190,22 +200,17 @@ class CarrierObject:
         return cls("opaque", bytes(data))
 
 
-# Embedding does not change an object's shape, so a stego object is just a
-# carrier with payload bits in its LSBs.
-StegoObject = CarrierObject
-
-
 def capacity(carrier: CarrierObject) -> int:
     """Bytes of hidden payload the carrier can hold."""
     if carrier.kind == "bitmap":
-        width, height, _, _ = _parse_bmp(carrier.data)
+        width, height, _, _ = carrier.geometry
         return width * height * 3 // 8
     if carrier.kind == "opaque":
         return len(carrier.data)
     raise UnsupportedCarrier(f"unknown carrier kind {carrier.kind!r}")
 
 
-def embed(carrier: CarrierObject, payload: bytes) -> StegoObject:
+def embed(carrier: CarrierObject, payload: bytes) -> CarrierObject:
     """Hide payload bytes in the carrier.
 
     Bitmap: payload bits, most significant first, go into the LSB of
@@ -218,7 +223,7 @@ def embed(carrier: CarrierObject, payload: bytes) -> StegoObject:
         out = bytearray(carrier.data)
         out[:len(payload)] = payload
         return CarrierObject("opaque", bytes(out))
-    width, height, offset, stride = _parse_bmp(carrier.data)
+    width, height, offset, stride = carrier.geometry
     buf = np.frombuffer(carrier.data, dtype=np.uint8).copy()
     rows = buf[offset:offset + stride * height].reshape(height, stride)
     chan = rows[:, :width * 3].copy().reshape(-1)
@@ -228,7 +233,7 @@ def embed(carrier: CarrierObject, payload: bytes) -> StegoObject:
     return CarrierObject("bitmap", buf.tobytes())
 
 
-def extract(stego: StegoObject, expected_len: int) -> bytes:
+def extract(stego: CarrierObject, expected_len: int) -> bytes:
     """Recover the first expected_len hidden bytes (inverse of embed)."""
     if expected_len > capacity(stego):
         raise CapacityExceeded(f"{expected_len} bytes > capacity {capacity(stego)}")
@@ -236,7 +241,7 @@ def extract(stego: StegoObject, expected_len: int) -> bytes:
         return b""
     if stego.kind == "opaque":
         return bytes(stego.data[:expected_len])
-    width, height, offset, stride = _parse_bmp(stego.data)
+    width, height, offset, stride = stego.geometry
     buf = np.frombuffer(stego.data, dtype=np.uint8)
     rows = buf[offset:offset + stride * height].reshape(height, stride)
     chan = rows[:, :width * 3].reshape(-1)  # reshape copies when not contiguous
@@ -244,7 +249,7 @@ def extract(stego: StegoObject, expected_len: int) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def read_payload(stego: StegoObject, p: int) -> BlockPayload:
+def read_payload(stego: CarrierObject, p: int) -> BlockPayload:
     """Two-phase payload read: extract the header, then exactly the bytes the
     header's data_len declares."""
     hsize = header_size(p)

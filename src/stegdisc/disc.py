@@ -22,6 +22,13 @@ Three addressing modes trade local state for recomputation:
 Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.
 
+One walker, `Disc._walk`, follows every pointer: reads, splices, the
+tail lookup, full traversals and fsck.  It is the one place chain faults
+are detected (a mode C counter that does not increase, a cycle, a block
+that cannot be resolved or fetched, a NULL pointer inside a file's run),
+and each raises ChainBroken naming its kind and pointer code; fsck
+reports the fault the walker raised instead of walking the chain again.
+
 Catalog order is chain order: writes and edits put their run at the
 chain tail and their entry at the end of the catalog.  So a splice
 finds its predecessor as the last block of the previous non-empty
@@ -39,6 +46,7 @@ import os
 import tempfile
 import threading
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
@@ -441,49 +449,71 @@ class Disc:
         except (TruncatedPayload, BadVersion, UnsupportedCarrier) as exc:
             raise ChainBroken(f"undecodable block at {' '.join(self._tags(addr))}") from exc
 
-    def _fetch_block(self, addr: Perm) -> BlockPayload:
-        return self._fetch(addr)[1]
+    @contextmanager
+    def _replay(self):
+        """A replay cursor in mode C, None otherwise; the hashes it spent
+        count as replay iterations when the scope ends."""
+        cursor = ReplayCursor(self.config.genesis, self._ladder) if self.config.mode == "C" else None
+        try:
+            yield cursor
+        finally:
+            if cursor is not None:
+                self._replay_iterations += cursor.iterations
 
-    def _new_cursor(self) -> Optional[ReplayCursor]:
-        if self.config.mode != "C":
-            return None
-        return ReplayCursor(self.config.genesis, self._ladder)
+    def _blocks_of(self, entry: FileEntry) -> int:
+        return compute_chain_length(entry.length, self.config.m)
 
-    def _count_replay(self, cursor: Optional[ReplayCursor]) -> None:
-        if cursor is not None:
-            self._replay_iterations += cursor.iterations
+    def _walk(self, code: int, cursor: Optional[ReplayCursor], count: Optional[int] = None):
+        """Follow pointers from `code`, yielding (code, address, carrier,
+        payload) per block: `count` blocks, or up to the NULL pointer when
+        `count` is None.  Every chain fault raises ChainBroken with its kind
+        and the offending code."""
+        start, prev, seen = code, 0, set()
+        while count is None or len(seen) < count:
+            if code == 0:
+                if count is None:
+                    return
+                raise ChainBroken(
+                    f"chain ends after {len(seen)} of the {count} blocks from {start}",
+                    "file-truncated", start,
+                )
+            # order first: in mode C a backward pointer is an order fault
+            # whether or not it also closes a cycle
+            if self.config.mode == "C" and code <= prev:
+                raise ChainBroken(f"counter {code} does not increase past {prev}", "order", code)
+            if code in seen:
+                raise ChainBroken(f"pointer {code} repeats along the chain", "cycle", code)
+            seen.add(code)
+            try:
+                addr = self._resolve(code, cursor)
+                carrier, payload = self._fetch(addr)
+            except ChainBroken as exc:
+                raise ChainBroken(str(exc), "bad-block", code) from exc
+            yield code, addr, carrier, payload
+            prev, code = code, payload.next_counter
 
     def _traverse(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Walk genesis -> tail; returns (code, address, payload) per data block."""
-        genesis_payload = self._fetch_block(self.config.genesis)
-        cursor = self._new_cursor()
-        blocks = []
-        seen: set[int] = set()
-        code = genesis_payload.next_counter
-        try:
-            while code != 0:
-                if code in seen:
-                    raise ChainBroken(f"pointer cycle at {code}")
-                seen.add(code)
-                addr = self._resolve(code, cursor)
-                payload = self._fetch_block(addr)
-                blocks.append((code, addr, payload))
-                code = payload.next_counter
-        finally:
-            self._count_replay(cursor)
-        return blocks
+        first = self._fetch(self.config.genesis)[1].next_counter
+        with self._replay() as cursor:
+            return [(code, addr, payload) for code, addr, _, payload in self._walk(first, cursor)]
 
-    def _run(self, entry: FileEntry, cursor: Optional[ReplayCursor]):
-        """Walk one file's blocks from its catalog entry: yields
-        (code, address, carrier, payload) per block."""
-        code = entry.start_counter
-        for _ in range(compute_chain_length(entry.length, self.config.m)):
-            if code == 0:
-                raise ChainBroken(f"chain ends inside file {entry.name!r}")
-            addr = self._resolve(code, cursor)
-            carrier, payload = self._fetch(addr)
-            yield code, addr, carrier, payload
-            code = payload.next_counter
+    def _locate(self, blocks, position: dict[int, int], entry: FileEntry):
+        """`entry`'s run in a traversal's `blocks`, as (start index, run);
+        `position` maps each traversed code to its index."""
+        start = position.get(entry.start_counter)
+        if start is None:
+            raise ChainBroken(
+                f"file {entry.name!r} starts at {entry.start_counter}, not on the chain",
+                "file-missing", entry.start_counter,
+            )
+        count = self._blocks_of(entry)
+        run = blocks[start: start + count]
+        if len(run) < count:
+            raise ChainBroken(
+                f"chain ends inside file {entry.name!r}", "file-truncated", entry.start_counter
+            )
+        return start, run
 
     def _last_block(self, entry: Optional[FileEntry], cursor):
         """(code, address, carrier, payload) of the last block of `entry`'s
@@ -491,7 +521,7 @@ class Disc:
         if entry is None:
             return (0, self.config.genesis) + self._fetch(self.config.genesis)
         block = None
-        for block in self._run(entry, cursor):
+        for block in self._walk(entry.start_counter, cursor, self._blocks_of(entry)):
             pass
         return block
 
@@ -508,15 +538,13 @@ class Disc:
         last non-empty catalog entry, accepted if its pointer is NULL;
         otherwise the end of a full traversal."""
         last = next((e for e in reversed(self._entries.values()) if e.length), None)
-        cursor = self._new_cursor()
-        try:
-            code, addr, _, payload = self._last_block(last, cursor)
-            if payload.next_counter == 0:
-                return addr, code
-        except ChainBroken:
-            pass
-        finally:
-            self._count_replay(cursor)
+        with self._replay() as cursor:
+            try:
+                code, addr, _, payload = self._last_block(last, cursor)
+                if payload.next_counter == 0:
+                    return addr, code
+            except ChainBroken:
+                pass
         blocks = self._traverse()
         return (blocks[-1][1], blocks[-1][0]) if blocks else (self.config.genesis, 0)
 
@@ -620,28 +648,17 @@ class Disc:
                 break
             if other.length:
                 prev = other
-        cursor = self._new_cursor()
-        try:
-            code, addr, carrier, payload = self._last_block(prev, cursor)
-            if payload.next_counter == entry.start_counter:
-                run = [(c, a, pl) for c, a, _, pl in self._run(entry, cursor)]
-                return (code, addr, (carrier, payload)), run
-        except ChainBroken:
-            pass
-        finally:
-            self._count_replay(cursor)
+        with self._replay() as cursor:
+            try:
+                code, addr, carrier, payload = self._last_block(prev, cursor)
+                if payload.next_counter == entry.start_counter:
+                    walk = self._walk(entry.start_counter, cursor, self._blocks_of(entry))
+                    return (code, addr, (carrier, payload)), [(c, a, pl) for c, a, _, pl in walk]
+            except ChainBroken:
+                pass
         blocks = self._traverse()
-        codes = [code for code, _, _ in blocks]
-        try:
-            start = codes.index(entry.start_counter)
-        except ValueError:
-            raise ChainBroken(
-                f"file {entry.name!r} starts at {entry.start_counter}, not on the chain"
-            ) from None
-        count = compute_chain_length(entry.length, self.config.m)
-        run = blocks[start: start + count]
-        if len(run) < count:
-            raise ChainBroken(f"chain ends inside file {entry.name!r}")
+        position = {code: idx for idx, (code, _, _) in enumerate(blocks)}
+        start, run = self._locate(blocks, position, entry)
         if start == 0:
             return (0, self.config.genesis, None), run
         return (blocks[start - 1][0], blocks[start - 1][1], None), run
@@ -694,14 +711,13 @@ class Disc:
     def read_file(self, name: str) -> bytes:
         with self._lock:
             entry = self._entry(name)
-            cursor = self._new_cursor()
-            try:
-                data = b"".join(payload.data for _, _, _, payload in self._run(entry, cursor))
-            finally:
-                self._count_replay(cursor)
+            with self._replay() as cursor:
+                walk = self._walk(entry.start_counter, cursor, self._blocks_of(entry))
+                data = b"".join(payload.data for _, _, _, payload in walk)
             if len(data) != entry.length:
                 raise ChainBroken(
-                    f"file {name!r} yielded {len(data)} bytes, expected {entry.length}"
+                    f"file {name!r} yielded {len(data)} bytes, expected {entry.length}",
+                    "file-bytes", entry.start_counter,
                 )
             return data
 
@@ -749,12 +765,13 @@ class Disc:
     # -- inspection ------------------------------------------------------------
 
     def fsck(self) -> ChainReport:
-        """Read-only chain check: traversal stops at the first structural
-        fault; catalog coverage is only judged on a fully traversed chain."""
+        """Read-only chain check: traversal stops at the first fault the
+        walker raises; catalog coverage is only judged on a fully
+        traversed chain."""
         with self._lock:
             report = ChainReport()
             try:
-                genesis_payload = self._fetch_block(self.config.genesis)
+                genesis_payload = self._fetch(self.config.genesis)[1]
             except ChainBroken as exc:
                 report.violations.append(Violation("genesis-missing", 0, str(exc)))
                 return report
@@ -769,74 +786,27 @@ class Disc:
                 report.violations.append(
                     Violation("genesis-echo", 0, f"genesis echo {echo} != {expect}")
                 )
-            cursor = self._new_cursor()
-            blocks: list[tuple[int, BlockPayload]] = []
-            seen: set[int] = set()
-            code = genesis_payload.next_counter
-            prev = 0
-            broken = False
-            try:
-                while code != 0:
-                    # order first: in mode C a backward pointer is an order
-                    # fault whether or not it also closes a cycle
-                    if self.config.mode == "C" and code <= prev:
-                        report.violations.append(
-                            Violation(
-                                "order", code,
-                                f"counter {code} does not increase past {prev}",
-                            )
-                        )
-                        broken = True
-                        break
-                    if code in seen:
-                        report.violations.append(
-                            Violation("cycle", code, f"pointer {code} repeats along the chain")
-                        )
-                        broken = True
-                        break
-                    seen.add(code)
-                    try:
-                        addr = self._resolve(code, cursor)
-                        payload = self._fetch_block(addr)
-                    except ChainBroken as exc:
-                        report.violations.append(Violation("bad-block", code, str(exc)))
-                        broken = True
-                        break
-                    report.block_count += 1
-                    blocks.append((code, payload))
-                    prev = code
-                    code = payload.next_counter
-            finally:
-                self._count_replay(cursor)
-            if broken:
-                return report
-            codes = [c for c, _ in blocks]
+            blocks: list[tuple[int, Perm, BlockPayload]] = []
+            with self._replay() as cursor:
+                try:
+                    for code, addr, _, payload in self._walk(genesis_payload.next_counter, cursor):
+                        report.block_count += 1
+                        blocks.append((code, addr, payload))
+                except ChainBroken as fault:
+                    report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
+                    return report
+            position = {code: idx for idx, (code, _, _) in enumerate(blocks)}
             total_expected = 0
             for entry in self._entries.values():
-                count = compute_chain_length(entry.length, self.config.m)
-                total_expected += count
-                if count == 0:
+                total_expected += self._blocks_of(entry)
+                if not entry.length:
                     continue
                 try:
-                    start = codes.index(entry.start_counter)
-                except ValueError:
-                    report.violations.append(
-                        Violation(
-                            "file-missing", entry.start_counter,
-                            f"file {entry.name!r} start pointer not on the chain",
-                        )
-                    )
+                    _, run = self._locate(blocks, position, entry)
+                except ChainBroken as fault:
+                    report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
                     continue
-                run = blocks[start: start + count]
-                if len(run) < count:
-                    report.violations.append(
-                        Violation(
-                            "file-truncated", entry.start_counter,
-                            f"chain ends inside file {entry.name!r}",
-                        )
-                    )
-                    continue
-                got = sum(len(payload.data) for _, payload in run)
+                got = sum(len(payload.data) for _, _, payload in run)
                 if got != entry.length:
                     report.violations.append(
                         Violation(
@@ -867,7 +837,7 @@ class Disc:
                 hash_iterations=self._hash_iterations,
                 replay_iterations=self._replay_iterations,
                 block_count=sum(
-                    compute_chain_length(e.length, self.config.m) for e in self._entries.values()
+                    self._blocks_of(e) for e in self._entries.values()
                 ),
                 file_count=len(self._entries),
                 checkpoints=len(self._ladder) if self._ladder is not None else 0,

@@ -94,7 +94,13 @@ class InvalidName(StegDiscError):
 
 
 class ChainBroken(StegDiscError):
-    """Chain traversal hit a missing or undecodable block: corruption."""
+    """The chain or the catalog is corrupt: `kind` names the fault as fsck
+    reports it, and `counter` is the offending pointer code."""
+
+    def __init__(self, message: str, kind: str = "bad-block", counter: int = 0):
+        super().__init__(message)
+        self.kind = kind
+        self.counter = counter
 
 
 # -- shell / benchmark -------------------------------------------------------

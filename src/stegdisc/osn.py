@@ -10,9 +10,10 @@ exactly what was posted).
 
 Two backends share the interface: in-memory, and an on-disk store whose
 layout is one directory per post (named by a digest of the sequence)
-holding the object file plus a line-oriented metadata file.  Optional
-latency and failure injection exist for resilience tests and are off by
-default.
+holding the object file plus a line-oriented metadata file.  The store
+keeps no index: a post's directory is derived from its address.
+Optional transient-failure injection exists for resilience tests and is
+off by default.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import hashlib
 import random
 import shutil
 import threading
-import time
 import uuid
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -45,7 +45,6 @@ class Post:
 class BackendConfig:
     mode: str = "memory"  # "memory" | "dir"
     root: Optional[Path] = None
-    latency: Optional[float] = None  # fixed per-query delay, seconds
     failure_rate: float = 0.0  # probability of a transient failure per query
     failure_seed: int = 0
 
@@ -65,7 +64,7 @@ def _check_hashtags(hashtags) -> Hashtags:
 
 
 class _BackendBase:
-    """Shared plumbing: locking, latency/failure injection."""
+    """Shared plumbing: locking, failure injection."""
 
     def __init__(self, config: BackendConfig):
         self.config = config
@@ -74,8 +73,6 @@ class _BackendBase:
 
     def _query(self):
         # every public operation calls this once, before touching state
-        if self.config.latency:
-            time.sleep(self.config.latency)
         if self.config.failure_rate and self._chaos.random() < self.config.failure_rate:
             raise BackendUnavailable("injected transient failure")
 
@@ -185,7 +182,10 @@ class DirectoryBackend(_BackendBase):
 
     meta.txt is one hashtag per line followed by the ISO-8601 creation
     timestamp; the digest is SHA-256 over the newline-joined ordered
-    sequence, so distinct orderings land in distinct directories.
+    sequence, so distinct orderings land in distinct directories.  A
+    post's directory is derived from its address, never indexed, so
+    every handle on one root sees the same posts.  meta.txt is written
+    last and removed first: a post exists exactly while it is there.
     """
 
     OBJECT = "object.bin"
@@ -196,46 +196,47 @@ class DirectoryBackend(_BackendBase):
         super().__init__(cfg)
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._index: dict[Hashtags, Path] = {}
-        self._scan()
 
     @staticmethod
     def _digest(tags: Hashtags) -> str:
         return hashlib.sha256("\n".join(tags).encode("utf-8")).hexdigest()
 
-    def _scan(self):
-        for entry in self.root.iterdir():
-            meta = entry / self.META
-            if not (entry.is_dir() and meta.is_file()):
+    def _dir(self, tags: Hashtags) -> Path:
+        return self.root / self._digest(tags)
+
+    def _has(self, tags):
+        return (self._dir(tags) / self.META).is_file()
+
+    def _put(self, rec):
+        # a directory left by a post that crashed before its meta.txt is reused
+        post_dir = self._dir(rec.hashtags)
+        post_dir.mkdir(exist_ok=True)
+        (post_dir / self.OBJECT).write_bytes(rec.data)
+        meta = "\n".join(rec.hashtags) + "\n" + rec.created_at + "\n"
+        (post_dir / self.META).write_text(meta, encoding="utf-8")
+
+    def _get(self, tags):
+        return (self._dir(tags) / self.OBJECT).read_bytes()
+
+    def _rewrite(self, tags, data):
+        (self._dir(tags) / self.OBJECT).write_bytes(data)
+
+    def _drop(self, tags):
+        post_dir = self._dir(tags)
+        (post_dir / self.META).unlink()
+        shutil.rmtree(post_dir)
+
+    def _all(self):
+        out = []
+        for post_dir in self.root.iterdir():
+            meta = post_dir / self.META
+            if not meta.is_file():
                 continue
             lines = meta.read_text(encoding="utf-8").splitlines()
             tags = tuple(line for line in lines if line.startswith("#"))
             if tags:
-                self._index[tags] = entry
-        return self._index
-
-    def _has(self, tags):
-        return tags in self._index
-
-    def _put(self, rec):
-        post_dir = self.root / self._digest(rec.hashtags)
-        post_dir.mkdir()
-        (post_dir / self.OBJECT).write_bytes(rec.data)
-        meta = "\n".join(rec.hashtags) + "\n" + rec.created_at + "\n"
-        (post_dir / self.META).write_text(meta, encoding="utf-8")
-        self._index[rec.hashtags] = post_dir
-
-    def _get(self, tags):
-        return (self._index[tags] / self.OBJECT).read_bytes()
-
-    def _rewrite(self, tags, data):
-        (self._index[tags] / self.OBJECT).write_bytes(data)
-
-    def _drop(self, tags):
-        shutil.rmtree(self._index.pop(tags))
-
-    def _all(self):
-        return list(self._index.keys())
+                out.append(tags)
+        return out
 
 
 def open_backend(config: BackendConfig) -> _BackendBase:

@@ -18,7 +18,6 @@ from stegdisc.carrier import (
     encode_payload,
     extract,
     header_size,
-    is_bitmap,
     make_bitmap,
     read_payload,
     synthetic_bitmap,
@@ -127,8 +126,6 @@ class TestBitmap:
         assert capacity(CarrierObject.bitmap(2, 2)) == 1
 
     def test_sniffing(self):
-        assert is_bitmap(make_bitmap(4, 4))
-        assert not is_bitmap(b"plain bytes")
         assert CarrierObject.from_bytes(make_bitmap(4, 4)).kind == "bitmap"
         assert CarrierObject.from_bytes(b"plain bytes").kind == "opaque"
 

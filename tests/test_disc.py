@@ -199,6 +199,22 @@ class TestRead:
         with pytest.raises(FileNotFound):
             disc.read_file("ghost")
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_bitmap_parse_per_fetched_block(self, mode, monkeypatch):
+        import stegdisc.carrier as carrier_mod
+
+        backend = ProxyBackend(MemoryBackend())
+        config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id=f"parse-{mode}")
+        disc = Disc.format(config, backend)  # default pool: bitmap carriers
+        disc.write_file("f", b"12345")
+        parses = []
+        real_parse = carrier_mod._parse_bmp
+        monkeypatch.setattr(carrier_mod, "_parse_bmp", lambda data: parses.append(1) or real_parse(data))
+        fetches = backend.counts["fetch"]
+        assert disc.read_file("f") == b"12345"
+        assert backend.counts["fetch"] - fetches == 1
+        assert len(parses) == 1
+
     def test_missing_block_breaks_chain(self):
         disc, backend = make_disc("C", m=4)
         disc.write_file("f", b"0123456789AB")
@@ -364,7 +380,7 @@ def _rewrite_block(disc, backend, addr, **changes):
     backend.replace(tags, embed(carrier, encode_payload(payload, disc.config.p)).data)
 
 
-def _resize(disc, name, **changes):
+def _edit_entry(disc, name, **changes):
     disc._entries[name] = dataclasses.replace(disc._entries[name], **changes)
 
 
@@ -410,17 +426,17 @@ def _out_of_range(disc, backend, code):
 
 def _file_missing(disc, backend, code):
     bogus = next(c for c in range(1, factorial(disc.config.n)) if c not in code.values())
-    _resize(disc, "b", start_counter=bogus)
+    _edit_entry(disc, "b", start_counter=bogus)
     return [("file-missing", bogus)], 6
 
 
 def _file_truncated(disc, backend, code):
-    _resize(disc, "b", length=16)
+    _edit_entry(disc, "b", length=16)
     return [("file-truncated", code["b0"]), ("block-count", 0)], 6
 
 
 def _file_bytes(disc, backend, code):
-    _resize(disc, "a", length=9)
+    _edit_entry(disc, "a", length=9)
     return [("file-bytes", code["a0"])], 6
 
 
@@ -438,19 +454,27 @@ class _Codes(dict):
         self.addr = {name: addr for name, (_, addr, _) in zip(names, blocks)}
 
 
+# (mode, corruption, a file whose read raises fsck's first violation or None)
 FSCK_FAULTS = [
-    ("A", _genesis_missing),
-    ("A", _genesis_flags),
-    ("C", _genesis_echo),
-    ("C", _order),
-    ("B", _cycle),
-    ("A", _missing_post),
-    ("B", _out_of_range),
-    ("A", _file_missing),
-    ("C", _file_truncated),
-    ("B", _file_bytes),
-    ("A", _block_count),
+    ("A", _genesis_missing, None),
+    ("A", _genesis_flags, None),
+    ("C", _genesis_echo, None),
+    ("C", _order, "a"),
+    ("B", _cycle, None),
+    ("A", _missing_post, "a"),
+    ("B", _out_of_range, "a"),
+    ("A", _file_missing, None),
+    ("C", _file_truncated, "b"),
+    ("B", _file_bytes, "a"),
+    ("A", _block_count, None),
 ]
+CHAIN_FAULTS = [row for row in FSCK_FAULTS if row[1] in (_order, _cycle, _missing_post, _out_of_range)]
+
+
+def _fault_params(rows):
+    return pytest.mark.parametrize(
+        "mode, corrupt, read", rows, ids=[row[1].__name__.lstrip("_") for row in rows]
+    )
 
 
 def _corrupted(mode, corrupt):
@@ -462,14 +486,26 @@ def _corrupted(mode, corrupt):
 
 
 class TestFsckFaults:
-    @pytest.mark.parametrize(
-        "mode, corrupt", FSCK_FAULTS, ids=[fn.__name__.lstrip("_") for _, fn in FSCK_FAULTS]
-    )
-    def test_violation_kinds_and_counters(self, mode, corrupt):
+    @_fault_params(FSCK_FAULTS)
+    def test_violation_kinds_and_counters(self, mode, corrupt, read):
         disc, expected, block_count = _corrupted(mode, corrupt)
         report = disc.fsck()
         assert [(v.kind, v.counter) for v in report.violations] == expected
         assert report.block_count == block_count
+
+    @_fault_params(CHAIN_FAULTS)
+    def test_traversal_raises_the_fault_fsck_reports(self, mode, corrupt, read):
+        disc, expected, _ = _corrupted(mode, corrupt)
+        with pytest.raises(ChainBroken) as fault:
+            disc.chain_blocks()
+        assert (fault.value.kind, fault.value.counter) == expected[0]
+
+    @_fault_params([row for row in FSCK_FAULTS if row[2]])
+    def test_read_raises_the_fault_fsck_reports(self, mode, corrupt, read):
+        disc, expected, _ = _corrupted(mode, corrupt)
+        with pytest.raises(ChainBroken) as fault:
+            disc.read_file(read)
+        assert (fault.value.kind, fault.value.counter) == expected[0]
 
 
 class TestReplaySoundness:

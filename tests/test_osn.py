@@ -117,6 +117,30 @@ class TestDurability:
         backend.post(b"y", CAB)
         assert len([d for d in root.iterdir() if d.is_dir()]) == 2
 
+    def test_handles_share_one_store(self, tmp_path):
+        root = tmp_path / "store"
+        early = DirectoryBackend(root)
+        DirectoryBackend(root).post(b"late", ABC)
+        assert early.exists(ABC)
+        assert early.fetch(ABC) == b"late"
+        assert early.live_addresses() == [ABC]
+        with pytest.raises(DuplicateAddress):
+            early.post(b"again", ABC)
+
+    def test_post_without_meta_is_not_a_post(self, tmp_path):
+        # a post that crashed after mkdir and the object write, before meta.txt
+        root = tmp_path / "store"
+        backend = DirectoryBackend(root)
+        post_dir = root / DirectoryBackend._digest(ABC)
+        post_dir.mkdir()
+        (post_dir / "object.bin").write_bytes(b"half")
+        assert not backend.exists(ABC)
+        assert backend.live_addresses() == []
+        with pytest.raises(NotFound):
+            backend.fetch(ABC)
+        backend.post(b"whole", ABC)
+        assert DirectoryBackend(root).fetch(ABC) == b"whole"
+
 
 class TestInjection:
     def test_failures_are_injected(self):
