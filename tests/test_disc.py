@@ -469,6 +469,7 @@ FSCK_FAULTS = [
     ("A", _block_count, None),
 ]
 CHAIN_FAULTS = [row for row in FSCK_FAULTS if row[1] in (_order, _cycle, _missing_post, _out_of_range)]
+RM_FAULTS = (_file_missing, _file_truncated, _missing_post, _order, _out_of_range)
 
 
 def _fault_params(rows):
@@ -505,6 +506,15 @@ class TestFsckFaults:
         disc, expected, _ = _corrupted(mode, corrupt)
         with pytest.raises(ChainBroken) as fault:
             disc.read_file(read)
+        assert (fault.value.kind, fault.value.counter) == expected[0]
+
+    # every fault on the way to b's run or inside it; the B cycle closes
+    # after b's run, so a splice never meets it
+    @_fault_params([row for row in FSCK_FAULTS if row[1] in RM_FAULTS])
+    def test_rm_raises_the_fault_fsck_reports(self, mode, corrupt, read):
+        disc, expected, _ = _corrupted(mode, corrupt)
+        with pytest.raises(ChainBroken) as fault:
+            disc.delete_file("b")
         assert (fault.value.kind, fault.value.counter) == expected[0]
 
 
