@@ -30,14 +30,14 @@ and each raises ChainBroken naming its kind and pointer code; fsck
 reports the fault the walker raised instead of walking the chain again.
 
 Catalog order is chain order: writes and edits put their run at the
-chain tail and their entry at the end of the catalog.  So a splice
-finds its predecessor as the last block of the previous non-empty
-entry (or the genesis block), and the first mutation of a session finds
-the tail as the last block of the last non-empty entry (or the genesis
-block), each by walking one run.  Either is accepted only if the
-pointer it holds leads where it should (to the spliced run, or NULL);
-on a mismatch or a broken run the chain is walked from the genesis
-block, as fsck and chain_blocks always do.
+chain tail and their entry at the end of the catalog.  One lookup,
+`Disc._before`, finds the block that points at a given code: the
+predecessor of a run a splice removes, or the tail (the block that
+points at NULL) for the first mutation of a session.  It walks the run
+of the previous non-empty entry (or takes the genesis block) and accepts
+its last block only if the pointer matches; on a mismatch or a broken
+run it walks from the genesis block, but only as far as the first block
+that points there.  fsck and chain_blocks always walk the whole chain.
 """
 
 from __future__ import annotations
@@ -174,15 +174,6 @@ class DiscConfig:
         return (
             f"n={self.n};p={self.p};m={self.m};mode={self.mode};id={self.disc_id}"
         ).encode("utf-8")
-
-
-def _parse_echo(data: bytes) -> dict[str, str]:
-    out = {}
-    for part in data.decode("utf-8", errors="replace").split(";"):
-        key, sep, value = part.partition("=")
-        if sep:
-            out[key] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -371,10 +362,9 @@ class Disc:
         self._used: set[int] = set(used_codes or ())  # mode A: rank codes of live blocks
         limit = 2 ** config.p - 1 if config.mode == "C" else None
         self._sampler = SamplerState.fresh(config.genesis, limit=limit)
-        # mode C allocation must not reuse counters at or below the chain
-        # tail; a reopened disc walks the stream up to the tail first
-        self._sampler_synced = config.mode != "C"
-        self._tail: Optional[tuple[Perm, int]] = None  # (address, pointer code)
+        # (pointer code, address) of the chain tail, looked up by the first
+        # mutation; mode C's sampler then stands at the tail counter
+        self._tail: Optional[tuple[int, Perm]] = None
         # mode C: session-local resume points in the stream, never persisted
         self._ladder = CheckpointLadder() if config.mode == "C" else None
         self._hash_iterations = 0
@@ -398,8 +388,7 @@ class Disc:
         raw = encode_payload(payload, config.p)
         stego = embed(disc.pool.next_carrier(0), raw)
         backend.post(stego.data, disc._tags(config.genesis))
-        disc._tail = (config.genesis, 0)
-        disc._sampler_synced = True
+        disc._tail = (0, config.genesis)
         disc._persist()
         return disc
 
@@ -492,15 +481,9 @@ class Disc:
             yield code, addr, carrier, payload
             prev, code = code, payload.next_counter
 
-    def _traverse(self) -> list[tuple[int, Perm, BlockPayload]]:
-        """Walk genesis -> tail; returns (code, address, payload) per data block."""
-        first = self._fetch(self.config.genesis)[1].next_counter
-        with self._replay() as cursor:
-            return [(code, addr, payload) for code, addr, _, payload in self._walk(first, cursor)]
-
     def _locate(self, blocks, position: dict[int, int], entry: FileEntry):
-        """`entry`'s run in a traversal's `blocks`, as (start index, run);
-        `position` maps each traversed code to its index."""
+        """`entry`'s run in a traversal's `blocks`; `position` maps each
+        traversed code to its index."""
         start = position.get(entry.start_counter)
         if start is None:
             raise ChainBroken(
@@ -513,77 +496,76 @@ class Disc:
             raise ChainBroken(
                 f"chain ends inside file {entry.name!r}", "file-truncated", entry.start_counter
             )
-        return start, run
+        return run
 
-    def _last_block(self, entry: Optional[FileEntry], cursor):
-        """(code, address, carrier, payload) of the last block of `entry`'s
-        run, or of the genesis block when `entry` is None."""
-        if entry is None:
-            return (0, self.config.genesis) + self._fetch(self.config.genesis)
-        block = None
-        for block in self._walk(entry.start_counter, cursor, self._blocks_of(entry)):
-            pass
+    def _before(self, entry: Optional[FileEntry], cursor):
+        """The (code, address, carrier, payload) block whose pointer is
+        `entry`'s start code, or NULL when `entry` is None (the tail).
+
+        The guess is the last block of the last non-empty entry before
+        `entry`, or the genesis block; failing that, the chain is walked
+        from the genesis block up to the first block pointing there."""
+        target = entry.start_counter if entry is not None else 0
+        last = None
+        for other in self._entries.values():
+            if other is entry:
+                break
+            if other.length:
+                last = other
+        if last is not None:
+            try:
+                *_, block = self._walk(last.start_counter, cursor, self._blocks_of(last))
+                if block[3].next_counter == target:
+                    return block
+            except ChainBroken:
+                pass
+        block = (0, self.config.genesis) + self._fetch(self.config.genesis)
+        walk = self._walk(block[3].next_counter, cursor)
+        while block[3].next_counter != target:
+            block = next(walk, None)
+            if block is None:
+                raise ChainBroken(f"no block points at {target}", "file-missing", target)
         return block
 
-    def _rewrite_next(self, addr: Perm, new_next: int, fetched=None) -> None:
-        """Replace one posted block's pointer, keeping its data and flags;
-        `fetched` is the block's (carrier, payload) if already in hand."""
-        carrier, payload = fetched or self._fetch(addr)
+    def _rewrite_next(self, block, new_next: int) -> None:
+        """Replace a fetched block's pointer, keeping its data and flags."""
+        _, addr, carrier, payload = block
         fresh = BlockPayload(next_counter=new_next, data=payload.data, flags=payload.flags)
         stego = embed(carrier, encode_payload(fresh, self.config.p))
         self.backend.replace(self._tags(addr), stego.data)
 
-    def _find_tail(self) -> tuple[Perm, int]:
-        """The chain tail (address, pointer code): the last block of the
-        last non-empty catalog entry, accepted if its pointer is NULL;
-        otherwise the end of a full traversal."""
-        last = next((e for e in reversed(self._entries.values()) if e.length), None)
-        with self._replay() as cursor:
-            try:
-                code, addr, _, payload = self._last_block(last, cursor)
-                if payload.next_counter == 0:
-                    return addr, code
-            except ChainBroken:
-                pass
-        blocks = self._traverse()
-        return (blocks[-1][1], blocks[-1][0]) if blocks else (self.config.genesis, 0)
-
     def _prepare_mutation(self) -> None:
-        """Find the chain tail; mode C also advances the allocation sampler
-        to the tail counter, so new counters stay above every live one,
-        starting from the ladder checkpoint nearest below it."""
-        if self._tail is None:
-            self._tail = self._find_tail()
-        if not self._sampler_synced:
-            target = self._tail[1]
-            state = self._ladder.resume(self._sampler, target)
-            while state.iteration < target:
+        """Find the chain tail once per session; mode C also advances the
+        allocation sampler to the tail counter, so new counters stay above
+        every live one, starting from the ladder checkpoint nearest below it."""
+        if self._tail is not None:
+            return
+        with self._replay() as cursor:
+            code, addr, _, _ = self._before(None, cursor)
+        if self.config.mode == "C":
+            state = self._ladder.resume(self._sampler, code)
+            while state.iteration < code:
                 before = state.iteration
                 _, _, state = sampler_advance(state)
                 self._hash_iterations += state.iteration - before
                 self._ladder.record(state)
             self._sampler = state
-            self._sampler_synced = True
+        self._tail = (code, addr)
 
     def _occupied_predicate(self, pending: set[Perm]):
         identity = tuple(range(self.config.n))
         genesis = self.config.genesis
         mode = self.config.mode
-        if mode == "A":
-            used = self._used
-
-            def occupied(perm: Perm) -> bool:
-                # rank 0 (the identity) would collide with the NULL pointer
-                return perm == identity or perm == genesis or perm in pending or rank(perm) in used
-
-            return occupied
-
+        used = self._used
         backend = self.backend
 
         def occupied(perm: Perm) -> bool:
-            if mode == "B" and perm == identity:
+            # rank 0 (the identity) would collide with the NULL pointer
+            if perm in pending or (mode != "C" and perm == identity):
                 return True
-            return perm in pending or backend.exists(self._tags(perm))
+            if mode == "A":
+                return perm == genesis or rank(perm) in used
+            return backend.exists(self._tags(perm))
 
         return occupied
 
@@ -597,7 +579,7 @@ class Disc:
         cfg = self.config
         count = compute_chain_length(len(data), cfg.m)
         pending_addrs: set[Perm] = set()
-        run: list[tuple[Perm, int]] = []  # (address, pointer code)
+        run: list[tuple[int, Perm]] = []  # (pointer code, address)
         state = self._sampler
         base = state.iteration
         occupied = self._occupied_predicate(pending_addrs)
@@ -606,19 +588,19 @@ class Disc:
             # is a pure function of the seed
             addr, counter, state = allocate_address(state, occupied, ladder=self._ladder)
             code = counter if cfg.mode == "C" else rank(addr)
-            run.append((addr, code))
+            run.append((code, addr))
             pending_addrs.add(addr)
         posted: list[Perm] = []
         try:
-            for idx, (addr, code) in enumerate(run):
+            for idx, (code, addr) in enumerate(run):
                 chunk = data[idx * cfg.m: (idx + 1) * cfg.m]
-                nxt = run[idx + 1][1] if idx + 1 < count else 0
+                nxt = run[idx + 1][0] if idx + 1 < count else 0
                 payload = BlockPayload(next_counter=nxt, data=chunk)
                 raw = encode_payload(payload, cfg.p, cfg.m)
                 stego = embed(self.pool.next_carrier(code), raw)
                 self.backend.post(stego.data, self._tags(addr))
                 posted.append(addr)
-            self._rewrite_next(self._tail[0], run[0][1])
+            self._rewrite_next(self._tail + self._fetch(self._tail[1]), run[0][0])
         except BaseException:
             for addr in posted:
                 try:
@@ -629,39 +611,9 @@ class Disc:
         self._sampler = state
         self._hash_iterations += state.iteration - base
         if cfg.mode == "A":
-            self._used.update(rank(addr) for addr, _ in run)
+            self._used.update(rank(addr) for _, addr in run)
         self._tail = run[-1]
-        return run[0][1]
-
-    def _neighbours(self, entry: FileEntry):
-        """The block before `entry`'s run, as (code, address, fetched), and
-        the run's (code, address, payload) triples.
-
-        Catalog order is chain order, so the predecessor is the last block
-        of the previous non-empty entry, or the genesis block.  It is
-        accepted only if its pointer leads to the run; otherwise the chain
-        is walked from the genesis block.  `fetched` is the predecessor's
-        (carrier, payload), or None when it must be fetched again."""
-        prev = None
-        for other in self._entries.values():
-            if other is entry:
-                break
-            if other.length:
-                prev = other
-        with self._replay() as cursor:
-            try:
-                code, addr, carrier, payload = self._last_block(prev, cursor)
-                if payload.next_counter == entry.start_counter:
-                    walk = self._walk(entry.start_counter, cursor, self._blocks_of(entry))
-                    return (code, addr, (carrier, payload)), [(c, a, pl) for c, a, _, pl in walk]
-            except ChainBroken:
-                pass
-        blocks = self._traverse()
-        position = {code: idx for idx, (code, _, _) in enumerate(blocks)}
-        start, run = self._locate(blocks, position, entry)
-        if start == 0:
-            return (0, self.config.genesis, None), run
-        return (blocks[start - 1][0], blocks[start - 1][1], None), run
+        return run[0][0]
 
     def _splice_run(self, entry: FileEntry) -> None:
         """Unlink and remove one file's blocks (§ the delete procedure):
@@ -671,11 +623,13 @@ class Disc:
         chain.  Removal after it is best effort: a post that fails to go
         stays behind as an orphan, and in mode A its code stays used, so
         allocation never lands on it."""
-        (pred_code, pred_addr, fetched), run = self._neighbours(entry)
-        tail_ptr = run[-1][2].next_counter
-        self._rewrite_next(pred_addr, tail_ptr, fetched)
+        with self._replay() as cursor:
+            before = self._before(entry, cursor)
+            run = list(self._walk(entry.start_counter, cursor, self._blocks_of(entry)))
+        tail_ptr = run[-1][3].next_counter
+        self._rewrite_next(before, tail_ptr)
         removed = []
-        for _, addr, _ in run:
+        for _, addr, _, _ in run:
             try:
                 self.backend.remove(self._tags(addr))
             except NotFound:
@@ -687,8 +641,8 @@ class Disc:
             removed.append(addr)
         if self.config.mode == "A":
             self._used.difference_update(rank(addr) for addr in removed)
-        if tail_ptr == 0:
-            self._tail = (pred_addr, pred_code)
+        if tail_ptr == 0 and self._tail is not None:
+            self._tail = before[:2]
 
     # -- file operations -----------------------------------------------------
 
@@ -759,8 +713,9 @@ class Disc:
     def chain_blocks(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Read-only traversal from the genesis block: one
         (pointer code, address, payload) triple per data block, in chain order."""
-        with self._lock:
-            return self._traverse()
+        with self._lock, self._replay() as cursor:
+            first = self._fetch(self.config.genesis)[1].next_counter
+            return [(code, addr, payload) for code, addr, _, payload in self._walk(first, cursor)]
 
     # -- inspection ------------------------------------------------------------
 
@@ -780,11 +735,10 @@ class Disc:
                 report.violations.append(
                     Violation("genesis-flags", 0, "genesis block lacks the superblock flag")
                 )
-            echo = _parse_echo(genesis_payload.data)
-            expect = _parse_echo(self.config.echo_bytes())
-            if echo != expect:
+            expect = self.config.echo_bytes()
+            if genesis_payload.data != expect:
                 report.violations.append(
-                    Violation("genesis-echo", 0, f"genesis echo {echo} != {expect}")
+                    Violation("genesis-echo", 0, f"genesis echo {genesis_payload.data!r} != {expect!r}")
                 )
             blocks: list[tuple[int, Perm, BlockPayload]] = []
             with self._replay() as cursor:
@@ -802,7 +756,7 @@ class Disc:
                 if not entry.length:
                     continue
                 try:
-                    _, run = self._locate(blocks, position, entry)
+                    run = self._locate(blocks, position, entry)
                 except ChainBroken as fault:
                     report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
                     continue

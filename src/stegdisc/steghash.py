@@ -147,14 +147,13 @@ class SamplerState:
 
     seed: Perm
     iteration: int = 0
-    partial: Perm = ()
     current_input: str = ""
     limit: Optional[int] = None  # max iteration value, typically 2^p - 1
 
     @classmethod
     def fresh(cls, seed: Sequence[int], limit: Optional[int] = None) -> "SamplerState":
         seed = validate_permutation(seed)
-        return cls(seed=seed, iteration=0, partial=(), current_input=_joined(seed), limit=limit)
+        return cls(seed=seed, iteration=0, current_input=_joined(seed), limit=limit)
 
 
 def sampler_advance(state: SamplerState) -> tuple[Perm, int, SamplerState]:
@@ -166,7 +165,7 @@ def sampler_advance(state: SamplerState) -> tuple[Perm, int, SamplerState]:
     """
     n = len(state.seed)
     current = state.current_input
-    partial = list(state.partial)
+    partial: list[int] = []
     i = state.iteration
     limit = state.limit
     sha = hashlib.sha256
@@ -183,7 +182,6 @@ def sampler_advance(state: SamplerState) -> tuple[Perm, int, SamplerState]:
             new_state = SamplerState(
                 seed=state.seed,
                 iteration=i,
-                partial=(),
                 current_input=_joined(perm),
                 limit=limit,
             )
@@ -223,8 +221,8 @@ class CheckpointLadder:
         return len(self._states)
 
     def record(self, state: SamplerState) -> None:
-        """Remember a completion state (iteration > 0, empty partial),
-        unless its bucket already holds one."""
+        """Remember a completion state (iteration > 0), unless its bucket
+        already holds one."""
         it = state.iteration
         bucket = it // CHECKPOINT_EVERY
         keys = self._iterations

@@ -893,6 +893,44 @@ class TestCatalogNeighbours:
         assert again.read_file("f") == b"tail after fallback deletes"
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_fallback_walks_only_to_the_predecessor(self, mode, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path)
+        rng = random.Random(43)
+        files = {f"f{i:03d}": rng.randbytes(rng.randrange(1, 17)) for i in range(300)}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        config, entries, used = parse_superblock(doc.read_text(encoding="utf-8"))
+        doc.write_text(serialize_superblock(config, entries[::-1], used), encoding="utf-8")
+        fresh = Disc.open(doc, backend, small_pool())
+        before = backend.counts["fetch"]
+        fresh.delete_file("f000")  # the genesis block points at its run
+        # the guess walks f001's run (at most 2 blocks), then the genesis
+        # block is the predecessor
+        assert backend.counts["fetch"] - before <= compute_chain_length(len(files["f000"]), 8) + 3
+        del files["f000"]
+        assert fresh.fsck().ok
+        for name, blob in files.items():
+            assert fresh.read_file(name) == blob
+
+    def test_fresh_session_rm_of_the_last_file_then_put(self, tmp_path):
+        disc, backend, doc = make_doc_disc("C", tmp_path)
+        files = {name: name.encode() * 12 for name in ("a", "b", "c", "d")}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        disc.delete_file("b")  # frees counters below the tail
+        del files["b"]
+        fresh = Disc.open(doc, backend, small_pool())
+        fresh.delete_file("d")
+        del files["d"]
+        files["e"] = b"appended at the tail the rm left"
+        fresh.write_file("e", files["e"])
+        codes = [code for code, _, _ in fresh.chain_blocks()]
+        assert codes == sorted(set(codes))
+        assert fresh.fsck().ok
+        for name, blob in files.items():
+            assert fresh.read_file(name) == blob
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_put_after_a_failed_edit_appends_at_the_real_tail(self, mode, tmp_path):
         disc, backend, doc = make_doc_disc(mode, tmp_path, n=6, m=4)
         disc.write_file("a", b"a" * 9)
