@@ -693,6 +693,28 @@ class TestStats:
             else:
                 assert stats.dictionary_bytes == 0
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_byte_counts_match_the_document(self, mode, tmp_path):
+        doc = tmp_path / "sb.txt"
+        config = DiscConfig.create(n=5, p=16, m=8, mode=mode, disc_id="bytes")
+        disc = Disc.format(config, MemoryBackend(), small_pool(), doc_path=doc)
+        for i in range(12):
+            disc.write_file(f"file {i}", bytes(range(i * 3)))
+        disc.delete_file("file 5")
+
+        def check(stats):
+            lines = doc.read_text(encoding="utf-8").splitlines()
+            assert stats.persistent_bytes == doc.stat().st_size
+            assert stats.catalog_bytes == sum(len(line) + 1 for line in lines if "\t" in line)
+            used = [line for line in lines if line.startswith("used=")]
+            if mode == "A":
+                assert stats.dictionary_bytes == len(used[0]) + 1
+            else:
+                assert not used and stats.dictionary_bytes == 0
+
+        check(disc.stats())
+        check(Disc.open(doc, disc.backend, small_pool()).stats())
+
     def test_mode_a_dictionary_tracks_blocks(self):
         disc, _ = make_disc("A", n=5, m=1)
         disc.write_file("f", b"0123456789")

@@ -174,6 +174,75 @@ class TestInjection:
             BackendConfig(mode="memory", failure_rate=1.5)
 
 
+class _CountingChaos:
+    """Stands in for a backend's failure draw: counts calls, never fails."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 1.0
+
+
+@pytest.fixture(params=["memory", "dir"])
+def counted(request, tmp_path):
+    if request.param == "memory":
+        backend = MemoryBackend(BackendConfig(mode="memory", failure_rate=0.5))
+    else:
+        root = tmp_path / "store"
+        backend = DirectoryBackend(root, BackendConfig(mode="dir", root=root, failure_rate=0.5))
+    backend._chaos = _CountingChaos()
+    return backend
+
+
+class TestAdmission:
+    """Each query checks its tags, then draws the injected failure once,
+    then checks presence: seeded failure scripts depend on this order."""
+
+    def test_each_query_draws_once(self, counted):
+        calls = [
+            ("post", lambda: counted.post(b"x", ABC)),
+            ("exists", lambda: counted.exists(ABC)),
+            ("fetch", lambda: counted.fetch(ABC)),
+            ("replace", lambda: counted.replace(ABC, b"y")),
+            ("live_addresses", counted.live_addresses),
+            ("remove", lambda: counted.remove(ABC)),
+        ]
+        for verb, call in calls:
+            before = counted._chaos.draws
+            call()
+            assert counted._chaos.draws == before + 1, verb
+
+    def test_refused_queries_draw_once(self, counted):
+        counted.post(b"x", ABC)
+        calls = [
+            ("post", DuplicateAddress, lambda: counted.post(b"x", ABC)),
+            ("fetch", NotFound, lambda: counted.fetch(CAB)),
+            ("replace", NotFound, lambda: counted.replace(CAB, b"y")),
+            ("remove", NotFound, lambda: counted.remove(CAB)),
+        ]
+        for verb, error, call in calls:
+            before = counted._chaos.draws
+            with pytest.raises(error):
+                call()
+            assert counted._chaos.draws == before + 1, verb
+
+    @pytest.mark.parametrize("bad", [("#a", "#a"), ("a", "b"), ()])
+    def test_rejected_sequence_draws_nothing(self, counted, bad):
+        calls = [
+            ("post", lambda: counted.post(b"x", bad)),
+            ("exists", lambda: counted.exists(bad)),
+            ("fetch", lambda: counted.fetch(bad)),
+            ("replace", lambda: counted.replace(bad, b"y")),
+            ("remove", lambda: counted.remove(bad)),
+        ]
+        for verb, call in calls:
+            with pytest.raises(ValueError):
+                call()
+            assert counted._chaos.draws == 0, verb
+
+
 class TestSpec:
     def test_memory_spec(self):
         assert isinstance(open_backend(parse_backend_spec("memory")), MemoryBackend)
