@@ -239,7 +239,7 @@ _HEADER_KEYS = ("disc_id", "mode", "n", "p", "m", "genesis", "alphabet")
 
 
 def _superblock_lines(config: DiscConfig, entries, used_codes) -> tuple[list[str], list[str]]:
-    """The document's header lines (the used= line last, if any) and its
+    """The document's header lines (with a used= line in mode A) and its
     catalog lines, one per file."""
     header = [
         f"disc_id={config.disc_id}",
@@ -611,7 +611,7 @@ class Disc:
         self._sampler = state
         self._hash_iterations += state.iteration - base
         if cfg.mode == "A":
-            self._used.update(rank(addr) for _, addr in run)
+            self._used.update(code for code, _ in run)
         self._tail = run[-1]
         return run[0][0]
 
@@ -628,8 +628,8 @@ class Disc:
             run = list(self._walk(entry.start_counter, cursor, self._blocks_of(entry)))
         tail_ptr = run[-1][3].next_counter
         self._rewrite_next(before, tail_ptr)
-        removed = []
-        for _, addr, _, _ in run:
+        removed = []  # codes of the posts that went
+        for code, addr, _, _ in run:
             try:
                 self.backend.remove(self._tags(addr))
             except NotFound:
@@ -638,9 +638,9 @@ class Disc:
                 # the run is off the chain already: raising here would leave
                 # a catalog entry naming a spliced-out run
                 continue
-            removed.append(addr)
+            removed.append(code)
         if self.config.mode == "A":
-            self._used.difference_update(rank(addr) for addr in removed)
+            self._used.difference_update(removed)
         if tail_ptr == 0 and self._tail is not None:
             self._tail = before[:2]
 
@@ -787,7 +787,7 @@ class Disc:
                 mode=self.config.mode,
                 persistent_bytes=sum(len(line.encode("utf-8")) + 1 for line in header) + catalog_bytes,
                 catalog_bytes=catalog_bytes,
-                dictionary_bytes=len(header[-1]) + 1 if used is not None else 0,
+                dictionary_bytes=sum(len(line) + 1 for line in header if line.startswith("used=")),
                 hash_iterations=self._hash_iterations,
                 replay_iterations=self._replay_iterations,
                 block_count=sum(

@@ -11,14 +11,16 @@ exactly what was posted).
 Two backends share the interface: in-memory, and an on-disk store whose
 layout is one directory per post (named by a digest of the sequence)
 holding the object file plus a line-oriented metadata file.  The store
-keeps no index: a post's directory is derived from its address.
-Optional transient-failure injection exists for resilience tests and is
-off by default.
+keeps no index: a post's directory is derived from its address, and a
+rewrite replaces the object file whole.  Every query passes one admission
+path: tag check, then an optional transient-failure draw (for resilience
+tests, off by default).
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import shutil
 import threading
@@ -32,13 +34,7 @@ from .errors import BackendUnavailable, DuplicateAddress, NotFound
 
 Hashtags = tuple[str, ...]
 
-
-@dataclass
-class Post:
-    post_id: str
-    hashtags: Hashtags
-    data: bytes
-    created_at: str  # ISO-8601
+_UNTAGGED = object()  # the sequence of a query that names no address
 
 
 @dataclass
@@ -64,63 +60,58 @@ def _check_hashtags(hashtags) -> Hashtags:
 
 
 class _BackendBase:
-    """Shared plumbing: locking, failure injection."""
+    """Shared plumbing: admission, locking, failure injection.  Subclasses
+    define the storage primitives, which always run under the lock:
+    `_has`, `_put`, `_get`, `_rewrite`, `_drop` and `_all`."""
 
     def __init__(self, config: BackendConfig):
         self.config = config
         self._lock = threading.RLock()
         self._chaos = random.Random(config.failure_seed)
 
-    def _query(self):
-        # every public operation calls this once, before touching state
+    def _query(self, hashtags=_UNTAGGED) -> Hashtags:
+        """Admit one query, before it takes the lock: check its sequence,
+        then draw the injected failure.  Returns the checked tags."""
+        tags = () if hashtags is _UNTAGGED else _check_hashtags(hashtags)
         if self.config.failure_rate and self._chaos.random() < self.config.failure_rate:
             raise BackendUnavailable("injected transient failure")
+        return tags
+
+    def _present(self, tags: Hashtags) -> None:
+        if not self._has(tags):
+            raise NotFound(f"no post at {' '.join(tags)}")
 
     # -- interface -------------------------------------------------------
 
     def post(self, data: bytes, hashtags) -> str:
-        tags = _check_hashtags(hashtags)
-        self._query()
+        tags = self._query(hashtags)
         with self._lock:
             if self._has(tags):
                 raise DuplicateAddress(f"address occupied: {' '.join(tags)}")
-            rec = Post(
-                post_id=uuid.uuid4().hex,
-                hashtags=tags,
-                data=bytes(data),
-                created_at=datetime.now(timezone.utc).isoformat(),
-            )
-            self._put(rec)
-            return rec.post_id
+            self._put(tags, bytes(data))
+        return uuid.uuid4().hex
 
     def exists(self, hashtags) -> bool:
-        tags = _check_hashtags(hashtags)
-        self._query()
+        tags = self._query(hashtags)
         with self._lock:
             return self._has(tags)
 
     def fetch(self, hashtags) -> bytes:
-        tags = _check_hashtags(hashtags)
-        self._query()
+        tags = self._query(hashtags)
         with self._lock:
-            if not self._has(tags):
-                raise NotFound(f"no post at {' '.join(tags)}")
+            self._present(tags)
             return self._get(tags)
 
     def replace(self, hashtags, data: bytes) -> None:
-        tags = _check_hashtags(hashtags)
-        self._query()
+        tags = self._query(hashtags)
         with self._lock:
-            if not self._has(tags):
-                raise NotFound(f"no post at {' '.join(tags)}")
+            self._present(tags)
             self._rewrite(tags, bytes(data))
 
     def remove(self, hashtags) -> None:
-        tags = _check_hashtags(hashtags)
-        self._query()
+        tags = self._query(hashtags)
         with self._lock:
-            if not self._has(tags):
-                raise NotFound(f"no post at {' '.join(tags)}")
+            self._present(tags)
             self._drop(tags)
 
     def live_addresses(self) -> list[Hashtags]:
@@ -129,30 +120,10 @@ class _BackendBase:
         with self._lock:
             return self._all()
 
-    # storage primitives, always called under the lock
-    def _has(self, tags: Hashtags) -> bool:
-        raise NotImplementedError
-
-    def _put(self, rec: Post) -> None:
-        raise NotImplementedError
-
-    def _get(self, tags: Hashtags) -> bytes:
-        raise NotImplementedError
-
-    def _rewrite(self, tags: Hashtags, data: bytes) -> None:
-        raise NotImplementedError
-
-    def _drop(self, tags: Hashtags) -> None:
-        raise NotImplementedError
-
-    def _all(self) -> list[Hashtags]:
-        raise NotImplementedError
-
 
 class MemoryBackend(_BackendBase):
     """Volatile backend; the default for tests and benchmarks.  It keeps
-    only each address's object bytes: post ids and timestamps are not
-    read back."""
+    only each address's object bytes, with no post id or timestamp."""
 
     def __init__(self, config: Optional[BackendConfig] = None):
         super().__init__(config or BackendConfig(mode="memory"))
@@ -161,14 +132,13 @@ class MemoryBackend(_BackendBase):
     def _has(self, tags):
         return tags in self._posts
 
-    def _put(self, rec):
-        self._posts[rec.hashtags] = rec.data
+    def _put(self, tags, data):
+        self._posts[tags] = data
+
+    _rewrite = _put
 
     def _get(self, tags):
         return self._posts[tags]
-
-    def _rewrite(self, tags, data):
-        self._posts[tags] = data
 
     def _drop(self, tags):
         del self._posts[tags]
@@ -207,19 +177,30 @@ class DirectoryBackend(_BackendBase):
     def _has(self, tags):
         return (self._dir(tags) / self.META).is_file()
 
-    def _put(self, rec):
+    def _write_object(self, post_dir: Path, data: bytes) -> None:
+        """object.bin's one writer: a temp file renamed over it, so a crash
+        leaves the old bytes or the new ones, never a mix."""
+        tmp = post_dir / f".object-{uuid.uuid4().hex}"
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, post_dir / self.OBJECT)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    def _put(self, tags, data):
         # a directory left by a post that crashed before its meta.txt is reused
-        post_dir = self._dir(rec.hashtags)
+        post_dir = self._dir(tags)
         post_dir.mkdir(exist_ok=True)
-        (post_dir / self.OBJECT).write_bytes(rec.data)
-        meta = "\n".join(rec.hashtags) + "\n" + rec.created_at + "\n"
+        self._write_object(post_dir, data)
+        meta = "\n".join(tags) + "\n" + datetime.now(timezone.utc).isoformat() + "\n"
         (post_dir / self.META).write_text(meta, encoding="utf-8")
 
     def _get(self, tags):
         return (self._dir(tags) / self.OBJECT).read_bytes()
 
     def _rewrite(self, tags, data):
-        (self._dir(tags) / self.OBJECT).write_bytes(data)
+        self._write_object(self._dir(tags), data)
 
     def _drop(self, tags):
         post_dir = self._dir(tags)

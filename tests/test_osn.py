@@ -1,5 +1,7 @@
 """Simulated social network backends."""
 
+import os
+
 import pytest
 
 from stegdisc.errors import BackendUnavailable, DuplicateAddress, NotFound
@@ -140,6 +142,40 @@ class TestDurability:
             backend.fetch(ABC)
         backend.post(b"whole", ABC)
         assert DirectoryBackend(root).fetch(ABC) == b"whole"
+
+
+    def test_replace_swaps_the_object_file_whole(self, tmp_path):
+        root = tmp_path / "store"
+        backend = DirectoryBackend(root)
+        backend.post(b"old", ABC)
+        obj = root / DirectoryBackend._digest(ABC) / "object.bin"
+        inode = obj.stat().st_ino
+        with obj.open("rb") as early:
+            backend.replace(ABC, b"new")
+            assert early.read() == b"old"  # swapped out, not rewritten in place
+        assert obj.stat().st_ino != inode
+        assert obj.read_bytes() == b"new"
+        assert DirectoryBackend(root).fetch(ABC) == b"new"
+
+    def test_failed_swap_keeps_the_old_object(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        backend = DirectoryBackend(root)
+        backend.post(b"old", ABC)
+
+        def refuse(src, dst):
+            raise OSError("swap refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="swap refused"):
+            backend.replace(ABC, b"new")
+        with pytest.raises(OSError, match="swap refused"):
+            backend.post(b"new", CAB)
+        monkeypatch.undo()
+        assert backend.fetch(ABC) == b"old"
+        assert backend.live_addresses() == [ABC]
+        for tags, names in ((ABC, ["meta.txt", "object.bin"]), (CAB, [])):
+            post_dir = root / DirectoryBackend._digest(tags)
+            assert sorted(path.name for path in post_dir.iterdir()) == names
 
 
 class TestInjection:
