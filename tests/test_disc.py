@@ -418,6 +418,11 @@ def _missing_post(disc, backend, code):
     return [("bad-block", code["a2"])], 3
 
 
+def _bad_version(disc, backend, code):
+    _rewrite_block(disc, backend, code.addr["a2"], version=2)
+    return [("bad-block", code["a2"])], 3
+
+
 def _out_of_range(disc, backend, code):
     bad = factorial(disc.config.n) + 5
     _rewrite_block(disc, backend, code.addr["a0"], next_counter=bad)
@@ -462,14 +467,17 @@ FSCK_FAULTS = [
     ("C", _order, "a"),
     ("B", _cycle, None),
     ("A", _missing_post, "a"),
+    ("C", _bad_version, "a"),
     ("B", _out_of_range, "a"),
     ("A", _file_missing, None),
     ("C", _file_truncated, "b"),
     ("B", _file_bytes, "a"),
     ("A", _block_count, None),
 ]
-CHAIN_FAULTS = [row for row in FSCK_FAULTS if row[1] in (_order, _cycle, _missing_post, _out_of_range)]
-RM_FAULTS = (_file_missing, _file_truncated, _missing_post, _order, _out_of_range)
+CHAIN_FAULTS = [
+    row for row in FSCK_FAULTS if row[1] in (_order, _cycle, _missing_post, _bad_version, _out_of_range)
+]
+RM_FAULTS = (_file_missing, _file_truncated, _missing_post, _bad_version, _order, _out_of_range)
 
 
 def _fault_params(rows):
@@ -997,6 +1005,43 @@ class TestDeleteFaults:
         fresh.write_file("fill", bytes(range(4 * free)))
         assert fresh.fsck().ok
         assert fresh.read_file("fill") == bytes(range(4 * free))
+
+
+def _two_files(mode, tmp_path):
+    disc, backend, doc = make_doc_disc(mode, tmp_path, n=4, p=16, m=4)
+    files = {name: name.encode() * 10 for name in ("a", "b")}
+    for name, blob in files.items():
+        disc.write_file(name, blob)
+    return disc, backend, doc, files
+
+
+class TestWriteFaults:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_transient_failure_in_put(self, mode, tmp_path):
+        disc, backend, _, _ = _two_files(mode, tmp_path)
+        before = sum(backend.counts.values())
+        disc.write_file("c", b"c" * 10)  # 3 blocks
+        queries = sum(backend.counts.values()) - before
+        for k in range(1, queries + 1):
+            (tmp_path / str(k)).mkdir()
+            disc, backend, doc, files = _two_files(mode, tmp_path / str(k))
+            files["c"] = b"c" * 10
+            backend.arm(k)
+            try:
+                disc.write_file("c", files["c"])
+            except BackendUnavailable:
+                disc.write_file("c", files["c"])
+            assert backend._left is None  # the failure did happen, inside put
+            assert disc.fsck().ok
+            for name, blob in files.items():
+                assert disc.read_file(name) == blob
+            # a missing rollback leaves a post the chain does not hold
+            assert len(backend.inner.live_addresses()) == len(disc.chain_blocks()) + 1
+            fresh = Disc.open(doc, backend.inner, small_pool())
+            free = factorial(4) - len(backend.inner.live_addresses())
+            fresh.write_file("fill", bytes(range(4 * free)))
+            assert fresh.fsck().ok
+            assert fresh.read_file("fill") == bytes(range(4 * free))
 
 
 class TestCatalog:
