@@ -22,12 +22,16 @@ Three addressing modes trade local state for recomputation:
 Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.
 
-One walker, `Disc._walk`, follows every pointer: reads, splices, the
-tail lookup, full traversals and fsck.  It is the one place chain faults
-are detected (a mode C counter that does not increase, a cycle, a block
-that cannot be resolved or fetched, a NULL pointer inside a file's run),
-and each raises ChainBroken naming its kind and pointer code; fsck
-reports the fault the walker raised instead of walking the chain again.
+Each block operation has one helper: `Disc._fetch` fetches and decodes
+a post, `Disc._post` embeds and posts a payload, and `Disc._remove`
+removes posts best effort (in mode A an orphan's code stays used).  One
+walker, `Disc._walk`, follows every pointer: reads, splices, the tail
+lookup, full traversals and fsck; `Disc._chain` is its one walk from the
+genesis block.  It is the one place chain faults are detected (a mode C
+counter that does not increase, a cycle, a block that cannot be resolved
+or fetched, a NULL pointer inside a file's run), and each raises
+ChainBroken naming its kind and pointer code; fsck reports the fault
+the walker raised instead of walking the chain again.
 
 Catalog order is chain order: writes and edits put their run at the
 chain tail and their entry at the end of the catalog.  One lookup,
@@ -36,8 +40,8 @@ predecessor of a run a splice removes, or the tail (the block that
 points at NULL) for the first mutation of a session.  It walks the run
 of the previous non-empty entry (or takes the genesis block) and accepts
 its last block only if the pointer matches; on a mismatch or a broken
-run it walks from the genesis block, but only as far as the first block
-that points there.  fsck and chain_blocks always walk the whole chain.
+run it walks `_chain`, but only as far as the first block that points
+there.  fsck and chain_blocks always walk the whole chain.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from .errors import (
     BadVersion,
     ChainBroken,
     ConfigInvalid,
+    DuplicateAddress,
     FileNotFound,
     InvalidCounter,
     InvalidName,
@@ -133,7 +138,7 @@ class DiscConfig:
         genesis=None,
         disc_id: Optional[str] = None,
     ) -> "DiscConfig":
-        cfg = cls(
+        return cls(
             n=n,
             p=p,
             m=m,
@@ -142,10 +147,8 @@ class DiscConfig:
             genesis=tuple(genesis) if genesis is not None else tuple(range(n)),
             disc_id=disc_id or uuid.uuid4().hex[:12],
         )
-        cfg.validate()
-        return cfg
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigInvalid(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n < 1 or self.p < 1 or self.m < 1:
@@ -174,6 +177,10 @@ class DiscConfig:
         return (
             f"n={self.n};p={self.p};m={self.m};mode={self.mode};id={self.disc_id}"
         ).encode("utf-8")
+
+    def carrier_bytes(self) -> int:
+        """Payload bytes every carrier must hold: a data block or the genesis echo."""
+        return header_size(self.p) + max(self.m, len(self.echo_bytes()))
 
 
 @dataclass(frozen=True)
@@ -304,7 +311,6 @@ def parse_superblock(text: str):
             used_codes = {int(v) for v in header["used"].split(",") if v}
     except (ValueError, ConfigInvalid) as exc:
         raise ConfigInvalid(f"bad superblock document: {exc}") from exc
-    config.validate()
     return config, entries, used_codes
 
 
@@ -327,7 +333,7 @@ def write_superblock(path, config: DiscConfig, entries, used_codes=None) -> None
 
 def default_pool(config: DiscConfig) -> CarrierPool:
     """Synthetic bitmap pool just large enough for this disc's payloads."""
-    need = header_size(config.p) + max(config.m, len(config.echo_bytes()))
+    need = config.carrier_bytes()
     side = 8
     while side * side * 3 < need * 8:
         side *= 2
@@ -349,7 +355,6 @@ class Disc:
         entries: Optional[list[FileEntry]] = None,
         used_codes=None,
     ):
-        config.validate()
         self.config = config
         self.backend = backend
         self.pool = pool if pool is not None else default_pool(config)
@@ -370,24 +375,16 @@ class Disc:
         self._hash_iterations = 0
         self._replay_iterations = 0
         self._lock = threading.RLock()
-        min_cap = self.pool.min_capacity()
-        if header_size(config.p) + config.m > min_cap:
-            raise ConfigInvalid(
-                f"block of m={config.m} bytes needs "
-                f"{header_size(config.p) + config.m} carrier bytes, pool offers {min_cap}"
-            )
-        if header_size(config.p) + len(config.echo_bytes()) > min_cap:
-            raise ConfigInvalid("carrier pool too small for the genesis block")
+        need, offer = config.carrier_bytes(), self.pool.min_capacity()
+        if need > offer:
+            raise ConfigInvalid(f"blocks need {need} carrier bytes, the pool offers {offer}")
 
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
     def format(cls, config: DiscConfig, backend, pool=None, doc_path=None) -> "Disc":
         disc = cls(config, backend, pool, doc_path)
-        payload = BlockPayload(next_counter=0, data=config.echo_bytes(), flags=FLAG_SUPERBLOCK)
-        raw = encode_payload(payload, config.p)
-        stego = embed(disc.pool.next_carrier(0), raw)
-        backend.post(stego.data, disc._tags(config.genesis))
+        disc._post(0, config.genesis, BlockPayload(0, config.echo_bytes(), FLAG_SUPERBLOCK))
         disc._tail = (0, config.genesis)
         disc._persist()
         return disc
@@ -415,28 +412,39 @@ class Disc:
         except KeyError:
             raise FileNotFound(f"file {name!r} not found") from None
 
-    def _resolve(self, code: int, cursor: Optional[ReplayCursor]) -> Perm:
-        """Pointer code -> address; mode C replays the stream via `cursor`."""
-        if self.config.mode == "C":
-            try:
-                return cursor.resolve(code)
-            except InvalidCounter as exc:
-                raise ChainBroken(f"pointer {code} is not a valid stream position") from exc
+    def _fetch(self, code: int, addr: Perm):
+        """One fetch and one parse: the block (code, address, carrier,
+        payload).  A missing or undecodable post is a bad block at `code`."""
+        tags = self._tags(addr)
         try:
-            return unrank(code, self.config.n)
-        except CodeOutOfRange as exc:
-            raise ChainBroken(f"pointer {code} is not a valid address code") from exc
-
-    def _fetch(self, addr: Perm) -> tuple[CarrierObject, BlockPayload]:
-        """One fetch and one parse: the posted object and its payload."""
-        try:
-            carrier = CarrierObject.from_bytes(self.backend.fetch(self._tags(addr)))
+            carrier = CarrierObject.from_bytes(self.backend.fetch(tags))
+            return code, addr, carrier, read_payload(carrier, self.config.p)
         except NotFound as exc:
-            raise ChainBroken(f"no object at {' '.join(self._tags(addr))}") from exc
-        try:
-            return carrier, read_payload(carrier, self.config.p)
+            raise ChainBroken(f"no object at {' '.join(tags)}", "bad-block", code) from exc
         except (TruncatedPayload, BadVersion, UnsupportedCarrier) as exc:
-            raise ChainBroken(f"undecodable block at {' '.join(self._tags(addr))}") from exc
+            raise ChainBroken(f"undecodable block at {' '.join(tags)}", "bad-block", code) from exc
+
+    def _post(self, code: int, addr: Perm, payload: BlockPayload, m: Optional[int] = None) -> None:
+        """Embed `payload` in the pool's carrier for `code` and post it at `addr`."""
+        stego = embed(self.pool.next_carrier(code), encode_payload(payload, self.config.p, m))
+        self.backend.post(stego.data, self._tags(addr))
+
+    def _remove(self, run) -> None:
+        """Remove the posts of a run of (code, address) pairs, best effort:
+        a post already gone counts as removed, and one that fails to go
+        stays behind as an orphan.  In mode A the code of a post that went
+        is freed and the code of an orphan is kept used, so allocation never
+        lands on it."""
+        used = self._used if self.config.mode == "A" else set()
+        for code, addr in run:
+            try:
+                self.backend.remove(self._tags(addr))
+            except NotFound:
+                pass  # already gone
+            except Exception:
+                used.add(code)
+                continue
+            used.discard(code)
 
     @contextmanager
     def _replay(self):
@@ -473,13 +481,20 @@ class Disc:
             if code in seen:
                 raise ChainBroken(f"pointer {code} repeats along the chain", "cycle", code)
             seen.add(code)
-            try:
-                addr = self._resolve(code, cursor)
-                carrier, payload = self._fetch(addr)
-            except ChainBroken as exc:
-                raise ChainBroken(str(exc), "bad-block", code) from exc
-            yield code, addr, carrier, payload
-            prev, code = code, payload.next_counter
+            try:  # mode C replays the stream through `cursor`
+                addr = cursor.resolve(code) if cursor is not None else unrank(code, self.config.n)
+            except (InvalidCounter, CodeOutOfRange) as exc:
+                raise ChainBroken(f"bad pointer {code}: {exc}", "bad-block", code) from exc
+            block = self._fetch(code, addr)
+            yield block
+            prev, code = code, block[3].next_counter
+
+    def _chain(self, cursor: Optional[ReplayCursor]):
+        """The whole chain: the genesis block (code 0), then `_walk` from its
+        pointer to the NULL pointer."""
+        genesis = self._fetch(0, self.config.genesis)
+        yield genesis
+        yield from self._walk(genesis[3].next_counter, cursor)
 
     def _locate(self, blocks, position: dict[int, int], entry: FileEntry):
         """`entry`'s run in a traversal's `blocks`; `position` maps each
@@ -519,13 +534,10 @@ class Disc:
                     return block
             except ChainBroken:
                 pass
-        block = (0, self.config.genesis) + self._fetch(self.config.genesis)
-        walk = self._walk(block[3].next_counter, cursor)
-        while block[3].next_counter != target:
-            block = next(walk, None)
-            if block is None:
-                raise ChainBroken(f"no block points at {target}", "file-missing", target)
-        return block
+        for block in self._chain(cursor):
+            if block[3].next_counter == target:
+                return block
+        raise ChainBroken(f"no block points at {target}", "file-missing", target)
 
     def _rewrite_next(self, block, new_next: int) -> None:
         """Replace a fetched block's pointer, keeping its data and flags."""
@@ -574,40 +586,40 @@ class Disc:
 
         Returns the first block's pointer code.  On failure nothing is
         committed: posted blocks are removed and the sampler state stays
-        where it was, so a rejected write leaves the disc clean.
+        where it was, so a rejected write leaves the disc clean.  Mode A
+        never probes the network, so a post its used set does not list (a
+        run linked just before a crash, or an orphan of a failed rollback)
+        raises DuplicateAddress: its code is marked used and the run is
+        allocated again from the same sampler state.
         """
         cfg = self.config
         count = compute_chain_length(len(data), cfg.m)
-        pending_addrs: set[Perm] = set()
-        run: list[tuple[int, Perm]] = []  # (pointer code, address)
-        state = self._sampler
-        base = state.iteration
-        occupied = self._occupied_predicate(pending_addrs)
-        for _ in range(count):
-            # the ladder keeps what a rolled-back write walked: the stream
-            # is a pure function of the seed
-            addr, counter, state = allocate_address(state, occupied, ladder=self._ladder)
-            code = counter if cfg.mode == "C" else rank(addr)
-            run.append((code, addr))
-            pending_addrs.add(addr)
-        posted: list[Perm] = []
-        try:
-            for idx, (code, addr) in enumerate(run):
-                chunk = data[idx * cfg.m: (idx + 1) * cfg.m]
-                nxt = run[idx + 1][0] if idx + 1 < count else 0
-                payload = BlockPayload(next_counter=nxt, data=chunk)
-                raw = encode_payload(payload, cfg.p, cfg.m)
-                stego = embed(self.pool.next_carrier(code), raw)
-                self.backend.post(stego.data, self._tags(addr))
-                posted.append(addr)
-            self._rewrite_next(self._tail + self._fetch(self._tail[1]), run[0][0])
-        except BaseException:
-            for addr in posted:
-                try:
-                    self.backend.remove(self._tags(addr))
-                except Exception:
-                    pass
-            raise
+        base = self._sampler.iteration
+        while True:
+            pending_addrs: set[Perm] = set()
+            run: list[tuple[int, Perm]] = []  # (pointer code, address)
+            state = self._sampler
+            occupied = self._occupied_predicate(pending_addrs)
+            for _ in range(count):
+                # the ladder keeps what a rolled-back write walked: the stream
+                # is a pure function of the seed
+                addr, counter, state = allocate_address(state, occupied, ladder=self._ladder)
+                run.append((counter if cfg.mode == "C" else rank(addr), addr))
+                pending_addrs.add(addr)
+            posted = 0
+            try:
+                for idx, (code, addr) in enumerate(run):
+                    chunk = data[idx * cfg.m: (idx + 1) * cfg.m]
+                    nxt = run[idx + 1][0] if idx + 1 < count else 0
+                    self._post(code, addr, BlockPayload(nxt, chunk), cfg.m)
+                    posted += 1
+                self._rewrite_next(self._fetch(*self._tail), run[0][0])
+                break
+            except BaseException as exc:
+                self._remove(run[:posted])
+                if cfg.mode != "A" or not isinstance(exc, DuplicateAddress):
+                    raise
+                self._used.add(run[posted][0])
         self._sampler = state
         self._hash_iterations += state.iteration - base
         if cfg.mode == "A":
@@ -620,27 +632,14 @@ class Disc:
         the predecessor takes over the pointer held by the run's last block.
 
         The predecessor rewrite is the point where the run leaves the
-        chain.  Removal after it is best effort: a post that fails to go
-        stays behind as an orphan, and in mode A its code stays used, so
-        allocation never lands on it."""
+        chain.  Removal after it is best effort (`_remove`): raising there
+        would leave a catalog entry naming a spliced-out run."""
         with self._replay() as cursor:
             before = self._before(entry, cursor)
             run = list(self._walk(entry.start_counter, cursor, self._blocks_of(entry)))
         tail_ptr = run[-1][3].next_counter
         self._rewrite_next(before, tail_ptr)
-        removed = []  # codes of the posts that went
-        for code, addr, _, _ in run:
-            try:
-                self.backend.remove(self._tags(addr))
-            except NotFound:
-                pass  # already gone
-            except Exception:
-                # the run is off the chain already: raising here would leave
-                # a catalog entry naming a spliced-out run
-                continue
-            removed.append(code)
-        if self.config.mode == "A":
-            self._used.difference_update(removed)
+        self._remove(block[:2] for block in run)
         if tail_ptr == 0 and self._tail is not None:
             self._tail = before[:2]
 
@@ -694,12 +693,7 @@ class Disc:
             self._prepare_mutation()
             first = self._append_chain(data) if data else 0
             if entry.length > 0:
-                try:
-                    self._splice_run(entry)
-                except BaseException:
-                    # the new run stays linked; mode A must keep its codes used
-                    self._persist()
-                    raise
+                self._splice_run(entry)
             fresh = FileEntry(name, first, len(data))
             del self._entries[name]
             self._entries[name] = fresh
@@ -714,8 +708,7 @@ class Disc:
         """Read-only traversal from the genesis block: one
         (pointer code, address, payload) triple per data block, in chain order."""
         with self._lock, self._replay() as cursor:
-            first = self._fetch(self.config.genesis)[1].next_counter
-            return [(code, addr, payload) for code, addr, _, payload in self._walk(first, cursor)]
+            return [(code, addr, payload) for code, addr, _, payload in self._chain(cursor)][1:]
 
     # -- inspection ------------------------------------------------------------
 
@@ -723,10 +716,11 @@ class Disc:
         """Read-only chain check: traversal stops at the first fault the
         walker raises; catalog coverage is only judged on a fully
         traversed chain."""
-        with self._lock:
+        with self._lock, self._replay() as cursor:
             report = ChainReport()
+            chain = self._chain(cursor)
             try:
-                genesis_payload = self._fetch(self.config.genesis)[1]
+                genesis_payload = next(chain)[3]
             except ChainBroken as exc:
                 report.violations.append(Violation("genesis-missing", 0, str(exc)))
                 return report
@@ -741,14 +735,13 @@ class Disc:
                     Violation("genesis-echo", 0, f"genesis echo {genesis_payload.data!r} != {expect!r}")
                 )
             blocks: list[tuple[int, Perm, BlockPayload]] = []
-            with self._replay() as cursor:
-                try:
-                    for code, addr, _, payload in self._walk(genesis_payload.next_counter, cursor):
-                        report.block_count += 1
-                        blocks.append((code, addr, payload))
-                except ChainBroken as fault:
-                    report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
-                    return report
+            try:
+                for code, addr, _, payload in chain:
+                    report.block_count += 1
+                    blocks.append((code, addr, payload))
+            except ChainBroken as fault:
+                report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
+                return report
             position = {code: idx for idx, (code, _, _) in enumerate(blocks)}
             total_expected = 0
             for entry in self._entries.values():

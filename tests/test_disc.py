@@ -1044,6 +1044,66 @@ class TestWriteFaults:
             assert fresh.read_file("fill") == bytes(range(4 * free))
 
 
+class ScriptedBackend(ProxyBackend):
+    """Fails, once each, the n-th query of a verb counted from `script`."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self._due = {}
+
+    def script(self, **nth):
+        self._due = {verb: self.counts[verb] + n for verb, n in nth.items()}
+
+    def _call(self, verb, *args):
+        if self._due.get(verb) == self.counts[verb] + 1:
+            self.counts[verb] += 1
+            del self._due[verb]
+            raise BackendUnavailable(f"scripted failure of {verb}")
+        return super()._call(verb, *args)
+
+
+class TestUnrecordedPosts:
+    """Mode A trusts its used set; a post the set does not list must not
+    make later puts fail."""
+
+    def test_put_after_a_crash_before_the_persist(self, monkeypatch, tmp_path):
+        import stegdisc.disc as disc_mod
+
+        disc, backend, doc, files = _two_files("A", tmp_path)
+
+        def crash(*args, **kwargs):
+            raise SystemExit("killed before the document was written")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(disc_mod, "write_superblock", crash)
+            with pytest.raises(SystemExit):
+                disc.write_file("c", b"c" * 10)  # linked, but not in the document
+        fresh = Disc.open(doc, backend.inner, small_pool())
+        files["d"] = b"d" * 10
+        fresh.write_file("d", files["d"])
+        for name, blob in files.items():
+            assert fresh.read_file(name) == blob
+        # c's run is linked and no entry names it
+        assert [(v.kind, v.counter) for v in fresh.fsck().violations] == [("block-count", 0)]
+
+    @pytest.mark.parametrize("reopen", [False, True], ids=["same-session", "reopened"])
+    def test_put_after_a_failed_rollback(self, reopen, tmp_path):
+        disc, _, doc, files = _two_files("A", tmp_path)
+        backend = ScriptedBackend(disc.backend.inner)
+        disc.backend = backend
+        backend.script(post=2, remove=1)  # the 1st post stays behind as an orphan
+        with pytest.raises(BackendUnavailable):
+            disc.write_file("c", b"c" * 10)
+        assert backend._due == {}
+        if reopen:
+            disc = Disc.open(doc, backend.inner, small_pool())
+        files["c"] = b"c" * 10
+        disc.write_file("c", files["c"])
+        assert disc.fsck().ok
+        for name, blob in files.items():
+            assert disc.read_file(name) == blob
+
+
 class TestCatalog:
     def test_duplicate_name_rejected(self, tmp_path):
         config = DiscConfig.create(n=4, p=16, m=8, mode="C", disc_id="dup")
