@@ -20,7 +20,13 @@ Three addressing modes trade local state for recomputation:
      from the seed.
 
 Local persistence is a small superblock+catalog text document; the
-chain itself lives only in the posted objects.
+chain itself lives only in the posted objects.  In modes A and B the
+document also records the allocation sampler's position (a `stream=`
+line), and a fresh session resumes allocation from it instead of
+passing every used address again from counter 0.  Their pointers are
+rank codes and freedom is checked against the used set or the network,
+so the position only decides which free address comes first: a stale
+one costs hashes, never correctness.  Mode C writes no such line.
 
 Each block operation has one helper: `Disc._fetch` fetches and decodes
 a post, `Disc._post` embeds and posts a payload, and `Disc._remove`
@@ -78,6 +84,7 @@ from .errors import (
     InvalidName,
     CodeOutOfRange,
     NameExists,
+    NotAPermutation,
     NotFound,
     TruncatedPayload,
     UnsupportedCarrier,
@@ -197,10 +204,18 @@ class FileEntry:
     @classmethod
     def parse(cls, line: str) -> "FileEntry":
         """Inverse of `line`; the entry keeps the line it was read from, so
-        writing an opened catalog back formats none of its lines again."""
+        writing an opened catalog back formats none of its lines again.
+
+        Every session parses the whole catalog, so this skips the frozen
+        __init__ and unquotes only names that hold an escape."""
         name, start, length = line.split("\t")
-        entry = cls(unquote(name), int(start), int(length))
-        entry.__dict__["line"] = line
+        entry = object.__new__(cls)
+        entry.__dict__.update(
+            name=unquote(name) if "%" in name else name,
+            start_counter=int(start),
+            length=int(length),
+            line=line,
+        )
         return entry
 
 
@@ -245,9 +260,14 @@ class TradeoffStats:
 _HEADER_KEYS = ("disc_id", "mode", "n", "p", "m", "genesis", "alphabet")
 
 
-def _superblock_lines(config: DiscConfig, entries, used_codes) -> tuple[list[str], list[str]]:
-    """The document's header lines (with a used= line in mode A) and its
-    catalog lines, one per file."""
+def _superblock_lines(
+    config: DiscConfig, entries, used_codes, stream: Optional[SamplerState]
+) -> tuple[list[str], list[str]]:
+    """The document's header lines (with a stream= line in modes A and B
+    and a used= line in mode A) and its catalog lines, one per file.
+
+    stream= is `<iteration>:<permutation>`, a completion state of the
+    allocation sampler: the permutation is its current_input."""
     header = [
         f"disc_id={config.disc_id}",
         f"mode={config.mode}",
@@ -257,6 +277,8 @@ def _superblock_lines(config: DiscConfig, entries, used_codes) -> tuple[list[str
         "genesis=" + ",".join(str(v) for v in config.genesis),
         "alphabet=" + ",".join(config.alphabet.tags),
     ]
+    if stream is not None:
+        header.append(f"stream={stream.iteration}:{stream.current_input}")
     if used_codes is not None:
         header.append("used=" + ",".join(str(c) for c in sorted(used_codes)))
     return header, [entry.line for entry in entries]
@@ -266,20 +288,39 @@ def serialize_superblock(
     config: DiscConfig,
     entries,
     used_codes=None,
+    stream: Optional[SamplerState] = None,
 ) -> str:
-    header, catalog = _superblock_lines(config, entries, used_codes)
+    header, catalog = _superblock_lines(config, entries, used_codes, stream)
     return "\n".join(header + catalog) + "\n"
+
+
+def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
+    """The allocation sampler state a stream= value names."""
+    if config.mode == "C":
+        raise ConfigInvalid("mode C keeps no stream position")
+    iteration, sep, perm = value.partition(":")
+    iteration = int(iteration)
+    if not sep or iteration < 0:
+        raise ConfigInvalid(f"bad stream position {value!r}")
+    try:
+        perm = validate_permutation(perm.split(","))
+    except NotAPermutation as exc:
+        raise ConfigInvalid(f"bad stream position {value!r}: {exc}") from exc
+    if len(perm) != config.n:
+        raise ConfigInvalid(f"stream position {value!r} is not a permutation of n={config.n}")
+    return SamplerState(config.genesis, iteration, ",".join(map(str, perm)))
 
 
 def parse_superblock(text: str):
     """Inverse of serialize_superblock.
 
-    Returns (config, entries, used_codes); used_codes is None unless a
-    used= line is present (mode A).
+    Returns (config, entries, used_codes, stream); used_codes is None
+    unless a used= line is present (mode A), and stream is the allocation
+    sampler state of a stream= line (modes A and B), else None.
     """
     header: dict[str, str] = {}
     entries: list[FileEntry] = []
-    used_codes = None
+    used_codes = stream = None
     for line in text.splitlines():
         if not line:
             continue
@@ -292,6 +333,8 @@ def parse_superblock(text: str):
             key, sep, value = line.partition("=")
             if not sep:
                 raise ConfigInvalid(f"bad header line {line!r}")
+            if key in header:
+                raise ConfigInvalid(f"bad superblock document: header key {key!r} repeats")
             header[key] = value
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
@@ -308,16 +351,19 @@ def parse_superblock(text: str):
             disc_id=header["disc_id"],
         )
         if "used" in header:
-            used_codes = {int(v) for v in header["used"].split(",") if v}
+            used = header["used"]
+            used_codes = set(map(int, used.split(","))) if used else set()
+        if "stream" in header:
+            stream = _parse_stream(header["stream"], config)
     except (ValueError, ConfigInvalid) as exc:
         raise ConfigInvalid(f"bad superblock document: {exc}") from exc
-    return config, entries, used_codes
+    return config, entries, used_codes, stream
 
 
-def write_superblock(path, config: DiscConfig, entries, used_codes=None) -> None:
+def write_superblock(path, config: DiscConfig, entries, used_codes=None, stream=None) -> None:
     """Atomic write: temp file in the same directory, then rename over."""
     path = Path(path)
-    text = serialize_superblock(config, entries, used_codes)
+    text = serialize_superblock(config, entries, used_codes, stream)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".stegdisc-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -354,6 +400,7 @@ class Disc:
         doc_path=None,
         entries: Optional[list[FileEntry]] = None,
         used_codes=None,
+        stream: Optional[SamplerState] = None,
     ):
         self.config = config
         self.backend = backend
@@ -365,8 +412,12 @@ class Disc:
         if len(self._entries) != len(entries):
             raise ConfigInvalid("the catalog names a file twice")
         self._used: set[int] = set(used_codes or ())  # mode A: rank codes of live blocks
-        limit = 2 ** config.p - 1 if config.mode == "C" else None
-        self._sampler = SamplerState.fresh(config.genesis, limit=limit)
+        # modes A and B resume allocation where the document's stream= line
+        # left it; mode C, and a document without the line, start at the seed
+        if stream is None:
+            limit = 2 ** config.p - 1 if config.mode == "C" else None
+            stream = SamplerState.fresh(config.genesis, limit=limit)
+        self._sampler = stream
         # (pointer code, address) of the chain tail, looked up by the first
         # mutation; mode C's sampler then stands at the tail counter
         self._tail: Optional[tuple[int, Perm]] = None
@@ -392,19 +443,25 @@ class Disc:
     @classmethod
     def open(cls, doc_path, backend, pool=None) -> "Disc":
         text = Path(doc_path).read_text(encoding="utf-8")
-        config, entries, used_codes = parse_superblock(text)
-        return cls(config, backend, pool, doc_path, entries, used_codes)
+        config, entries, used_codes, stream = parse_superblock(text)
+        return cls(config, backend, pool, doc_path, entries, used_codes, stream)
 
     # -- helpers -------------------------------------------------------------
 
     def _tags(self, perm: Perm):
         return perm_to_hashtags(perm, self.config.alphabet)
 
+    def _document(self):
+        """write_superblock's arguments after the path: the config, the
+        catalog, mode A's used set and modes A and B's sampler position."""
+        mode = self.config.mode
+        used = self._used if mode == "A" else None
+        stream = self._sampler if mode != "C" else None
+        return self.config, self._entries.values(), used, stream
+
     def _persist(self) -> None:
-        if self.doc_path is None:
-            return
-        used = self._used if self.config.mode == "A" else None
-        write_superblock(self.doc_path, self.config, self._entries.values(), used)
+        if self.doc_path is not None:
+            write_superblock(self.doc_path, *self._document())
 
     def _entry(self, name: str) -> FileEntry:
         try:
@@ -772,8 +829,7 @@ class Disc:
 
     def stats(self) -> TradeoffStats:
         with self._lock:
-            used = self._used if self.config.mode == "A" else None
-            header, catalog = _superblock_lines(self.config, self._entries.values(), used)
+            header, catalog = _superblock_lines(*self._document())
             # each line is followed by a newline; quoted catalog lines are ASCII
             catalog_bytes = sum(len(line) + 1 for line in catalog)
             return TradeoffStats(

@@ -30,6 +30,7 @@ from stegdisc.osn import MemoryBackend
 from stegdisc.steghash import (
     CHECKPOINT_EVERY,
     HashtagAlphabet,
+    SamplerState,
     perm_to_hashtags,
     rank,
     sampler_replay,
@@ -600,7 +601,7 @@ class TestPersistence:
         ]
         used = {1, 5, 9}
         text = serialize_superblock(config, entries, used)
-        config2, entries2, used2 = parse_superblock(text)
+        config2, entries2, used2, _ = parse_superblock(text)
         assert (config2.n, config2.p, config2.m, config2.mode) == (4, 16, 8, "A")
         assert config2.genesis == config.genesis
         assert config2.alphabet.tags == config.alphabet.tags
@@ -611,7 +612,7 @@ class TestPersistence:
         config = DiscConfig.create(n=4, p=16, m=8, mode="C", disc_id="rt")
         text = serialize_superblock(config, [])
         assert "used=" not in text
-        _, _, used = parse_superblock(text)
+        _, _, used, _ = parse_superblock(text)
         assert used is None
 
     @pytest.mark.parametrize("mode", MODES)
@@ -891,7 +892,7 @@ class TestCatalogNeighbours:
                 del reference[name]
             if step % 40 == 39:
                 disc = Disc.open(doc, backend, small_pool())
-            _, entries, _ = parse_superblock(doc.read_text(encoding="utf-8"))
+            _, entries, _, _ = parse_superblock(doc.read_text(encoding="utf-8"))
             assert [e.start_counter for e in entries if e.length] == run_starts(disc)
         assert disc.fsck().ok
         for name, blob in reference.items():
@@ -903,11 +904,11 @@ class TestCatalogNeighbours:
         for name in ("a", "b", "c", "d"):
             disc.write_file(name, name.encode() * 9)
         disc.modify_file("b", b"B" * 7)  # chain order is now a c d b
-        config, entries, used = parse_superblock(doc.read_text(encoding="utf-8"))
+        config, entries, used, stream = parse_superblock(doc.read_text(encoding="utf-8"))
         by_name = {e.name: e for e in entries}
         # the catalog order an in-place edit used to leave behind
         doc.write_text(
-            serialize_superblock(config, [by_name[n] for n in "abcd"], used), encoding="utf-8"
+            serialize_superblock(config, [by_name[n] for n in "abcd"], used, stream), encoding="utf-8"
         )
         fresh = Disc.open(doc, backend, small_pool())
         fresh.write_file("e", b"after the real tail")
@@ -929,8 +930,8 @@ class TestCatalogNeighbours:
         files = {f"f{i:03d}": rng.randbytes(rng.randrange(1, 17)) for i in range(300)}
         for name, blob in files.items():
             disc.write_file(name, blob)
-        config, entries, used = parse_superblock(doc.read_text(encoding="utf-8"))
-        doc.write_text(serialize_superblock(config, entries[::-1], used), encoding="utf-8")
+        config, entries, used, stream = parse_superblock(doc.read_text(encoding="utf-8"))
+        doc.write_text(serialize_superblock(config, entries[::-1], used, stream), encoding="utf-8")
         fresh = Disc.open(doc, backend, small_pool())
         before = backend.counts["fetch"]
         fresh.delete_file("f000")  # the genesis block points at its run
@@ -1132,6 +1133,124 @@ class TestCatalog:
         fresh.write_file("after reopen", b"z")
         fresh.stats()
         assert calls == [("one more",), ("after reopen",)]
-        config, entries, used = parse_superblock(doc.read_text(encoding="utf-8"))
+        config, entries, used, stream = parse_superblock(doc.read_text(encoding="utf-8"))
         formatted = [FileEntry(e.name, e.start_counter, e.length) for e in entries]
-        assert doc.read_text(encoding="utf-8") == serialize_superblock(config, formatted, used)
+        assert doc.read_text(encoding="utf-8") == serialize_superblock(config, formatted, used, stream)
+
+    @pytest.mark.parametrize("key", ["used", "stream", "mode"])
+    def test_repeated_header_key_rejected(self, key):
+        config = DiscConfig.create(n=4, p=16, m=8, mode="A", disc_id="rep")
+        text = serialize_superblock(config, [], {5}, SamplerState.fresh(config.genesis))
+        line = next(line for line in text.splitlines() if line.startswith(key + "="))
+        with pytest.raises(ConfigInvalid, match="repeats"):
+            parse_superblock(text + line + "\n")
+
+
+def _rewrite_stream(doc, stream):
+    """Write the document back with `stream` as its sampler position (None
+    drops the line, as a document written before the line existed)."""
+    config, entries, used, _ = parse_superblock(doc.read_text(encoding="utf-8"))
+    doc.write_text(serialize_superblock(config, entries, used, stream), encoding="utf-8")
+
+
+class TestStreamPosition:
+    """Modes A and B persist the allocation sampler's position, so a fresh
+    session neither replays the stream nor probes past every used address."""
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_fresh_session_put_is_cheap(self, mode, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path)
+        rng = random.Random(17)
+        for i in range(300):
+            disc.write_file(f"f{i:03d}", rng.randbytes(rng.randrange(1, 17)))
+        fresh = Disc.open(doc, backend, small_pool())
+        probes = backend.counts["exists"]
+        fresh.write_file("three blocks", b"z" * 20)
+        # a fresh sampler at counter 0 spends thousands of hashes (and in
+        # mode B as many probes) passing every used address again
+        assert fresh.stats().hash_iterations <= 1000
+        if mode == "B":
+            assert backend.counts["exists"] - probes <= 50
+        assert fresh.read_file("three blocks") == b"z" * 20
+        assert fresh.fsck().ok
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_reopen_does_not_change_allocation(self, mode, tmp_path):
+        (tmp_path / "one").mkdir()
+        (tmp_path / "two").mkdir()
+        one, _, _ = make_doc_disc(mode, tmp_path / "one", n=5, p=16)
+        two, backend, doc = make_doc_disc(mode, tmp_path / "two", n=5, p=16)
+        rng = random.Random(23)
+        for i in range(40):
+            blob = rng.randbytes(rng.randrange(1, 25))
+            two = Disc.open(doc, backend, small_pool())
+            for disc in (one, two):
+                disc.write_file(f"f{i}", blob)
+                if i % 7 == 6:  # freed addresses must not come back early
+                    disc.delete_file(f"f{i - 3}")
+        assert one.chain_blocks() == two.chain_blocks()
+        assert two.fsck().ok
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_document_without_the_line(self, mode, tmp_path):
+        disc, backend, doc, files = _two_files(mode, tmp_path)
+        _rewrite_stream(doc, None)
+        assert "stream=" not in doc.read_text(encoding="utf-8")
+        fresh = Disc.open(doc, backend, small_pool())
+        files["c"] = b"c" * 10
+        fresh.write_file("c", files["c"])
+        assert fresh.fsck().ok
+        for name, blob in files.items():
+            assert fresh.read_file(name) == blob
+        stream = parse_superblock(doc.read_text(encoding="utf-8"))[3]
+        assert stream is not None and stream.iteration > 0
+
+    @pytest.mark.parametrize(
+        "value", ["x:0,1,2,3", "-1:0,1,2,3", "9:0,1,2", "9:0,1,1,3"],
+        ids=["iteration", "negative", "length", "repeated-index"],
+    )
+    def test_malformed_line_rejected(self, value):
+        config = DiscConfig.create(n=4, p=16, m=8, mode="B", disc_id="bad")
+        text = serialize_superblock(config, []) + f"stream={value}\n"
+        with pytest.raises(ConfigInvalid, match="^bad superblock document: "):
+            parse_superblock(text)
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    @pytest.mark.parametrize("stale", ["genesis", "hand-edited"])
+    def test_stale_position_costs_hashes_only(self, mode, stale, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path, n=5, p=16)
+        rng = random.Random(29)
+        files = {}
+        for i in range(30):
+            files[f"f{i}"] = rng.randbytes(rng.randrange(1, 25))
+            disc.write_file(f"f{i}", files[f"f{i}"])
+        for name in ("f3", "f17"):
+            disc.delete_file(name)
+            del files[name]
+        genesis = disc.config.genesis
+        if stale == "genesis":  # replays over every used address
+            stream = SamplerState.fresh(genesis)
+        else:
+            stream = SamplerState(genesis, 3, ",".join(map(str, genesis[::-1])))
+        _rewrite_stream(doc, stream)
+        fresh = Disc.open(doc, backend, small_pool())
+        for name in ("g1", "g2"):
+            files[name] = name.encode() * 9
+            fresh.write_file(name, files[name])
+        assert fresh.fsck().ok
+        for name, blob in files.items():
+            assert fresh.read_file(name) == blob
+
+    def test_mode_c_keeps_no_position(self, tmp_path):
+        disc, backend, doc = make_doc_disc("C", tmp_path)
+        for name in ("a", "b", "c"):
+            disc.write_file(name, name.encode() * 12)
+        disc.delete_file("b")
+        fresh = Disc.open(doc, backend, small_pool())
+        fresh.write_file("d", b"d" * 12)
+        text = doc.read_text(encoding="utf-8")
+        assert "stream=" not in text
+        assert parse_superblock(text)[3] is None
+        doc.write_text(text + "stream=0:" + ",".join(map(str, range(7))) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match="mode C"):
+            Disc.open(doc, backend, small_pool())
