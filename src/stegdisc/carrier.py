@@ -7,9 +7,11 @@ A block payload is laid out bit-exactly as
 
 and embedded one bit per color channel into the least significant bits of
 an uncompressed 24-bit BMP, or copied verbatim into an "opaque" blob
-carrier (fast path for tests and benchmarks).  Carriers come from a pool:
-a directory of cover files, then deterministic synthetic bitmaps derived
-from (disc id, block counter) once the directory is exhausted.
+carrier (fast path for tests and benchmarks).  Extraction reads only the
+channel bytes the payload spans, never the whole image.  Carriers come
+from a pool: a directory of cover files, then deterministic synthetic
+bitmaps derived from (disc id, block counter) once the directory is
+exhausted.
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ def decode_payload(raw: bytes, p: int) -> BlockPayload:
 
 _BMP_FILE_HEADER = struct.Struct("<2sIHHI")
 _BMP_INFO_HEADER = struct.Struct("<IiiHHIIiiII")
+# a channel byte's LSB as an ASCII digit, so extracted bits parse as one int
+_LSB_DIGITS = bytes(b"01"[value & 1] for value in range(256))
 
 
 def _row_stride(width: int) -> int:
@@ -234,19 +238,21 @@ def embed(carrier: CarrierObject, payload: bytes) -> CarrierObject:
 
 
 def extract(stego: CarrierObject, expected_len: int) -> bytes:
-    """Recover the first expected_len hidden bytes (inverse of embed)."""
+    """Recover the first expected_len hidden bytes (inverse of embed) from the bytes they span."""
     if expected_len > capacity(stego):
         raise CapacityExceeded(f"{expected_len} bytes > capacity {capacity(stego)}")
     if expected_len <= 0:
         return b""
     if stego.kind == "opaque":
         return bytes(stego.data[:expected_len])
-    width, height, offset, stride = stego.geometry
-    buf = np.frombuffer(stego.data, dtype=np.uint8)
-    rows = buf[offset:offset + stride * height].reshape(height, stride)
-    chan = rows[:, :width * 3].reshape(-1)  # reshape copies when not contiguous
-    bits = chan[:expected_len * 8] & 1
-    return np.packbits(bits).tobytes()
+    width, _, offset, stride = stego.geometry
+    nbits, row = expected_len * 8, width * 3
+    if stride == row:
+        chan = stego.data[offset:offset + nbits]
+    else:  # only the rows the payload spans, each without its padding
+        starts = range(offset, offset + -(-nbits // row) * stride, stride)
+        chan = b"".join([stego.data[start:start + row] for start in starts])[:nbits]
+    return int(chan.translate(_LSB_DIGITS), 2).to_bytes(expected_len, "big")
 
 
 def read_payload(stego: CarrierObject, p: int) -> BlockPayload:

@@ -578,12 +578,10 @@ class Disc:
         `entry`, or the genesis block; failing that, the chain is walked
         from the genesis block up to the first block pointing there."""
         target = entry.start_counter if entry is not None else 0
-        last = None
-        for other in self._entries.values():
-            if other is entry:
-                break
-            if other.length:
-                last = other
+        earlier = reversed(self._entries.values())  # the tail's guess reads one entry
+        if entry is not None:  # skip the entries from `entry` on
+            any(other is entry for other in earlier)
+        last = next((other for other in earlier if other.length), None)
         if last is not None:
             try:
                 *_, block = self._walk(last.start_counter, cursor, self._blocks_of(last))

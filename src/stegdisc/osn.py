@@ -12,9 +12,10 @@ Two backends share the interface: in-memory, and an on-disk store whose
 layout is one directory per post (named by a digest of the sequence)
 holding the object file plus a line-oriented metadata file.  The store
 keeps no index: a post's directory is derived from its address, and a
-rewrite replaces the object file whole.  Every query passes one admission
-path: tag check, then an optional transient-failure draw (for resilience
-tests, off by default).
+rewrite replaces the object file whole.  Its paths are plain strings, as
+a chain walk pays a query's cost per block.  Every query passes one
+admission path: tag check, then an optional transient-failure draw (for
+resilience tests, off by default).
 """
 
 from __future__ import annotations
@@ -166,54 +167,59 @@ class DirectoryBackend(_BackendBase):
         super().__init__(cfg)
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
 
     @staticmethod
     def _digest(tags: Hashtags) -> str:
         return hashlib.sha256("\n".join(tags).encode("utf-8")).hexdigest()
 
-    def _dir(self, tags: Hashtags) -> Path:
-        return self.root / self._digest(tags)
+    def _dir(self, tags: Hashtags) -> str:
+        return f"{self._root}/{self._digest(tags)}"
 
     def _has(self, tags):
-        return (self._dir(tags) / self.META).is_file()
+        return os.path.isfile(f"{self._dir(tags)}/{self.META}")
 
-    def _write_object(self, post_dir: Path, data: bytes) -> None:
+    def _write_object(self, post_dir: str, data: bytes) -> None:
         """object.bin's one writer: a temp file renamed over it, so a crash
         leaves the old bytes or the new ones, never a mix."""
-        tmp = post_dir / f".object-{uuid.uuid4().hex}"
+        tmp = f"{post_dir}/.object-{uuid.uuid4().hex}"
         try:
-            tmp.write_bytes(data)
-            os.replace(tmp, post_dir / self.OBJECT)
+            with open(tmp, "wb") as out:
+                out.write(data)
+            os.replace(tmp, f"{post_dir}/{self.OBJECT}")
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            Path(tmp).unlink(missing_ok=True)
             raise
 
     def _put(self, tags, data):
         # a directory left by a post that crashed before its meta.txt is reused
         post_dir = self._dir(tags)
-        post_dir.mkdir(exist_ok=True)
+        os.makedirs(post_dir, exist_ok=True)
         self._write_object(post_dir, data)
         meta = "\n".join(tags) + "\n" + datetime.now(timezone.utc).isoformat() + "\n"
-        (post_dir / self.META).write_text(meta, encoding="utf-8")
+        with open(f"{post_dir}/{self.META}", "w", encoding="utf-8") as out:
+            out.write(meta)
 
     def _get(self, tags):
-        return (self._dir(tags) / self.OBJECT).read_bytes()
+        with open(f"{self._dir(tags)}/{self.OBJECT}", "rb") as obj:
+            return obj.read()
 
     def _rewrite(self, tags, data):
         self._write_object(self._dir(tags), data)
 
     def _drop(self, tags):
         post_dir = self._dir(tags)
-        (post_dir / self.META).unlink()
+        os.remove(f"{post_dir}/{self.META}")
         shutil.rmtree(post_dir)
 
     def _all(self):
         out = []
-        for post_dir in self.root.iterdir():
-            meta = post_dir / self.META
-            if not meta.is_file():
+        for name in os.listdir(self._root):
+            meta = f"{self._root}/{name}/{self.META}"
+            if not os.path.isfile(meta):
                 continue
-            lines = meta.read_text(encoding="utf-8").splitlines()
+            with open(meta, encoding="utf-8") as text:
+                lines = text.read().splitlines()
             tags = tuple(line for line in lines if line.startswith("#"))
             if tags:
                 out.append(tags)

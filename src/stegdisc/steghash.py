@@ -35,7 +35,7 @@ Perm = tuple[int, ...]
 def validate_permutation(elems: Iterable[int]) -> Perm:
     """Return elems as a tuple, raising NotAPermutation unless it is a
     permutation of 0..n-1 with n >= 1."""
-    perm = tuple(int(x) for x in elems)
+    perm = tuple(map(int, elems))
     n = len(perm)
     if n == 0 or sorted(perm) != list(range(n)):
         raise NotAPermutation(f"not a permutation of 0..n-1: {perm!r}")

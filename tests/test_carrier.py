@@ -199,6 +199,26 @@ class TestEmbed:
         with pytest.raises(TruncatedPayload):
             read_payload(tiny, 8)
 
+    @given(st.integers(1, 40), st.integers(1, 12), st.data())
+    @settings(max_examples=150)
+    def test_every_prefix_matches_the_oracle(self, width, height, data):
+        # widths whose rows are and are not a multiple of 4 bytes; every
+        # prefix length, as read_payload reads the header before the rest
+        chan = data.draw(st.binary(min_size=width * height * 3, max_size=width * height * 3))
+        carrier = CarrierObject.bitmap(width, height, channel_bytes=chan)
+        payload = data.draw(st.binary(max_size=capacity(carrier)))
+        stego = embed(carrier, payload)
+        for k in range(len(payload) + 1):
+            assert extract(stego, k) == lsb_oracle_extract(stego.data, k) == payload[:k]
+
+    @pytest.mark.parametrize("p", [8, 24])
+    def test_read_payload_on_a_large_padded_cover(self, p):
+        cover = synthetic_bitmap("big", 1, 301, 201)  # 903-byte rows, stride 904
+        room = capacity(cover) - header_size(p)
+        for size in (0, 1, 777, room):
+            payload = BlockPayload(next_counter=2 ** p - 1, data=random.Random(size).randbytes(size))
+            assert read_payload(embed(cover, encode_payload(payload, p)), p) == payload
+
 
 class TestPool:
     def test_synthetic_bitmap_pool(self):

@@ -26,7 +26,7 @@ from stegdisc.errors import (
     InvalidName,
     NameExists,
 )
-from stegdisc.osn import MemoryBackend
+from stegdisc.osn import DirectoryBackend, MemoryBackend
 from stegdisc.steghash import (
     CHECKPOINT_EVERY,
     HashtagAlphabet,
@@ -525,6 +525,54 @@ class TestFsckFaults:
         with pytest.raises(ChainBroken) as fault:
             disc.delete_file("b")
         assert (fault.value.kind, fault.value.counter) == expected[0]
+
+
+class TestWalkCost:
+    """A walk fetches each block it passes once and decodes it once; a
+    faster walk must not get there by skipping either."""
+
+    FILES = {"a": bytes(range(20)), "empty": b"", "b": b"x" * 8, "c": b"tail"}  # m=8
+
+    def _written(self, mode, backend):
+        disc, backend = make_disc(mode, backend=backend)
+        for name, data in self.FILES.items():
+            disc.write_file(name, data)
+        return disc, backend
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_block_is_fetched_and_decoded_once(self, mode, monkeypatch):
+        disc, backend = self._written(mode, ProxyBackend(MemoryBackend()))
+        m = disc.config.m
+        blocks = {name: compute_chain_length(len(data), m) for name, data in self.FILES.items()}
+        decodes = []
+
+        def counted(carrier, p):
+            decodes.append(p)
+            return read_payload(carrier, p)
+
+        monkeypatch.setattr("stegdisc.disc.read_payload", counted)
+        backend.counts["fetch"] = 0
+        assert disc.fsck().ok
+        total = sum(blocks.values()) + 1  # the data blocks and the genesis block
+        assert (backend.counts["fetch"], len(decodes)) == (total, total) == (6, 6)
+        for name, data in self.FILES.items():
+            backend.counts["fetch"], decodes[:] = 0, []
+            assert disc.read_file(name) == data
+            assert (backend.counts["fetch"], len(decodes)) == (blocks[name], blocks[name])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_post_without_meta_is_a_bad_block(self, mode, tmp_path):
+        root = tmp_path / "osn"
+        disc, _ = self._written(mode, DirectoryBackend(root))
+        code, addr, _ = disc.chain_blocks()[2]  # the last block of "a"
+        digest = DirectoryBackend._digest(perm_to_hashtags(addr, disc.config.alphabet))
+        (root / digest / "meta.txt").unlink()
+        report = disc.fsck()
+        assert [(v.kind, v.counter) for v in report.violations] == [("bad-block", code)]
+        assert report.block_count == 3  # the genesis block and the two before it
+        with pytest.raises(ChainBroken) as fault:
+            disc.read_file("a")
+        assert (fault.value.kind, fault.value.counter) == ("bad-block", code)
 
 
 class TestReplaySoundness:
