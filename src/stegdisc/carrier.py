@@ -7,11 +7,10 @@ A block payload is laid out bit-exactly as
 
 and embedded one bit per color channel into the least significant bits of
 an uncompressed 24-bit BMP, or copied verbatim into an "opaque" blob
-carrier (fast path for tests and benchmarks).  Extraction reads only the
-channel bytes the payload spans, never the whole image.  Carriers come
-from a pool: a directory of cover files, then deterministic synthetic
-bitmaps derived from (disc id, block counter) once the directory is
-exhausted.
+carrier (fast path for tests and benchmarks).  Embedding writes, and
+extraction reads, only the channel bytes the payload spans, never the
+whole image.  Carriers come from a pool of deterministic synthetic covers
+derived from (disc id, block counter).
 """
 
 from __future__ import annotations
@@ -20,10 +19,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     BadVersion,
@@ -110,6 +106,10 @@ _BMP_FILE_HEADER = struct.Struct("<2sIHHI")
 _BMP_INFO_HEADER = struct.Struct("<IiiHHIIiiII")
 # a channel byte's LSB as an ASCII digit, so extracted bits parse as one int
 _LSB_DIGITS = bytes(b"01"[value & 1] for value in range(256))
+# a channel byte with its LSB cleared, and an ASCII digit as the byte 0 or 1,
+# so a span's payload bits OR into its cleared channel bytes as one int
+_CLEAR_LSB = bytes(value & 0xFE for value in range(256))
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _row_stride(width: int) -> int:
@@ -163,6 +163,17 @@ def _parse_bmp(data: bytes) -> tuple[int, int, int, int]:
     if offset + stride * height > len(data):
         raise UnsupportedCarrier("pixel data shorter than declared dimensions")
     return width, height, offset, stride
+
+
+def _spans(geometry: tuple[int, int, int, int], nbits: int) -> list[tuple[int, int]]:
+    """(start, length) of each run of channel bytes holding the first nbits
+    hidden bits, in order: one run when rows have no padding, else one per
+    row, without its padding."""
+    width, _, offset, stride = geometry
+    row = width * 3
+    if stride == row:
+        return [(offset, nbits)] if nbits else []
+    return [(offset + k * stride, min(row, nbits - k * row)) for k in range(-(-nbits // row))]
 
 
 # -- carrier objects -----------------------------------------------------------
@@ -227,14 +238,17 @@ def embed(carrier: CarrierObject, payload: bytes) -> CarrierObject:
         out = bytearray(carrier.data)
         out[:len(payload)] = payload
         return CarrierObject("opaque", bytes(out))
-    width, height, offset, stride = carrier.geometry
-    buf = np.frombuffer(carrier.data, dtype=np.uint8).copy()
-    rows = buf[offset:offset + stride * height].reshape(height, stride)
-    chan = rows[:, :width * 3].copy().reshape(-1)
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    chan[:bits.size] = (chan[:bits.size] & 0xFE) | bits
-    rows[:, :width * 3] = chan.reshape(height, width * 3)
-    return CarrierObject("bitmap", buf.tobytes())
+    nbits = len(payload) * 8
+    digits = format(int.from_bytes(payload, "big"), f"0{nbits}b").encode()
+    bits = digits.translate(_DIGIT_BITS)
+    out = bytearray(carrier.data)
+    done = 0
+    for start, length in _spans(carrier.geometry, nbits):
+        cleared = int.from_bytes(out[start:start + length].translate(_CLEAR_LSB), "big")
+        value = cleared | int.from_bytes(bits[done:done + length], "big")
+        out[start:start + length] = value.to_bytes(length, "big")
+        done += length
+    return CarrierObject("bitmap", bytes(out))
 
 
 def extract(stego: CarrierObject, expected_len: int) -> bytes:
@@ -245,13 +259,8 @@ def extract(stego: CarrierObject, expected_len: int) -> bytes:
         return b""
     if stego.kind == "opaque":
         return bytes(stego.data[:expected_len])
-    width, _, offset, stride = stego.geometry
-    nbits, row = expected_len * 8, width * 3
-    if stride == row:
-        chan = stego.data[offset:offset + nbits]
-    else:  # only the rows the payload spans, each without its padding
-        starts = range(offset, offset + -(-nbits // row) * stride, stride)
-        chan = b"".join([stego.data[start:start + row] for start in starts])[:nbits]
+    spans = _spans(stego.geometry, expected_len * 8)
+    chan = b"".join([stego.data[start:start + length] for start, length in spans])
     return int(chan.translate(_LSB_DIGITS), 2).to_bytes(expected_len, "big")
 
 
@@ -273,24 +282,16 @@ def read_payload(stego: CarrierObject, p: int) -> BlockPayload:
 
 def synthetic_bitmap(disc_id: str, counter: int, width: int, height: int) -> CarrierObject:
     """Pseudo-random cover bitmap, deterministic in (disc_id, counter)."""
-    seed = int.from_bytes(
-        hashlib.sha256(f"{disc_id}/{counter}".encode("utf-8")).digest()[:8], "big")
-    rng = np.random.default_rng(seed)
-    pixels = rng.integers(0, 256, size=width * height * 3, dtype=np.uint8).tobytes()
+    pixels = hashlib.shake_256(f"{disc_id}/{counter}".encode("utf-8")).digest(width * height * 3)
     return CarrierObject.bitmap(width, height, pixels)
 
 
 class CarrierPool:
-    """Source of cover objects for new posts.
-
-    Files in `directory` (sorted, each used once) come first; after that,
-    synthetic carriers: deterministic bitmaps of width x height, or opaque
-    blobs of opaque_size when synth="opaque".
-    """
+    """Source of cover objects for new posts: deterministic synthetic bitmaps
+    of width x height, or opaque blobs of opaque_size when synth="opaque"."""
 
     def __init__(
         self,
-        directory: Optional[Path] = None,
         synth: str = "bitmap",
         width: int = 64,
         height: int = 64,
@@ -304,28 +305,14 @@ class CarrierPool:
         self.height = height
         self.opaque_size = opaque_size
         self.disc_id = disc_id
-        self._files: list[Path] = []
-        if directory is not None:
-            self._files = sorted(q for q in Path(directory).iterdir() if q.is_file())
-        self._next_file = 0
 
-    def _synth_capacity(self) -> int:
+    def min_capacity(self) -> int:
+        """Capacity of every carrier this pool serves."""
         if self.synth == "opaque":
             return self.opaque_size
         return self.width * self.height * 3 // 8
 
-    def min_capacity(self) -> int:
-        """Smallest capacity any carrier this pool may serve can have."""
-        caps = [self._synth_capacity()]
-        for path in self._files:
-            caps.append(capacity(CarrierObject.from_bytes(path.read_bytes())))
-        return min(caps)
-
     def next_carrier(self, counter: int) -> CarrierObject:
-        if self._next_file < len(self._files):
-            path = self._files[self._next_file]
-            self._next_file += 1
-            return CarrierObject.from_bytes(path.read_bytes())
         if self.synth == "opaque":
             return CarrierObject.opaque(bytes(self.opaque_size))
         return synthetic_bitmap(self.disc_id, counter, self.width, self.height)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,19 @@ def lsb_oracle_extract(bitmap_bytes, nbytes):
             value = (value << 1) | bit
         out.append(value)
     return bytes(out)
+
+
+def numpy_reference_embed(carrier, payload):
+    """The numpy LSB embedding the package used before it dropped numpy:
+    the stego bytes the standard-library embed must reproduce exactly."""
+    width, height, offset, stride = carrier.geometry
+    buf = np.frombuffer(carrier.data, dtype=np.uint8).copy()
+    rows = buf[offset:offset + stride * height].reshape(height, stride)
+    chan = rows[:, :width * 3].copy().reshape(-1)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    chan[:bits.size] = (chan[:bits.size] & 0xFE) | bits
+    rows[:, :width * 3] = chan.reshape(height, width * 3)
+    return buf.tobytes()
 
 
 class TestPayloadCodec:
@@ -137,8 +151,13 @@ class TestBitmap:
         a = synthetic_bitmap("d1", 7, 16, 16)
         b = synthetic_bitmap("d1", 7, 16, 16)
         c = synthetic_bitmap("d1", 8, 16, 16)
+        d = synthetic_bitmap("d2", 7, 16, 16)
         assert a.data == b.data
         assert a.data != c.data
+        assert a.data != d.data
+        width, height, offset, stride = a.geometry
+        assert (width, height, stride) == (16, 16, 16 * 3)
+        assert len(a.data) - offset == 16 * 16 * 3
 
 
 class TestEmbed:
@@ -211,6 +230,16 @@ class TestEmbed:
         for k in range(len(payload) + 1):
             assert extract(stego, k) == lsb_oracle_extract(stego.data, k) == payload[:k]
 
+    @given(st.integers(1, 40), st.integers(1, 12), st.data())
+    @settings(max_examples=150)
+    def test_matches_the_numpy_reference(self, width, height, data):
+        # padded and unpadded strides; headers, padding and every channel
+        # byte past the payload must come out as numpy left them
+        chan = data.draw(st.binary(min_size=width * height * 3, max_size=width * height * 3))
+        carrier = CarrierObject.bitmap(width, height, channel_bytes=chan)
+        payload = data.draw(st.binary(max_size=capacity(carrier)))
+        assert embed(carrier, payload).data == numpy_reference_embed(carrier, payload)
+
     @pytest.mark.parametrize("p", [8, 24])
     def test_read_payload_on_a_large_padded_cover(self, p):
         cover = synthetic_bitmap("big", 1, 301, 201)  # 903-byte rows, stride 904
@@ -232,15 +261,3 @@ class TestPool:
         pool = CarrierPool(synth="opaque", opaque_size=64)
         assert pool.min_capacity() == 64
         assert pool.next_carrier(3).kind == "opaque"
-
-    def test_directory_pool_consumed_in_order(self, tmp_path):
-        big = make_bitmap(32, 32)
-        small = make_bitmap(16, 16)
-        (tmp_path / "a.bmp").write_bytes(big)
-        (tmp_path / "b.bmp").write_bytes(small)
-        pool = CarrierPool(directory=tmp_path, synth="bitmap", width=8, height=8, disc_id="x")
-        assert pool.min_capacity() == 8 * 8 * 3 // 8  # synthetic fallback floor
-        assert pool.next_carrier(1).data == big
-        assert pool.next_carrier(2).data == small
-        # directory exhausted: falls back to synthetics
-        assert len(pool.next_carrier(3).data) == len(make_bitmap(8, 8))

@@ -1,9 +1,11 @@
 """Filesystem core: chains, catalog, splice, fsck, and the three modes."""
 
 import dataclasses
+import hashlib
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 
 from stegdisc.carrier import CarrierObject, CarrierPool, embed, encode_payload, read_payload
@@ -12,6 +14,7 @@ from stegdisc.disc import (
     DiscConfig,
     FileEntry,
     compute_chain_length,
+    default_pool,
     parse_superblock,
     serialize_superblock,
 )
@@ -573,6 +576,63 @@ class TestWalkCost:
         with pytest.raises(ChainBroken) as fault:
             disc.read_file("a")
         assert (fault.value.kind, fault.value.counter) == ("bad-block", code)
+
+
+def numpy_reference_cover(disc_id, counter, width, height):
+    """The synthetic cover the package posted before it dropped numpy."""
+    digest = hashlib.sha256(f"{disc_id}/{counter}".encode("utf-8")).digest()
+    seed = int.from_bytes(digest[:8], "big")
+    pixels = np.random.default_rng(seed).integers(0, 256, size=width * height * 3, dtype=np.uint8)
+    return CarrierObject.bitmap(width, height, pixels.tobytes())
+
+
+class NumpyCoverPool(CarrierPool):
+    """The default pool's geometry, serving the covers posted before numpy was dropped."""
+
+    def next_carrier(self, counter):
+        return numpy_reference_cover(self.disc_id, counter, self.width, self.height)
+
+
+def high_bits(data):
+    return bytes(value & 0xFE for value in data)
+
+
+class TestNumpyCovers:
+    """A disc posted with the old covers reads, edits and checks clean with
+    the new ones: only LSBs are read back, and a rewrite keeps its cover."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_old_disc_reopens_edits_and_checks_clean(self, mode, tmp_path):
+        backend = DirectoryBackend(tmp_path / "osn")
+        config = DiscConfig.create(n=5, p=16, m=8, mode=mode, disc_id=f"np-{mode}")
+        new_pool = default_pool(config)
+        old_pool = NumpyCoverPool(
+            width=new_pool.width, height=new_pool.height, disc_id=config.disc_id)
+        doc = tmp_path / "sb.txt"
+        old = Disc.format(config, backend, old_pool, doc_path=doc)
+        files = {f"f{i}": random.Random(i).randbytes(5 + 9 * i) for i in range(4)}
+        for name, data in files.items():
+            old.write_file(name, data)
+        old_codes = {code for code, _, _ in old.chain_blocks()}
+
+        disc = Disc.open(doc, backend)
+        assert disc.fsck().ok
+        assert {name: disc.read_file(name) for name in files} == files
+        files["f1"] = b"edited with the new covers"
+        disc.modify_file("f1", files["f1"])  # rewrites the old tail and f0's last block
+        disc.delete_file("f2")  # rewrites f0's last block again
+        del files["f2"]
+
+        for fresh in (disc, Disc.open(doc, backend)):
+            assert fresh.fsck().ok
+            assert {name: fresh.read_file(name) for name in files} == files
+        kept = 0
+        for code, addr, _ in disc.chain_blocks():
+            cover = old_pool if code in old_codes else new_pool
+            want = cover.next_carrier(code).data
+            assert high_bits(backend.fetch(disc._tags(addr))) == high_bits(want)
+            kept += code in old_codes
+        assert kept == sum(compute_chain_length(len(files[name]), 8) for name in ("f0", "f3"))
 
 
 class TestReplaySoundness:

@@ -153,6 +153,22 @@ class TestSubprocess:
         assert "not found" in bad.stdout
         assert "Traceback" not in bad.stdout + bad.stderr
 
+    def test_runs_without_numpy(self, tmp_path):
+        # None in sys.modules makes any `import numpy` raise ImportError,
+        # wherever the package is installed
+        blocked = ("import sys; sys.modules['numpy'] = None; "
+                   "from stegdisc.shell import main; sys.exit(main(sys.argv[1:]))")
+        (tmp_path / "f.bin").write_bytes(b"standard library only" * 5)
+        base = ["--disc", "sb.txt", "--backend", "dir:store"]
+        for args in (["format", "A", "5", "16", "32"], ["put", "f.bin", "doc"],
+                     ["get", "doc", "out.bin"], ["ls"], ["fsck"]):
+            proc = subprocess.run(
+                [sys.executable, "-c", blocked, *base, *args],
+                capture_output=True, text=True, cwd=tmp_path, timeout=120, env=child_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out.bin").read_bytes() == b"standard library only" * 5
+
     def test_repl_matches_one_shot(self, tmp_path):
         (tmp_path / "f.bin").write_bytes(b"repl payload")
         lines = "\n".join([
