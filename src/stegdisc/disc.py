@@ -20,10 +20,12 @@ Three addressing modes trade local state for recomputation:
      from the seed.
 
 Local persistence is a small superblock+catalog text document; the
-chain itself lives only in the posted objects.  In modes A and B the
-document also records the allocation sampler's position (a `stream=`
-line), and a fresh session resumes allocation from it instead of
-passing every used address again from counter 0.  Their pointers are
+chain itself lives only in the posted objects.  Opening a disc checks
+all of it but parses a catalog line only when its entry is used, and
+mode A's used= line only when a put, edit or rm needs it.  In modes A
+and B the document also records the allocation sampler's position (a
+`stream=` line), and a fresh session resumes allocation from it instead
+of passing every used address again from counter 0.  Their pointers are
 rank codes and freedom is checked against the used set or the network,
 so the position only decides which free address comes first: a stale
 one costs hashes, never correctness.  Mode C writes no such line.
@@ -56,10 +58,12 @@ import os
 import tempfile
 import threading
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
 from math import factorial
+from operator import not_
 from pathlib import Path
 from typing import Optional
 from urllib.parse import quote, unquote
@@ -203,20 +207,10 @@ class FileEntry:
 
     @classmethod
     def parse(cls, line: str) -> "FileEntry":
-        """Inverse of `line`; the entry keeps the line it was read from, so
-        writing an opened catalog back formats none of its lines again.
-
-        Every session parses the whole catalog, so this skips the frozen
-        __init__ and unquotes only names that hold an escape."""
+        """Inverse of `line`, for a line the document reader has checked;
+        only a name with an escape pays for `unquote`."""
         name, start, length = line.split("\t")
-        entry = object.__new__(cls)
-        entry.__dict__.update(
-            name=unquote(name) if "%" in name else name,
-            start_counter=int(start),
-            length=int(length),
-            line=line,
-        )
-        return entry
+        return cls(unquote(name) if "%" in name else name, int(start), int(length))
 
 
 def check_name(name: str) -> str:
@@ -264,7 +258,8 @@ def _superblock_lines(
     config: DiscConfig, entries, used_codes, stream: Optional[SamplerState]
 ) -> tuple[list[str], list[str]]:
     """The document's header lines (with a stream= line in modes A and B
-    and a used= line in mode A) and its catalog lines, one per file.
+    and a used= line in mode A) and its catalog lines, one per file; an
+    entry given as a line, or codes as a used= value, is written as given.
 
     stream= is `<iteration>:<permutation>`, a completion state of the
     allocation sampler: the permutation is its current_input."""
@@ -279,9 +274,11 @@ def _superblock_lines(
     ]
     if stream is not None:
         header.append(f"stream={stream.iteration}:{stream.current_input}")
-    if used_codes is not None:
-        header.append("used=" + ",".join(str(c) for c in sorted(used_codes)))
-    return header, [entry.line for entry in entries]
+    if isinstance(used_codes, str):
+        header.append("used=" + used_codes)
+    elif used_codes is not None:
+        header.append("used=" + ",".join(map(str, sorted(used_codes))))
+    return header, [getattr(entry, "line", entry) for entry in entries]
 
 
 def serialize_superblock(
@@ -311,34 +308,40 @@ def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
     return SamplerState(config.genesis, iteration, ",".join(map(str, perm)))
 
 
-def parse_superblock(text: str):
-    """Inverse of serialize_superblock.
-
-    Returns (config, entries, used_codes, stream); used_codes is None
-    unless a used= line is present (mode A), and stream is the allocation
-    sampler state of a stream= line (modes A and B), else None.
-    """
+def _read_document(text: str):
+    """The one reader of the document: parse_superblock's result, but with
+    the catalog as name -> line and the used= value checked, not read.
+    Lines with tabs are the catalog, wherever they stand; it is checked as
+    three columns, in C-level passes with no Python work per line."""
+    lines = text.splitlines()
+    tabs = list(map(str.count, lines, repeat("\t")))
     header: dict[str, str] = {}
-    entries: list[FileEntry] = []
-    used_codes = stream = None
-    for line in text.splitlines():
+    for line in compress(lines, map(not_, tabs)):
         if not line:
             continue
-        if "\t" in line:
-            try:
-                entries.append(FileEntry.parse(line))
-            except ValueError as exc:
-                raise ConfigInvalid(f"bad catalog line {line!r}") from exc
-        else:
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigInvalid(f"bad header line {line!r}")
-            if key in header:
-                raise ConfigInvalid(f"bad superblock document: header key {key!r} repeats")
-            header[key] = value
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigInvalid(f"bad header line {line!r}")
+        if key in header:
+            raise ConfigInvalid(f"bad superblock document: header key {key!r} repeats")
+        header[key] = value
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ConfigInvalid(f"superblock document is missing {missing}")
+    used, stream = header.get("used"), None
+    catalog = list(compress(lines, tabs))
+    fields = "\t".join(catalog).split("\t")
+    numbers = fields[1::3] + fields[2::3]  # the start and length columns
+    digits = "".join(numbers) + (used or "").replace(",", "") + "0"  # and the used= codes
+    malformed = not set(tabs) <= {0, 2} or "" in numbers or used and ",," in f",{used},"
+    if malformed or not (digits.isascii() and digits.isdigit()):
+        raise ConfigInvalid("bad superblock document: a catalog or used= line is malformed")
+    names = fields[0::3]
+    if "%" in "".join(names):  # only an escape makes a name differ from its quoted form
+        names = [unquote(name) if "%" in name else name for name in names]
+    by_name = dict(zip(names, catalog))
+    if len(by_name) != len(catalog):
+        raise ConfigInvalid("the catalog names a file twice")
     try:
         genesis = tuple(int(v) for v in header["genesis"].split(","))
         config = DiscConfig(
@@ -350,14 +353,22 @@ def parse_superblock(text: str):
             genesis=genesis,
             disc_id=header["disc_id"],
         )
-        if "used" in header:
-            used = header["used"]
-            used_codes = set(map(int, used.split(","))) if used else set()
         if "stream" in header:
             stream = _parse_stream(header["stream"], config)
     except (ValueError, ConfigInvalid) as exc:
         raise ConfigInvalid(f"bad superblock document: {exc}") from exc
-    return config, entries, used_codes, stream
+    return config, by_name, used, stream
+
+
+def parse_superblock(text: str):
+    """Inverse of serialize_superblock: (config, entries, used_codes,
+    stream), as `_read_document` reads them, with every line parsed.
+    used_codes is None unless a used= line is present (mode A), and stream
+    is None unless a stream= line is (modes A and B)."""
+    config, catalog, used, stream = _read_document(text)
+    if used is not None:
+        used = set(map(int, used.split(","))) if used else set()
+    return config, list(map(FileEntry.parse, catalog.values())), used, stream
 
 
 def write_superblock(path, config: DiscConfig, entries, used_codes=None, stream=None) -> None:
@@ -370,10 +381,8 @@ def write_superblock(path, config: DiscConfig, entries, used_codes=None, stream=
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -399,19 +408,18 @@ class Disc:
         pool: Optional[CarrierPool] = None,
         doc_path=None,
         entries: Optional[list[FileEntry]] = None,
-        used_codes=None,
         stream: Optional[SamplerState] = None,
     ):
         self.config = config
         self.backend = backend
         self.pool = pool if pool is not None else default_pool(config)
         self.doc_path = Path(doc_path) if doc_path is not None else None
-        # the catalog, in chain order: name -> entry
+        # the catalog in chain order: name -> entry, or its line as read, which `_entry` parses
         entries = list(entries or ())
-        self._entries: dict[str, FileEntry] = {entry.name: entry for entry in entries}
+        self._entries: dict[str, FileEntry | str] = {entry.name: entry for entry in entries}
         if len(self._entries) != len(entries):
             raise ConfigInvalid("the catalog names a file twice")
-        self._used: set[int] = set(used_codes or ())  # mode A: rank codes of live blocks
+        self._used_line = ""  # mode A: the document's used= value
         # modes A and B resume allocation where the document's stream= line
         # left it; mode C, and a document without the line, start at the seed
         if stream is None:
@@ -442,20 +450,27 @@ class Disc:
 
     @classmethod
     def open(cls, doc_path, backend, pool=None) -> "Disc":
-        text = Path(doc_path).read_text(encoding="utf-8")
-        config, entries, used_codes, stream = parse_superblock(text)
-        return cls(config, backend, pool, doc_path, entries, used_codes, stream)
+        config, catalog, used, stream = _read_document(Path(doc_path).read_text(encoding="utf-8"))
+        disc = cls(config, backend, pool, doc_path, stream=stream)
+        disc._entries, disc._used_line = catalog, used or ""
+        return disc
 
     # -- helpers -------------------------------------------------------------
 
     def _tags(self, perm: Perm):
         return perm_to_hashtags(perm, self.config.alphabet)
 
+    @cached_property
+    def _used(self) -> set[int]:
+        """Mode A: rank codes of live blocks, read from the used= value on first use."""
+        return set(map(int, self._used_line.split(","))) if self._used_line else set()
+
     def _document(self):
         """write_superblock's arguments after the path: the config, the
         catalog, mode A's used set and modes A and B's sampler position."""
         mode = self.config.mode
-        used = self._used if mode == "A" else None
+        # the used set once a mutation has read it, else the used= value as read
+        used = vars(self).get("_used", self._used_line) if mode == "A" else None
         stream = self._sampler if mode != "C" else None
         return self.config, self._entries.values(), used, stream
 
@@ -464,10 +479,10 @@ class Disc:
             write_superblock(self.doc_path, *self._document())
 
     def _entry(self, name: str) -> FileEntry:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise FileNotFound(f"file {name!r} not found") from None
+        entry = self._entries.get(name)
+        if entry is None:
+            raise FileNotFound(f"file {name!r} not found")
+        return FileEntry.parse(entry) if isinstance(entry, str) else entry
 
     def _fetch(self, code: int, addr: Perm):
         """One fetch and one parse: the block (code, address, carrier,
@@ -578,11 +593,14 @@ class Disc:
         `entry`, or the genesis block; failing that, the chain is walked
         from the genesis block up to the first block pointing there."""
         target = entry.start_counter if entry is not None else 0
-        earlier = reversed(self._entries.values())  # the tail's guess reads one entry
-        if entry is not None:  # skip the entries from `entry` on
-            any(other is entry for other in earlier)
-        last = next((other for other in earlier if other.length), None)
+        earlier = reversed(self._entries)  # the tail's guess reads one entry
+        if entry is not None:  # skip the names up to `entry`'s, comparing keys
+            any(map(entry.name.__eq__, earlier))
+        # no line is parsed to skip an empty file: its length field is all zeros
+        lines = (getattr(value, "line", value) for value in map(self._entries.get, earlier))
+        last = next((line for line in lines if not line.rstrip("0").endswith("\t")), None)
         if last is not None:
+            last = FileEntry.parse(last)
             try:
                 *_, block = self._walk(last.start_counter, cursor, self._blocks_of(last))
                 if block[3].next_counter == target:
@@ -623,7 +641,7 @@ class Disc:
         identity = tuple(range(self.config.n))
         genesis = self.config.genesis
         mode = self.config.mode
-        used = self._used
+        used = self._used if mode == "A" else None
         backend = self.backend
 
         def occupied(perm: Perm) -> bool:
@@ -757,7 +775,7 @@ class Disc:
 
     def list_files(self) -> list[FileEntry]:
         with self._lock:
-            return sorted(self._entries.values(), key=lambda entry: entry.name)
+            return sorted(map(self._entry, self._entries), key=lambda entry: entry.name)
 
     def chain_blocks(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Read-only traversal from the genesis block: one
@@ -799,7 +817,7 @@ class Disc:
                 return report
             position = {code: idx for idx, (code, _, _) in enumerate(blocks)}
             total_expected = 0
-            for entry in self._entries.values():
+            for entry in map(self._entry, self._entries):
                 total_expected += self._blocks_of(entry)
                 if not entry.length:
                     continue
@@ -837,9 +855,7 @@ class Disc:
                 dictionary_bytes=sum(len(line) + 1 for line in header if line.startswith("used=")),
                 hash_iterations=self._hash_iterations,
                 replay_iterations=self._replay_iterations,
-                block_count=sum(
-                    self._blocks_of(e) for e in self._entries.values()
-                ),
+                block_count=sum(self._blocks_of(e) for e in map(self._entry, self._entries)),
                 file_count=len(self._entries),
                 checkpoints=len(self._ladder) if self._ladder is not None else 0,
             )

@@ -20,7 +20,6 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
-from .bench import format_table, rows_as_dicts, run_benchmark
 from .disc import Disc, DiscConfig, compute_chain_length
 from .errors import (
     BackendUnavailable,
@@ -257,6 +256,7 @@ class ShellSession:
         return 2, "\n".join(lines), payload
 
     def _cmd_bench(self, opts) -> tuple[int, str, dict]:
+        from .bench import format_table, rows_as_dicts, run_benchmark  # only this command needs it
         rows = run_benchmark(
             block_counts=opts.counts,
             modes=tuple(opts.modes.split(",")),

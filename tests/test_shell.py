@@ -169,6 +169,16 @@ class TestSubprocess:
             assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out.bin").read_bytes() == b"standard library only" * 5
 
+    def test_shell_import_leaves_the_bench_module_unloaded(self, tmp_path):
+        # only the bench command needs stegdisc.bench; a one-shot call of
+        # any other command must not pay for importing it
+        probe = "import sys, stegdisc.shell; sys.exit('stegdisc.bench' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_repl_matches_one_shot(self, tmp_path):
         (tmp_path / "f.bin").write_bytes(b"repl payload")
         lines = "\n".join([
