@@ -21,14 +21,15 @@ Three addressing modes trade local state for recomputation:
 
 Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.  Opening a disc checks
-all of it but parses a catalog line only when its entry is used, and
-mode A's used= line only when a put, edit or rm needs it.  In modes A
-and B the document also records the allocation sampler's position (a
-`stream=` line), and a fresh session resumes allocation from it instead
-of passing every used address again from counter 0.  Their pointers are
-rank codes and freedom is checked against the used set or the network,
-so the position only decides which free address comes first: a stale
-one costs hashes, never correctness.  Mode C writes no such line.
+all of it but parses a catalog line only when its entry is first used,
+and mode A's used= line only when the document is written or measured.
+In modes A and B the document also records the allocation sampler's
+position (a `stream=` line), and a fresh session resumes allocation from
+it instead of passing every used address again from counter 0.  Their
+pointers are rank codes and freedom is checked against the used set or
+the network, so the position only decides which free address comes
+first: a stale one costs hashes, never correctness.  Mode C writes no
+such line.
 
 Each block operation has one helper: `Disc._fetch` fetches and decodes
 a post, `Disc._post` embeds and posts a payload, and `Disc._remove`
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from math import factorial
-from operator import not_
+from operator import attrgetter, not_
 from pathlib import Path
 from typing import Optional
 from urllib.parse import quote, unquote
@@ -208,9 +209,12 @@ class FileEntry:
     @classmethod
     def parse(cls, line: str) -> "FileEntry":
         """Inverse of `line`, for a line the document reader has checked;
-        only a name with an escape pays for `unquote`."""
+        only a name with an escape pays for `unquote`.  The entry keeps the
+        line it was read from, so it is written back as it was read."""
         name, start, length = line.split("\t")
-        return cls(unquote(name) if "%" in name else name, int(start), int(length))
+        entry = cls(unquote(name) if "%" in name else name, int(start), int(length))
+        entry.__dict__["line"] = line  # the cache of `line`
+        return entry
 
 
 def check_name(name: str) -> str:
@@ -259,7 +263,7 @@ def _superblock_lines(
 ) -> tuple[list[str], list[str]]:
     """The document's header lines (with a stream= line in modes A and B
     and a used= line in mode A) and its catalog lines, one per file; an
-    entry given as a line, or codes as a used= value, is written as given.
+    entry given as a line, as an opened catalog holds it, is written as given.
 
     stream= is `<iteration>:<permutation>`, a completion state of the
     allocation sampler: the permutation is its current_input."""
@@ -274,11 +278,12 @@ def _superblock_lines(
     ]
     if stream is not None:
         header.append(f"stream={stream.iteration}:{stream.current_input}")
-    if isinstance(used_codes, str):
-        header.append("used=" + used_codes)
-    elif used_codes is not None:
+    if used_codes is not None:
         header.append("used=" + ",".join(map(str, sorted(used_codes))))
-    return header, [getattr(entry, "line", entry) for entry in entries]
+    try:  # every entry was parsed or written: no entry is a line
+        return header, list(map(attrgetter("line"), entries))
+    except AttributeError:
+        return header, [getattr(entry, "line", entry) for entry in entries]
 
 
 def serialize_superblock(
@@ -308,6 +313,16 @@ def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
     return SamplerState(config.genesis, iteration, ",".join(map(str, perm)))
 
 
+def _catalog(pairs) -> dict:
+    """The catalog in chain order, name -> entry, or its line as read; a
+    name may appear once."""
+    pairs = list(pairs)
+    catalog = dict(pairs)
+    if len(catalog) != len(pairs):
+        raise ConfigInvalid("the catalog names a file twice")
+    return catalog
+
+
 def _read_document(text: str):
     """The one reader of the document: parse_superblock's result, but with
     the catalog as name -> line and the used= value checked, not read.
@@ -316,9 +331,7 @@ def _read_document(text: str):
     lines = text.splitlines()
     tabs = list(map(str.count, lines, repeat("\t")))
     header: dict[str, str] = {}
-    for line in compress(lines, map(not_, tabs)):
-        if not line:
-            continue
+    for line in filter(None, compress(lines, map(not_, tabs))):
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigInvalid(f"bad header line {line!r}")
@@ -328,7 +341,7 @@ def _read_document(text: str):
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ConfigInvalid(f"superblock document is missing {missing}")
-    used, stream = header.get("used"), None
+    used = header.get("used")
     catalog = list(compress(lines, tabs))
     fields = "\t".join(catalog).split("\t")
     numbers = fields[1::3] + fields[2::3]  # the start and length columns
@@ -339,35 +352,28 @@ def _read_document(text: str):
     names = fields[0::3]
     if "%" in "".join(names):  # only an escape makes a name differ from its quoted form
         names = [unquote(name) if "%" in name else name for name in names]
-    by_name = dict(zip(names, catalog))
-    if len(by_name) != len(catalog):
-        raise ConfigInvalid("the catalog names a file twice")
     try:
-        genesis = tuple(int(v) for v in header["genesis"].split(","))
         config = DiscConfig(
             n=int(header["n"]),
             p=int(header["p"]),
             m=int(header["m"]),
             mode=header["mode"],
             alphabet=HashtagAlphabet(header["alphabet"].split(",")),
-            genesis=genesis,
+            genesis=tuple(map(int, header["genesis"].split(","))),
             disc_id=header["disc_id"],
         )
-        if "stream" in header:
-            stream = _parse_stream(header["stream"], config)
+        stream = _parse_stream(header["stream"], config) if "stream" in header else None
     except (ValueError, ConfigInvalid) as exc:
         raise ConfigInvalid(f"bad superblock document: {exc}") from exc
-    return config, by_name, used, stream
+    return config, _catalog(zip(names, catalog)), used, stream
 
 
 def parse_superblock(text: str):
-    """Inverse of serialize_superblock: (config, entries, used_codes,
-    stream), as `_read_document` reads them, with every line parsed.
-    used_codes is None unless a used= line is present (mode A), and stream
-    is None unless a stream= line is (modes A and B)."""
+    """Inverse of serialize_superblock: (config, entries, used_codes, stream)
+    with every line parsed; used_codes is None unless a used= line is there
+    (mode A), and stream is None unless a stream= line is (modes A and B)."""
     config, catalog, used, stream = _read_document(text)
-    if used is not None:
-        used = set(map(int, used.split(","))) if used else set()
+    used = set(map(int, filter(None, used.split(",")))) if used is not None else None
     return config, list(map(FileEntry.parse, catalog.values())), used, stream
 
 
@@ -414,11 +420,7 @@ class Disc:
         self.backend = backend
         self.pool = pool if pool is not None else default_pool(config)
         self.doc_path = Path(doc_path) if doc_path is not None else None
-        # the catalog in chain order: name -> entry, or its line as read, which `_entry` parses
-        entries = list(entries or ())
-        self._entries: dict[str, FileEntry | str] = {entry.name: entry for entry in entries}
-        if len(self._entries) != len(entries):
-            raise ConfigInvalid("the catalog names a file twice")
+        self._entries: dict[str, FileEntry | str] = _catalog((e.name, e) for e in entries or ())
         self._used_line = ""  # mode A: the document's used= value
         # modes A and B resume allocation where the document's stream= line
         # left it; mode C, and a document without the line, start at the seed
@@ -463,14 +465,13 @@ class Disc:
     @cached_property
     def _used(self) -> set[int]:
         """Mode A: rank codes of live blocks, read from the used= value on first use."""
-        return set(map(int, self._used_line.split(","))) if self._used_line else set()
+        return set(map(int, filter(None, self._used_line.split(","))))
 
     def _document(self):
         """write_superblock's arguments after the path: the config, the
         catalog, mode A's used set and modes A and B's sampler position."""
         mode = self.config.mode
-        # the used set once a mutation has read it, else the used= value as read
-        used = vars(self).get("_used", self._used_line) if mode == "A" else None
+        used = self._used if mode == "A" else None
         stream = self._sampler if mode != "C" else None
         return self.config, self._entries.values(), used, stream
 
@@ -479,10 +480,13 @@ class Disc:
             write_superblock(self.doc_path, *self._document())
 
     def _entry(self, name: str) -> FileEntry:
+        """`name`'s entry; a line as read is parsed on first use and kept parsed."""
         entry = self._entries.get(name)
         if entry is None:
             raise FileNotFound(f"file {name!r} not found")
-        return FileEntry.parse(entry) if isinstance(entry, str) else entry
+        if isinstance(entry, str):
+            entry = self._entries[name] = FileEntry.parse(entry)
+        return entry
 
     def _fetch(self, code: int, addr: Perm):
         """One fetch and one parse: the block (code, address, carrier,
@@ -593,20 +597,15 @@ class Disc:
         `entry`, or the genesis block; failing that, the chain is walked
         from the genesis block up to the first block pointing there."""
         target = entry.start_counter if entry is not None else 0
-        earlier = reversed(self._entries)  # the tail's guess reads one entry
+        earlier = reversed(self._entries)  # the tail's guess starts at the last entry
         if entry is not None:  # skip the names up to `entry`'s, comparing keys
             any(map(entry.name.__eq__, earlier))
-        # no line is parsed to skip an empty file: its length field is all zeros
-        lines = (getattr(value, "line", value) for value in map(self._entries.get, earlier))
-        last = next((line for line in lines if not line.rstrip("0").endswith("\t")), None)
+        last = next((other for other in map(self._entry, earlier) if other.length), None)
         if last is not None:
-            last = FileEntry.parse(last)
-            try:
+            with suppress(ChainBroken):
                 *_, block = self._walk(last.start_counter, cursor, self._blocks_of(last))
                 if block[3].next_counter == target:
                     return block
-            except ChainBroken:
-                pass
         for block in self._chain(cursor):
             if block[3].next_counter == target:
                 return block
@@ -665,6 +664,7 @@ class Disc:
         raises DuplicateAddress: its code is marked used and the run is
         allocated again from the same sampler state.
         """
+        self._prepare_mutation()
         cfg = self.config
         count = compute_chain_length(len(data), cfg.m)
         base = self._sampler.iteration
@@ -724,12 +724,7 @@ class Disc:
         with self._lock:
             if name in self._entries:
                 raise NameExists(f"file {name!r} already exists")
-            if not data:
-                entry = FileEntry(name, 0, 0)
-            else:
-                self._prepare_mutation()
-                first = self._append_chain(data)
-                entry = FileEntry(name, first, len(data))
+            entry = FileEntry(name, self._append_chain(data) if data else 0, len(data))
             self._entries[name] = entry
             self._persist()
             return entry
@@ -763,7 +758,6 @@ class Disc:
         data = bytes(data)
         with self._lock:
             entry = self._entry(name)
-            self._prepare_mutation()
             first = self._append_chain(data) if data else 0
             if entry.length > 0:
                 self._splice_run(entry)

@@ -28,7 +28,8 @@ def make_disc(mode, directory):
 
 
 def fill(disc, count):
-    """`count` files of 0-2 blocks, the last two empty; name -> bytes."""
+    """`count` files of 0-2 blocks, the last two empty; name -> bytes.
+    f{i} is empty when i is a multiple of 3."""
     files = {f"f{i:02d}": bytes([i]) * (i % 3 * 7) for i in range(count - 2)}
     files.update({"empty one": b"", "empty two": b""})
     for name, blob in files.items():
@@ -60,6 +61,7 @@ class TestLazyOpen:
         counts.clear()
         fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
         assert fresh.read_file("f31") == files["f31"]
+        assert fresh.read_file("f31") == files["f31"]  # the entry stays parsed
         assert counts == {"parse": 1}
 
     def test_one_shot_cli_get_parses_one_line(self, counts, tmp_path):
@@ -75,31 +77,41 @@ class TestLazyOpen:
         assert counts == {"parse": 1}
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_put_parses_at_most_two_lines(self, mode, counts, tmp_path):
+    def test_put_parses_back_to_the_last_nonempty_line(self, mode, counts, tmp_path):
         disc = make_disc(mode, tmp_path)
         files = fill(disc, 60)
         counts.clear()
         fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
-        fresh.write_file("new", b"n" * 20)  # the tail guess skips two empty files
-        files["new"] = b"n" * 20
-        assert counts["parse"] <= 2
+        fresh.write_file("new", b"n" * 20)
+        # the tail guess parses the empty files "empty two", "empty one" and
+        # f57, then f56, the last file with blocks
+        assert counts["parse"] == 4
         assert counts["used"] == (mode == "A")
-        assert all(fresh.read_file(name) == blob for name, blob in files.items())
-        assert fresh.fsck().ok
+        counts.clear()
+        again = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        again.write_file("newer", b"m" * 9)  # "new" is the last line and has blocks
+        assert counts["parse"] == 1
+        files.update(new=b"n" * 20, newer=b"m" * 9)
+        assert all(again.read_file(name) == blob for name, blob in files.items())
+        assert again.fsck().ok
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_rm_parses_two_lines(self, mode, counts, tmp_path):
+    def test_rm_parses_back_to_the_predecessor(self, mode, counts, tmp_path):
         disc = make_disc(mode, tmp_path)
         fill(disc, 60)
         counts.clear()
         fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
-        fresh.delete_file("f28")  # f27 is empty: the predecessor is f26's last block
-        assert counts["parse"] <= 2
+        fresh.delete_file("f29")  # f29, then f28, whose last block points at f29
+        assert counts["parse"] == 2
         assert counts["used"] == (mode == "A")
-        assert fresh.fsck().ok
+        counts.clear()
+        again = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        again.delete_file("f28")  # f28, then f27, which is empty, and f26
+        assert counts["parse"] == 3
+        assert again.fsck().ok
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_empty_file_put_and_rm_read_no_used_set(self, mode, counts, tmp_path):
+    def test_empty_file_put_and_rm_keep_the_header(self, mode, counts, tmp_path):
         disc = make_disc(mode, tmp_path)
         fill(disc, 20)
         header = [line for line in disc.doc_path.read_text(encoding="utf-8").split("\n") if "=" in line]
@@ -107,7 +119,7 @@ class TestLazyOpen:
         counts.clear()
         fresh.write_file("nothing", b"")
         fresh.delete_file("empty one")
-        assert counts == {"parse": 1}  # rm reads the entry it drops
+        assert counts["parse"] == 1  # rm reads the entry it drops
         text = disc.doc_path.read_text(encoding="utf-8")
         assert [line for line in text.split("\n") if "=" in line] == header
 
@@ -124,7 +136,23 @@ class TestLazyOpen:
             assert fresh.fsck().ok
         else:
             assert fresh.stats().file_count == len(files)
-        assert counts == {"parse": len(files)}
+        assert counts["parse"] == len(files)
+        fresh.list_files()  # every entry stays parsed
+        assert counts["parse"] == len(files)
+
+    def test_a_parsed_line_is_written_back_as_read(self, tmp_path):
+        disc = make_disc("A", tmp_path)
+        disc.write_file("ab", b"12345")
+        text = disc.doc_path.read_text(encoding="utf-8")
+        line = disc._entry("ab").line
+        _, start, length = line.split("\t")
+        as_read = f"%61b\t{start}\t00{length}"  # an escape and zeros the writer never writes
+        disc.doc_path.write_text(text.replace(line + "\n", as_read + "\n"), encoding="utf-8")
+        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        assert fresh.list_files() == [FileEntry("ab", int(start), 5)]
+        fresh.write_file("more", b"")  # a persist after every line was parsed
+        assert as_read in fresh.doc_path.read_text(encoding="utf-8").split("\n")
+        assert fresh.read_file("ab") == b"12345"
 
 
 # -- the reader against the line-by-line parse it replaced -------------------
