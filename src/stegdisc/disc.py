@@ -15,7 +15,7 @@ Three addressing modes trade local state for recomputation:
   C  no dictionaries at all: pointers are positions in the hash
      stream, so resolving one replays the stream from the nearest
      checkpoint of the session's ladder.  Every walk of the stream
-     (allocation, reopen sync, traversal, read) leaves checkpoints
+     (allocation, the tail lookup, traversal, read) leaves checkpoints
      behind; the ladder is never persisted, so a fresh session replays
      from the seed.
 
@@ -50,7 +50,8 @@ points at NULL) for the first mutation of a session.  It walks the run
 of the previous non-empty entry (or takes the genesis block) and accepts
 its last block only if the pointer matches; on a mismatch or a broken
 run it walks `_chain`, but only as far as the first block that points
-there.  fsck and chain_blocks always walk the whole chain.
+there; in mode C the allocation sampler then continues from the tail
+lookup's cursor.  fsck and chain_blocks always walk the whole chain.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import tempfile
 import threading
 import uuid
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress, repeat
 from math import factorial
@@ -103,7 +104,7 @@ from .steghash import (
     allocate_address,
     perm_to_hashtags,
     rank,
-    sampler_advance,
+    sampler_advance,  # unused here; perfbench/tracing.py rebinds it
     unrank,
     validate_permutation,
 )
@@ -429,7 +430,7 @@ class Disc:
             stream = SamplerState.fresh(config.genesis, limit=limit)
         self._sampler = stream
         # (pointer code, address) of the chain tail, looked up by the first
-        # mutation; mode C's sampler then stands at the tail counter
+        # mutation; mode C's sampler takes the lookup cursor's tail state
         self._tail: Optional[tuple[int, Perm]] = None
         # mode C: session-local resume points in the stream, never persisted
         self._ladder = CheckpointLadder() if config.mode == "C" else None
@@ -618,24 +619,6 @@ class Disc:
         stego = embed(carrier, encode_payload(fresh, self.config.p))
         self.backend.replace(self._tags(addr), stego.data)
 
-    def _prepare_mutation(self) -> None:
-        """Find the chain tail once per session; mode C also advances the
-        allocation sampler to the tail counter, so new counters stay above
-        every live one, starting from the ladder checkpoint nearest below it."""
-        if self._tail is not None:
-            return
-        with self._replay() as cursor:
-            code, addr, _, _ = self._before(None, cursor)
-        if self.config.mode == "C":
-            state = self._ladder.resume(self._sampler, code)
-            while state.iteration < code:
-                before = state.iteration
-                _, _, state = sampler_advance(state)
-                self._hash_iterations += state.iteration - before
-                self._ladder.record(state)
-            self._sampler = state
-        self._tail = (code, addr)
-
     def _occupied_predicate(self, pending: set[Perm]):
         identity = tuple(range(self.config.n))
         genesis = self.config.genesis
@@ -664,7 +647,13 @@ class Disc:
         raises DuplicateAddress: its code is marked used and the run is
         allocated again from the same sampler state.
         """
-        self._prepare_mutation()
+        if self._tail is None:  # the session's first mutation looks up the tail
+            with self._replay() as cursor:
+                code, addr, _, _ = self._before(None, cursor)
+                if code and cursor is not None:
+                    cursor.resolve(code)  # no hash: the lookup left the cursor at the tail
+                    self._sampler = replace(cursor.state, limit=self._sampler.limit)
+            self._tail = (code, addr)
         cfg = self.config
         count = compute_chain_length(len(data), cfg.m)
         base = self._sampler.iteration

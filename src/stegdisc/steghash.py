@@ -262,13 +262,13 @@ class ReplayCursor:
     def __init__(self, seed: Sequence[int], ladder: Optional[CheckpointLadder] = None):
         self._seed = validate_permutation(seed)
         self._ladder = ladder
-        self._state = SamplerState.fresh(self._seed)
+        self.state = SamplerState.fresh(self._seed)  # the completion state last resolved
         self.iterations = 0  # total hash evaluations consumed by this cursor
 
     def resolve(self, counter: int) -> Perm:
         if counter <= 0:
             raise InvalidCounter(f"counter {counter} is the NULL pointer")
-        state = self._state
+        state = self.state
         if state.iteration > counter:
             state = SamplerState.fresh(self._seed)
         ladder = self._ladder
@@ -280,7 +280,7 @@ class ReplayCursor:
             self.iterations += completed_at - before
             if ladder is not None:
                 ladder.record(state)
-        self._state = state
+        self.state = state
         if state.iteration != counter:
             raise InvalidCounter(f"counter {counter} is not a completion point")
         return _perm_of(state)

@@ -1362,3 +1362,69 @@ class TestStreamPosition:
         doc.write_text(text + "stream=0:" + ",".join(map(str, range(7))) + "\n", encoding="utf-8")
         with pytest.raises(ConfigInvalid, match="mode C"):
             Disc.open(doc, backend, small_pool())
+
+
+def _reopen_and_put(disc, backend, doc, files):
+    """Reopen `disc`'s document and put one 3-block file in mode C; check
+    that allocation spent no hash reaching the chain tail and that the new
+    run lies past it and replays."""
+    blocks = disc.chain_blocks()
+    tail = blocks[-1][0] if blocks else 0
+    fresh = Disc.open(doc, backend, small_pool())
+    files["new"] = b"n" * (2 * disc.config.m + 1)
+    fresh.write_file("new", files["new"])
+    spent = fresh.stats().hash_iterations
+    run = fresh.chain_blocks()[len(blocks):]
+    assert len(run) == 3
+    codes = [code for code, _, _ in run]
+    assert tail < codes[0] < codes[1] < codes[2]
+    # the sampler starts at the tail counter and ends at the last new one
+    assert spent == codes[-1] - tail
+    assert all(addr == sampler_replay(disc.config.genesis, code) for code, addr, _ in run)
+    assert fresh.fsck().ok
+    for name, blob in files.items():
+        assert fresh.read_file(name) == blob
+
+
+class TestModeCTail:
+    """Mode C keeps no stream position: a fresh session's first mutation
+    replays the stream to the chain tail once, in the tail lookup, and the
+    allocation sampler continues from the lookup's cursor."""
+
+    def test_fresh_session_put_allocates_from_the_tail(self, tmp_path):
+        disc, backend, doc = make_doc_disc("C", tmp_path, n=5, p=16)
+        rng = random.Random(31)
+        files = {f"f{i:02d}": rng.randbytes(rng.randrange(1, 25)) for i in range(40)}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        _reopen_and_put(disc, backend, doc, files)
+
+    def test_catalog_ending_in_empty_files(self, tmp_path):
+        disc, backend, doc = make_doc_disc("C", tmp_path, n=5, p=16)
+        files = {name: name.encode() * 9 for name in ("a", "b", "c")}
+        files.update({"empty one": b"", "empty two": b""})
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        _reopen_and_put(disc, backend, doc, files)
+
+    def test_tail_at_the_genesis_block(self, tmp_path):
+        disc, backend, doc = make_doc_disc("C", tmp_path, n=5, p=16)
+        files = {"empty one": b"", "empty two": b""}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        _reopen_and_put(disc, backend, doc, files)
+
+    def test_out_of_order_catalog(self, tmp_path):
+        disc, backend, doc = make_doc_disc("C", tmp_path, n=6, m=4)
+        files = {name: name.encode() * 9 for name in ("a", "c", "d")}
+        for name in ("a", "b", "c", "d"):
+            disc.write_file(name, name.encode() * 9)
+        files["b"] = b"B" * 7
+        disc.modify_file("b", files["b"])  # chain order is now a c d b
+        config, entries, used, stream = parse_superblock(doc.read_text(encoding="utf-8"))
+        by_name = {e.name: e for e in entries}
+        # d's run does not end the chain, so the lookup walks from the genesis block
+        doc.write_text(
+            serialize_superblock(config, [by_name[n] for n in "abcd"], used, stream), encoding="utf-8"
+        )
+        _reopen_and_put(disc, backend, doc, files)

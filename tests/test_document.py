@@ -76,6 +76,19 @@ class TestLazyOpen:
         assert (tmp_path / "out").read_bytes() == bytes([17]) * 18
         assert counts == {"parse": 1}
 
+    def test_one_shot_cli_open_parses_no_line(self, counts, tmp_path, capsys):
+        store, doc = tmp_path / "store", tmp_path / "sb.txt"
+        cli = ["--disc", str(doc), "--backend", f"dir:{store}"]
+        assert main([*cli, "format", "A", "5", "16", "8"]) == 0
+        for i in range(40):
+            (tmp_path / "in").write_bytes(bytes([i]) * (i % 3 * 5))
+            assert main([*cli, "put", str(tmp_path / "in"), f"file {i}"]) == 0
+        counts.clear()
+        capsys.readouterr()
+        assert main([*cli, "open"]) == 0
+        assert "40 files" in capsys.readouterr().out
+        assert counts == {}
+
     @pytest.mark.parametrize("mode", MODES)
     def test_put_parses_back_to_the_last_nonempty_line(self, mode, counts, tmp_path):
         disc = make_disc(mode, tmp_path)

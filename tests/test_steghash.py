@@ -320,6 +320,20 @@ class TestCheckpointLadder:
             cursor.resolve(counter)
             assert cursor.iterations < CHECKPOINT_EVERY
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["alone", "ladder"])
+    def test_cursor_state_is_the_walks_completion_state(self, shared):
+        # after resolve(c), wherever the cursor resumed from, its state is
+        # the one a plain sampler_advance walk from the seed reaches at c
+        cursor = ReplayCursor(LADDER_SEED, walked_ladder() if shared else None)
+        state, walk = SamplerState.fresh(LADDER_SEED), {}
+        for _ in LADDER_STREAM:
+            _, counter, state = sampler_advance(state)
+            walk[counter] = state
+        for counter in random.Random(7).sample(sorted(walk), 60):
+            cursor.resolve(counter)
+            assert cursor.state.iteration == walk[counter].iteration == counter
+            assert cursor.state.current_input == walk[counter].current_input
+
     def test_allocation_checkpoints_resume_like_cursor_ones(self):
         # the allocation sampler records states bounded by its limit; a
         # cursor resuming from them must not inherit that bound, and a
