@@ -61,7 +61,7 @@ import tempfile
 import threading
 import uuid
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from math import factorial
@@ -266,8 +266,7 @@ def _superblock_lines(
     and a used= line in mode A) and its catalog lines, one per file; an
     entry given as a line, as an opened catalog holds it, is written as given.
 
-    stream= is `<iteration>:<permutation>`, a completion state of the
-    allocation sampler: the permutation is its current_input."""
+    stream= is `<iteration>:<permutation>`, the allocation sampler's state."""
     header = [
         f"disc_id={config.disc_id}",
         f"mode={config.mode}",
@@ -278,7 +277,7 @@ def _superblock_lines(
         "alphabet=" + ",".join(config.alphabet.tags),
     ]
     if stream is not None:
-        header.append(f"stream={stream.iteration}:{stream.current_input}")
+        header.append(f"stream={stream.iteration}:" + ",".join(map(str, stream.perm)))
     if used_codes is not None:
         header.append("used=" + ",".join(map(str, sorted(used_codes))))
     try:  # every entry was parsed or written: no entry is a line
@@ -311,7 +310,7 @@ def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
         raise ConfigInvalid(f"bad stream position {value!r}: {exc}") from exc
     if len(perm) != config.n:
         raise ConfigInvalid(f"stream position {value!r} is not a permutation of n={config.n}")
-    return SamplerState(config.genesis, iteration, ",".join(map(str, perm)))
+    return SamplerState(iteration, perm)
 
 
 def _catalog(pairs) -> dict:
@@ -369,12 +368,17 @@ def _read_document(text: str):
     return config, _catalog(zip(names, catalog)), used, stream
 
 
+def _used_codes(value: str) -> set[int]:
+    """The codes a used= value lists."""
+    return set(map(int, filter(None, value.split(","))))
+
+
 def parse_superblock(text: str):
     """Inverse of serialize_superblock: (config, entries, used_codes, stream)
     with every line parsed; used_codes is None unless a used= line is there
     (mode A), and stream is None unless a stream= line is (modes A and B)."""
     config, catalog, used, stream = _read_document(text)
-    used = set(map(int, filter(None, used.split(",")))) if used is not None else None
+    used = _used_codes(used) if used is not None else None
     return config, list(map(FileEntry.parse, catalog.values())), used, stream
 
 
@@ -425,10 +429,7 @@ class Disc:
         self._used_line = ""  # mode A: the document's used= value
         # modes A and B resume allocation where the document's stream= line
         # left it; mode C, and a document without the line, start at the seed
-        if stream is None:
-            limit = 2 ** config.p - 1 if config.mode == "C" else None
-            stream = SamplerState.fresh(config.genesis, limit=limit)
-        self._sampler = stream
+        self._sampler = stream if stream is not None else SamplerState.fresh(config.genesis)
         # (pointer code, address) of the chain tail, looked up by the first
         # mutation; mode C's sampler takes the lookup cursor's tail state
         self._tail: Optional[tuple[int, Perm]] = None
@@ -466,7 +467,7 @@ class Disc:
     @cached_property
     def _used(self) -> set[int]:
         """Mode A: rank codes of live blocks, read from the used= value on first use."""
-        return set(map(int, filter(None, self._used_line.split(","))))
+        return _used_codes(self._used_line)
 
     def _document(self):
         """write_superblock's arguments after the path: the config, the
@@ -652,10 +653,11 @@ class Disc:
                 code, addr, _, _ = self._before(None, cursor)
                 if code and cursor is not None:
                     cursor.resolve(code)  # no hash: the lookup left the cursor at the tail
-                    self._sampler = replace(cursor.state, limit=self._sampler.limit)
+                    self._sampler = cursor.state
             self._tail = (code, addr)
         cfg = self.config
         count = compute_chain_length(len(data), cfg.m)
+        limit = 2 ** cfg.p - 1 if cfg.mode == "C" else None  # rank codes need no bound
         base = self._sampler.iteration
         while True:
             pending_addrs: set[Perm] = set()
@@ -665,7 +667,7 @@ class Disc:
             for _ in range(count):
                 # the ladder keeps what a rolled-back write walked: the stream
                 # is a pure function of the seed
-                addr, counter, state = allocate_address(state, occupied, ladder=self._ladder)
+                addr, counter, state = allocate_address(state, occupied, ladder=self._ladder, limit=limit)
                 run.append((counter if cfg.mode == "C" else rank(addr), addr))
                 pending_addrs.add(addr)
             posted = 0

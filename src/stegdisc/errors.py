@@ -24,7 +24,7 @@ class CodeOutOfRange(StegDiscError):
 
 
 class CounterOverflow(StegDiscError):
-    """Sampler iteration would exceed the disc's 2^p - 1 pointer bound."""
+    """A mode C allocation would pass the disc's 2^p - 1 pointer bound."""
 
 
 class InvalidCounter(StegDiscError):

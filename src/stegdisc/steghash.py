@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -129,49 +129,43 @@ def unrank(code: int, n: int) -> Perm:
 
 # -- the address sampler -------------------------------------------------------
 #
-# One iteration: i += 1; pick = SHA256("<current_input>;<i>") as a big-endian
-# integer, mod n; append pick to the partial permutation iff unseen.  A
-# permutation completes when the partial reaches length n; completion reseeds
-# current_input from the completed permutation (comma-joined decimals) and the
-# iteration count at that instant is the address's counter.  Rejected picks
-# still consume iterations, so stored counters are always completion points
-# and counter 0 (fewer than n iterations) never denotes a real address.
-
-def _joined(perm: Sequence[int]) -> str:
-    return ",".join(str(v) for v in perm)
-
+# One iteration: i += 1; pick = SHA256("<perm>;<i>") as a big-endian integer,
+# mod n, where <perm> is the last completed permutation (the seed before the
+# first completion) as comma-joined decimals; append pick to the partial
+# permutation iff unseen.  A permutation completes when the partial reaches
+# length n; it becomes the next hash input, and the iteration count at that
+# instant is the address's counter.  Rejected picks still consume
+# iterations, so stored counters are always completion points and counter 0
+# (fewer than n iterations) never denotes a real address.  The stream has no
+# bound of its own: mode C's 2^p - 1 is checked by allocate_address.
 
 @dataclass(frozen=True)
 class SamplerState:
-    """Position in the global address stream; a pure function of (seed, iteration)."""
+    """Position in the global address stream, a pure function of (seed,
+    iteration): a completion counter and the permutation completed there,
+    or (0, seed) before the first completion."""
 
-    seed: Perm
-    iteration: int = 0
-    current_input: str = ""
-    limit: Optional[int] = None  # max iteration value, typically 2^p - 1
+    iteration: int
+    perm: Perm
 
     @classmethod
-    def fresh(cls, seed: Sequence[int], limit: Optional[int] = None) -> "SamplerState":
-        seed = validate_permutation(seed)
-        return cls(seed=seed, iteration=0, current_input=_joined(seed), limit=limit)
+    def fresh(cls, seed: Sequence[int]) -> "SamplerState":
+        return cls(0, validate_permutation(seed))
 
 
 def sampler_advance(state: SamplerState) -> tuple[Perm, int, SamplerState]:
     """Run the stream to the next completed permutation.
 
     Returns (permutation, completion counter, state positioned just after
-    the completion).  Raises CounterOverflow if the iteration count would
-    pass state.limit first.
+    the completion).  The hash input is built from state.perm; no bound is
+    checked.
     """
-    n = len(state.seed)
-    current = state.current_input
+    n = len(state.perm)
+    current = ",".join(map(str, state.perm))
     partial: list[int] = []
     i = state.iteration
-    limit = state.limit
     sha = hashlib.sha256
     while True:
-        if limit is not None and i + 1 > limit:
-            raise CounterOverflow(f"iteration {i + 1} exceeds bound {limit}")
         i += 1
         digest = sha(f"{current};{i}".encode("ascii")).digest()
         pick = int.from_bytes(digest, "big") % n
@@ -179,13 +173,7 @@ def sampler_advance(state: SamplerState) -> tuple[Perm, int, SamplerState]:
             partial.append(pick)
         if len(partial) == n:
             perm = tuple(partial)
-            new_state = SamplerState(
-                seed=state.seed,
-                iteration=i,
-                current_input=_joined(perm),
-                limit=limit,
-            )
-            return perm, i, new_state
+            return perm, i, SamplerState(i, perm)
 
 
 # -- checkpoint ladder -----------------------------------------------------------
@@ -197,11 +185,6 @@ def sampler_advance(state: SamplerState) -> tuple[Perm, int, SamplerState]:
 # ladder lives in the session only; nothing of it is persisted.
 
 CHECKPOINT_EVERY = 256
-
-
-def _perm_of(state: SamplerState) -> Perm:
-    """Permutation a completion state just emitted (it reseeded the input)."""
-    return tuple(int(v) for v in state.current_input.split(","))
 
 
 class CheckpointLadder:
@@ -237,14 +220,10 @@ class CheckpointLadder:
     def resume(self, state: SamplerState, counter: int) -> SamplerState:
         """Where a walk from `state` towards `counter` should start: the
         highest checkpoint at or below counter if it is further along than
-        state, else state itself.
-
-        The result carries state's limit, not the recorder's, so a
-        checkpoint left by the bounded allocation sampler and one left by
-        an unbounded replay resume alike."""
+        state, else state itself."""
         i = bisect_right(self._iterations, counter)
         if i and self._iterations[i - 1] > state.iteration:
-            return replace(self._states[i - 1], limit=state.limit)
+            return self._states[i - 1]
         return state
 
 
@@ -260,9 +239,8 @@ class ReplayCursor:
     """
 
     def __init__(self, seed: Sequence[int], ladder: Optional[CheckpointLadder] = None):
-        self._seed = validate_permutation(seed)
         self._ladder = ladder
-        self.state = SamplerState.fresh(self._seed)  # the completion state last resolved
+        self._fresh = self.state = SamplerState.fresh(seed)  # the completion state last resolved
         self.iterations = 0  # total hash evaluations consumed by this cursor
 
     def resolve(self, counter: int) -> Perm:
@@ -270,7 +248,7 @@ class ReplayCursor:
             raise InvalidCounter(f"counter {counter} is the NULL pointer")
         state = self.state
         if state.iteration > counter:
-            state = SamplerState.fresh(self._seed)
+            state = self._fresh
         ladder = self._ladder
         if ladder is not None:
             state = ladder.resume(state, counter)
@@ -283,7 +261,7 @@ class ReplayCursor:
         self.state = state
         if state.iteration != counter:
             raise InvalidCounter(f"counter {counter} is not a completion point")
-        return _perm_of(state)
+        return state.perm
 
 
 def sampler_replay(seed: Sequence[int], counter: int) -> Perm:
@@ -301,20 +279,25 @@ def allocate_address(
     occupied: Callable[[Perm], bool],
     max_occupied: Optional[int] = None,
     ladder: Optional[CheckpointLadder] = None,
+    limit: Optional[int] = None,
 ) -> tuple[Perm, int, SamplerState]:
     """Advance the stream until a permutation the predicate reports free.
 
     Occupied emissions are discarded but their iterations stay consumed,
     which is what lets freed addresses return to the pool later in the
     stream.  Every completion passed, occupied or not, is offered to
-    `ladder`.  Raises AllocationStall after max_occupied consecutive
-    occupied emissions (default 10*n! for n <= 8, else 10^6).
+    `ladder`.  Raises CounterOverflow at the first completion whose counter
+    passes `limit` (mode C's 2^p - 1), before it is offered or returned,
+    and AllocationStall after max_occupied consecutive occupied emissions
+    (default 10*n! for n <= 8, else 10^6).
     """
     if max_occupied is None:
-        max_occupied = default_stall_limit(len(state.seed))
+        max_occupied = default_stall_limit(len(state.perm))
     misses = 0
     while True:
         perm, counter, state = sampler_advance(state)
+        if limit is not None and counter > limit:
+            raise CounterOverflow(f"iteration {counter} exceeds bound {limit}")
         if ladder is not None:
             ladder.record(state)
         if not occupied(perm):
@@ -322,5 +305,5 @@ def allocate_address(
         misses += 1
         if misses >= max_occupied:
             raise AllocationStall(
-                f"{misses} consecutive occupied addresses (n={len(state.seed)})"
+                f"{misses} consecutive occupied addresses (n={len(perm)})"
             )

@@ -1300,6 +1300,30 @@ class TestStreamPosition:
         assert two.fsck().ok
 
     @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_rank_code_modes_have_no_stream_bound(self, mode, tmp_path):
+        # 2^p - 1 bounds rank codes, not the stream: churning one-block
+        # files through n=3's few addresses walks far past 2^3 - 1
+        disc, backend, doc = make_doc_disc(mode, tmp_path, n=3, p=3)
+        files = {}
+        for i in range(40):
+            files[f"f{i}"] = bytes([i]) * 8
+            disc.write_file(f"f{i}", files[f"f{i}"])
+            if i >= 2:
+                disc.delete_file(f"f{i - 2}")
+                del files[f"f{i - 2}"]
+        position = parse_superblock(doc.read_text(encoding="utf-8"))[3]
+        assert position.iteration > 10 * (2 ** 3 - 1)
+        assert disc.fsck().ok
+        for name, blob in files.items():
+            assert disc.read_file(name) == blob
+        fresh = Disc.open(doc, backend, small_pool())
+        fresh.write_file("late", b"z" * 8)
+        after = parse_superblock(doc.read_text(encoding="utf-8"))[3]
+        # the reopened sampler started at the persisted position
+        assert fresh.stats().hash_iterations == after.iteration - position.iteration > 0
+        assert fresh.fsck().ok
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
     def test_document_without_the_line(self, mode, tmp_path):
         disc, backend, doc, files = _two_files(mode, tmp_path)
         _rewrite_stream(doc, None)
@@ -1339,7 +1363,7 @@ class TestStreamPosition:
         if stale == "genesis":  # replays over every used address
             stream = SamplerState.fresh(genesis)
         else:
-            stream = SamplerState(genesis, 3, ",".join(map(str, genesis[::-1])))
+            stream = SamplerState(3, genesis[::-1])
         _rewrite_stream(doc, stream)
         fresh = Disc.open(doc, backend, small_pool())
         for name in ("g1", "g2"):

@@ -199,7 +199,7 @@ def opened(text):
 
 def document(mode, entries, used):
     config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id="rd")
-    stream = None if mode == "C" else SamplerState(config.genesis, 9, "3,1,0,2")
+    stream = None if mode == "C" else SamplerState(9, (3, 1, 0, 2))
     return serialize_superblock(config, entries, used if mode == "A" else None, stream)
 
 
@@ -309,3 +309,51 @@ class TestDocumentReader:
         stream = fresh._sampler if mode != "C" else None
         catalog = [FileEntry(e.name, e.start_counter, e.length) for e in map(fresh._entry, fresh._entries)]
         assert written == serialize_superblock(fresh.config, catalog, mode_used, stream)
+
+
+# -- documents written by an earlier release ---------------------------------
+
+# Written by the code before SamplerState became (iteration, perm), after
+# golden_disc's operations; the pointer code is that of the next put's first
+# block.  Pins the stream= and used= lines' text, which the round-trip tests
+# above only compare with the current writer.
+GOLDEN = {
+    "A": (
+        "disc_id=doc-A\nmode=A\nn=5\np=16\nm=8\ngenesis=0,1,2,3,4\n"
+        "alphabet=#tag0,#tag1,#tag2,#tag3,#tag4\nstream=112:0,4,3,1,2\n"
+        "used=22,23,32,41,50,70,99\n"
+        "f00\t0\t0\nf02\t41\t14\nf03\t0\t0\nf05\t50\t14\n"
+        "empty%20one\t0\t0\nempty%20two\t0\t0\nf01\t32\t20\n",
+        2,
+    ),
+    "B": (
+        "disc_id=doc-B\nmode=B\nn=5\np=16\nm=8\ngenesis=0,1,2,3,4\n"
+        "alphabet=#tag0,#tag1,#tag2,#tag3,#tag4\nstream=112:0,4,3,1,2\n"
+        "f00\t0\t0\nf02\t41\t14\nf03\t0\t0\nf05\t50\t14\n"
+        "empty%20one\t0\t0\nempty%20two\t0\t0\nf01\t32\t20\n",
+        2,
+    ),
+}
+
+
+def golden_disc(mode, directory):
+    """The operations the GOLDEN documents were written after."""
+    disc = make_disc(mode, directory)
+    fill(disc, 8)
+    disc.delete_file("f04")
+    disc.modify_file("f01", b"x" * 20)
+    return disc
+
+
+class TestGoldenDocument:
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_earlier_document_opens_persists_and_allocates_alike(self, mode, tmp_path):
+        text, code = GOLDEN[mode]
+        disc = golden_disc(mode, tmp_path)
+        assert disc.doc_path.read_text(encoding="utf-8") == text
+        disc.doc_path.write_text(text, encoding="utf-8")
+        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh._persist()
+        assert fresh.doc_path.read_text(encoding="utf-8") == text
+        assert fresh.write_file("next", b"n" * 12).start_counter == code
+        assert fresh.fsck().ok

@@ -74,8 +74,8 @@ GOLDEN_N5 = [
 GOLDEN_N2_SEED10 = [(2, (0, 1)), (4, (0, 1)), (7, (0, 1)), (11, (0, 1))]
 
 
-def advance_many(seed, count, limit=None):
-    state = SamplerState.fresh(seed, limit=limit)
+def advance_many(seed, count):
+    state = SamplerState.fresh(seed)
     out = []
     for _ in range(count):
         perm, counter, state = sampler_advance(state)
@@ -197,16 +197,16 @@ class TestSampler:
 
     def test_overflow_at_limit(self):
         # first completion for n=3 needs 3 iterations; a 2-iteration budget fails
-        state = SamplerState.fresh((0, 1, 2), limit=2)
+        state = SamplerState.fresh((0, 1, 2))
         with pytest.raises(CounterOverflow):
-            sampler_advance(state)
+            allocate_address(state, lambda p: False, limit=2)
 
     def test_limit_boundary_exact(self):
-        state = SamplerState.fresh((0, 1, 2), limit=3)
-        perm, counter, state = sampler_advance(state)
+        state = SamplerState.fresh((0, 1, 2))
+        perm, counter, state = allocate_address(state, lambda p: False, limit=3)
         assert counter == 3
         with pytest.raises(CounterOverflow):
-            sampler_advance(state)
+            allocate_address(state, lambda p: False, limit=3)
 
 
 class TestReplay:
@@ -331,18 +331,18 @@ class TestCheckpointLadder:
             walk[counter] = state
         for counter in random.Random(7).sample(sorted(walk), 60):
             cursor.resolve(counter)
-            assert cursor.state.iteration == walk[counter].iteration == counter
-            assert cursor.state.current_input == walk[counter].current_input
+            assert cursor.state == walk[counter]
+            assert cursor.state.iteration == counter
 
     def test_allocation_checkpoints_resume_like_cursor_ones(self):
-        # the allocation sampler records states bounded by its limit; a
-        # cursor resuming from them must not inherit that bound, and a
-        # bounded sampler resuming from cursor states must keep its own
+        # checkpoints recorded by a bounded allocation resume like a
+        # cursor's and replay past the bound; a bounded allocation resuming
+        # from a cursor's checkpoint still stops at its own bound
         limit = LADDER_STREAM[60][0]
         from_alloc = CheckpointLadder()
-        state = SamplerState.fresh(LADDER_SEED, limit=limit)
+        state = SamplerState.fresh(LADDER_SEED)
         for _ in range(61):
-            _, _, state = allocate_address(state, lambda p: False, ladder=from_alloc)
+            _, _, state = allocate_address(state, lambda p: False, ladder=from_alloc, limit=limit)
         from_cursor = CheckpointLadder()
         ReplayCursor(LADDER_SEED, from_cursor).resolve(limit)
         fresh = SamplerState.fresh(LADDER_SEED)
@@ -350,11 +350,11 @@ class TestCheckpointLadder:
             assert from_alloc.resume(fresh, counter) == from_cursor.resume(fresh, counter)
         cursor = ReplayCursor(LADDER_SEED, from_alloc)
         assert cursor.resolve(LADDER_TOP) == ladder_replay(LADDER_TOP)  # past the bound
-        bounded = from_cursor.resume(SamplerState.fresh(LADDER_SEED, limit=limit), limit)
-        assert bounded.limit == limit and bounded.iteration > 0
+        bounded = from_cursor.resume(fresh, limit)
+        assert bounded.iteration > 0
         with pytest.raises(CounterOverflow):
             while True:
-                _, _, bounded = sampler_advance(bounded)
+                _, _, bounded = allocate_address(bounded, lambda p: False, limit=limit)
 
 
 class TestAllocate:
@@ -381,6 +381,13 @@ class TestAllocate:
         assert default_stall_limit(9) == 10 ** 6
 
     def test_overflow_propagates(self):
-        state = SamplerState.fresh((0, 1, 2), limit=10)
+        state = SamplerState.fresh((0, 1, 2))
         with pytest.raises(CounterOverflow):
-            allocate_address(state, lambda p: True, max_occupied=10 ** 6)
+            allocate_address(state, lambda p: True, max_occupied=10 ** 6, limit=10)
+
+    def test_overflow_is_not_recorded(self):
+        # the completion past the bound reaches neither the ladder nor the caller
+        ladder = CheckpointLadder()
+        with pytest.raises(CounterOverflow):
+            allocate_address(SamplerState.fresh((0, 1, 2)), lambda p: False, ladder=ladder, limit=2)
+        assert len(ladder) == 0
