@@ -21,8 +21,9 @@ Three addressing modes trade local state for recomputation:
 
 Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.  Opening a disc checks
-all of it but parses a catalog line only when its entry is first used,
-and mode A's used= line only when the document is written or measured.
+all of it; the catalog is held as its lines, parsed each time a command
+uses one and written back as read, and mode A's used= line is parsed
+only when the document is written or measured.
 In modes A and B the document also records the allocation sampler's
 position (a `stream=` line), and a fresh session resumes allocation from
 it instead of passing every used address again from counter 0.  Their
@@ -65,9 +66,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from math import factorial
-from operator import attrgetter, not_
+from operator import not_
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 from urllib.parse import quote, unquote
 
 from .carrier import (
@@ -196,26 +197,24 @@ class DiscConfig:
         return header_size(self.p) + max(self.m, len(self.echo_bytes()))
 
 
-@dataclass(frozen=True)
-class FileEntry:
+class FileEntry(NamedTuple):
+    """A parsed view of one catalog line; the catalog itself is its lines."""
+
     name: str
     start_counter: int  # pointer code of the first block; 0 for empty files
     length: int  # bytes
 
-    @cached_property
+    @property
     def line(self) -> str:
-        """The entry's catalog line in the superblock document, formatted once."""
+        """The entry's catalog line in the superblock document."""
         return f"{quote(self.name, safe='')}\t{self.start_counter}\t{self.length}"
 
     @classmethod
     def parse(cls, line: str) -> "FileEntry":
         """Inverse of `line`, for a line the document reader has checked;
-        only a name with an escape pays for `unquote`.  The entry keeps the
-        line it was read from, so it is written back as it was read."""
+        only a name with an escape pays for `unquote`."""
         name, start, length = line.split("\t")
-        entry = cls(unquote(name) if "%" in name else name, int(start), int(length))
-        entry.__dict__["line"] = line  # the cache of `line`
-        return entry
+        return cls(unquote(name) if "%" in name else name, int(start), int(length))
 
 
 def check_name(name: str) -> str:
@@ -259,12 +258,9 @@ class TradeoffStats:
 _HEADER_KEYS = ("disc_id", "mode", "n", "p", "m", "genesis", "alphabet")
 
 
-def _superblock_lines(
-    config: DiscConfig, entries, used_codes, stream: Optional[SamplerState]
-) -> tuple[list[str], list[str]]:
-    """The document's header lines (with a stream= line in modes A and B
-    and a used= line in mode A) and its catalog lines, one per file; an
-    entry given as a line, as an opened catalog holds it, is written as given.
+def _header(config: DiscConfig, used_codes, stream: Optional[SamplerState]) -> list[str]:
+    """The document's header lines, with a stream= line in modes A and B
+    and a used= line in mode A.
 
     stream= is `<iteration>:<permutation>`, the allocation sampler's state."""
     header = [
@@ -280,10 +276,12 @@ def _superblock_lines(
         header.append(f"stream={stream.iteration}:" + ",".join(map(str, stream.perm)))
     if used_codes is not None:
         header.append("used=" + ",".join(map(str, sorted(used_codes))))
-    try:  # every entry was parsed or written: no entry is a line
-        return header, list(map(attrgetter("line"), entries))
-    except AttributeError:
-        return header, [getattr(entry, "line", entry) for entry in entries]
+    return header
+
+
+def _text(header: list[str], lines) -> str:
+    """The document: the header lines, then the catalog lines, one per file."""
+    return "\n".join([*header, *lines]) + "\n"
 
 
 def serialize_superblock(
@@ -292,8 +290,7 @@ def serialize_superblock(
     used_codes=None,
     stream: Optional[SamplerState] = None,
 ) -> str:
-    header, catalog = _superblock_lines(config, entries, used_codes, stream)
-    return "\n".join(header + catalog) + "\n"
+    return _text(_header(config, used_codes, stream), (entry.line for entry in entries))
 
 
 def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
@@ -313,9 +310,8 @@ def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
     return SamplerState(iteration, perm)
 
 
-def _catalog(pairs) -> dict:
-    """The catalog in chain order, name -> entry, or its line as read; a
-    name may appear once."""
+def _catalog(pairs) -> dict[str, str]:
+    """The catalog in chain order, name -> line; a name may appear once."""
     pairs = list(pairs)
     catalog = dict(pairs)
     if len(catalog) != len(pairs):
@@ -382,10 +378,9 @@ def parse_superblock(text: str):
     return config, list(map(FileEntry.parse, catalog.values())), used, stream
 
 
-def write_superblock(path, config: DiscConfig, entries, used_codes=None, stream=None) -> None:
-    """Atomic write: temp file in the same directory, then rename over."""
+def write_superblock(path, text: str) -> None:
+    """Atomic write of `text`: temp file in the same directory, then rename over."""
     path = Path(path)
-    text = serialize_superblock(config, entries, used_codes, stream)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".stegdisc-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -425,7 +420,7 @@ class Disc:
         self.backend = backend
         self.pool = pool if pool is not None else default_pool(config)
         self.doc_path = Path(doc_path) if doc_path is not None else None
-        self._entries: dict[str, FileEntry | str] = _catalog((e.name, e) for e in entries or ())
+        self._entries: dict[str, str] = _catalog((e.name, e.line) for e in entries or ())
         self._used_line = ""  # mode A: the document's used= value
         # modes A and B resume allocation where the document's stream= line
         # left it; mode C, and a document without the line, start at the seed
@@ -469,26 +464,22 @@ class Disc:
         """Mode A: rank codes of live blocks, read from the used= value on first use."""
         return _used_codes(self._used_line)
 
-    def _document(self):
-        """write_superblock's arguments after the path: the config, the
-        catalog, mode A's used set and modes A and B's sampler position."""
+    def _document_header(self) -> list[str]:
+        """The header lines: mode A's used set, modes A and B's sampler position."""
         mode = self.config.mode
         used = self._used if mode == "A" else None
-        stream = self._sampler if mode != "C" else None
-        return self.config, self._entries.values(), used, stream
+        return _header(self.config, used, self._sampler if mode != "C" else None)
 
     def _persist(self) -> None:
         if self.doc_path is not None:
-            write_superblock(self.doc_path, *self._document())
+            write_superblock(self.doc_path, _text(self._document_header(), self._entries.values()))
 
     def _entry(self, name: str) -> FileEntry:
-        """`name`'s entry; a line as read is parsed on first use and kept parsed."""
-        entry = self._entries.get(name)
-        if entry is None:
+        """`name`'s entry, parsed from its catalog line."""
+        line = self._entries.get(name)
+        if line is None:
             raise FileNotFound(f"file {name!r} not found")
-        if isinstance(entry, str):
-            entry = self._entries[name] = FileEntry.parse(entry)
-        return entry
+        return FileEntry.parse(line)
 
     def _fetch(self, code: int, addr: Perm):
         """One fetch and one parse: the block (code, address, carrier,
@@ -648,13 +639,14 @@ class Disc:
         raises DuplicateAddress: its code is marked used and the run is
         allocated again from the same sampler state.
         """
+        tail = None  # the tail block, as the session's first mutation fetched it
         if self._tail is None:  # the session's first mutation looks up the tail
             with self._replay() as cursor:
-                code, addr, _, _ = self._before(None, cursor)
-                if code and cursor is not None:
-                    cursor.resolve(code)  # no hash: the lookup left the cursor at the tail
+                tail = self._before(None, cursor)
+                if tail[0] and cursor is not None:
+                    cursor.resolve(tail[0])  # no hash: the lookup left the cursor at the tail
                     self._sampler = cursor.state
-            self._tail = (code, addr)
+            self._tail = tail[:2]
         cfg = self.config
         count = compute_chain_length(len(data), cfg.m)
         limit = 2 ** cfg.p - 1 if cfg.mode == "C" else None  # rank codes need no bound
@@ -677,7 +669,7 @@ class Disc:
                     nxt = run[idx + 1][0] if idx + 1 < count else 0
                     self._post(code, addr, BlockPayload(nxt, chunk), cfg.m)
                     posted += 1
-                self._rewrite_next(self._fetch(*self._tail), run[0][0])
+                self._rewrite_next(tail or self._fetch(*self._tail), run[0][0])
                 break
             except BaseException as exc:
                 self._remove(run[:posted])
@@ -716,7 +708,7 @@ class Disc:
             if name in self._entries:
                 raise NameExists(f"file {name!r} already exists")
             entry = FileEntry(name, self._append_chain(data) if data else 0, len(data))
-            self._entries[name] = entry
+            self._entries[name] = entry.line
             self._persist()
             return entry
 
@@ -754,13 +746,13 @@ class Disc:
                 self._splice_run(entry)
             fresh = FileEntry(name, first, len(data))
             del self._entries[name]
-            self._entries[name] = fresh
+            self._entries[name] = fresh.line
             self._persist()
             return fresh
 
     def list_files(self) -> list[FileEntry]:
         with self._lock:
-            return sorted(map(self._entry, self._entries), key=lambda entry: entry.name)
+            return sorted(map(self._entry, self._entries))  # names are unique: name order
 
     def chain_blocks(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Read-only traversal from the genesis block: one
@@ -830,9 +822,9 @@ class Disc:
 
     def stats(self) -> TradeoffStats:
         with self._lock:
-            header, catalog = _superblock_lines(*self._document())
+            header = self._document_header()
             # each line is followed by a newline; quoted catalog lines are ASCII
-            catalog_bytes = sum(len(line) + 1 for line in catalog)
+            catalog_bytes = sum(len(line) + 1 for line in self._entries.values())
             return TradeoffStats(
                 mode=self.config.mode,
                 persistent_bytes=sum(len(line.encode("utf-8")) + 1 for line in header) + catalog_bytes,

@@ -370,7 +370,7 @@ class TestFsck:
     def test_catalog_mismatch_detected(self):
         disc, _ = make_disc("B", m=4)
         disc.write_file("a", b"0123456789")
-        disc._entries["a"] = FileEntry("a", disc._entries["a"].start_counter, 6)
+        disc._entries["a"] = FileEntry("a", disc._entry("a").start_counter, 6).line
         report = disc.fsck()
         kinds = {v.kind for v in report.violations}
         assert "file-bytes" in kinds or "block-count" in kinds
@@ -385,7 +385,7 @@ def _rewrite_block(disc, backend, addr, **changes):
 
 
 def _edit_entry(disc, name, **changes):
-    disc._entries[name] = dataclasses.replace(disc._entries[name], **changes)
+    disc._entries[name] = disc._entry(name)._replace(**changes).line
 
 
 # Each corruption gets a disc holding a (3 blocks: a0 a1 a2) then b (2
@@ -982,6 +982,23 @@ class TestCatalogNeighbours:
             assert fresh.read_file(name) == blob
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_first_put_after_open_fetches_the_tail_run_once(self, mode, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path)
+        for i in range(20):
+            disc.write_file(f"f{i:02d}", bytes([i]) * 24)  # 3 blocks each
+        disc.write_file("empty", b"")
+        fresh = Disc.open(doc, backend, small_pool())
+        before = backend.counts["fetch"]
+        fresh.write_file("new", b"n" * 20)
+        # the tail lookup walks f19's run, and the link rewrites its last block
+        assert backend.counts["fetch"] - before == 3
+        before = backend.counts["fetch"]
+        fresh.write_file("newer", b"m" * 9)
+        assert backend.counts["fetch"] - before == 1  # a later put fetches the tail
+        assert fresh.fsck().ok
+        assert fresh.read_file("new") == b"n" * 20
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_catalog_order_is_chain_order(self, mode, tmp_path):
         disc, backend, doc = make_doc_disc(mode, tmp_path, n=6, m=8)
         rng = random.Random(ord(mode) + 5)
@@ -1114,6 +1131,30 @@ class TestDeleteFaults:
         fresh.write_file("fill", bytes(range(4 * free)))
         assert fresh.fsck().ok
         assert fresh.read_file("fill") == bytes(range(4 * free))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rm_after_a_crash_in_rm(self, mode, monkeypatch, tmp_path):
+        import stegdisc.disc as disc_mod
+
+        disc, backend, doc = make_doc_disc(mode, tmp_path, n=6, m=4)
+        for name in ("a", "b", "c"):
+            disc.write_file(name, name.encode() * 10)
+
+        def unavailable(*args):
+            raise BackendUnavailable("injected failure of remove")
+
+        def crash(*args, **kwargs):
+            raise SystemExit("killed before the document was written")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(backend.inner, "remove", unavailable)
+            patch.setattr(disc_mod, "write_superblock", crash)
+            with pytest.raises(SystemExit):
+                disc.delete_file("b")  # spliced out; its posts and its entry stay
+        fresh = Disc.open(doc, backend.inner, small_pool())
+        fresh.delete_file("c")
+        assert [(v.kind, v.counter) for v in fresh.fsck().violations] == []
 
 
 def _two_files(mode, tmp_path):
