@@ -9,7 +9,8 @@ allocating, replay iterations per read, and wall time.
 Replay per read is measured twice.  The paper's column reads each file
 on a fresh session, as every one-shot CLI `get` does: mode C then
 replays the stream from the seed.  The warm column reads on the session
-that wrote the files, whose mode C checkpoint ladder bounds each replay.
+that wrote the files, whose mode C ladder keeps every stream state the
+writes walked, so a warm read replays no hash.
 """
 
 from __future__ import annotations

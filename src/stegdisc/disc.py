@@ -13,11 +13,11 @@ Three addressing modes trade local state for recomputation:
   B  no used-address set: uniqueness is checked live against the
      network; pointers are still rank codes (needs 2^p > n!).
   C  no dictionaries at all: pointers are positions in the hash
-     stream, so resolving one replays the stream from the nearest
-     checkpoint of the session's ladder.  Every walk of the stream
-     (allocation, the tail lookup, traversal, read) leaves checkpoints
-     behind; the ladder is never persisted, so a fresh session replays
-     from the seed.
+     stream.  The session's ladder keeps every completion state a walk
+     of the stream (allocation, the tail lookup, traversal, read)
+     passes, so a counter the session has walked past costs no hash and
+     any other replays from the nearest state below it; the ladder is
+     never persisted, so a fresh session replays from the seed.
 
 Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.  Opening a disc checks
@@ -429,7 +429,7 @@ class Disc:
         # mutation; mode C's sampler takes the lookup cursor's tail state
         self._tail: Optional[tuple[int, Perm]] = None
         # mode C: session-local resume points in the stream, never persisted
-        self._ladder = CheckpointLadder() if config.mode == "C" else None
+        self._ladder = CheckpointLadder(config.n) if config.mode == "C" else None
         self._hash_iterations = 0
         self._replay_iterations = 0
         self._lock = threading.RLock()
@@ -823,8 +823,8 @@ class Disc:
     def stats(self) -> TradeoffStats:
         with self._lock:
             header = self._document_header()
-            # each line is followed by a newline; quoted catalog lines are ASCII
-            catalog_bytes = sum(len(line) + 1 for line in self._entries.values())
+            # each line is followed by a newline; a name may be non-ASCII
+            catalog_bytes = sum(len(line.encode("utf-8")) + 1 for line in self._entries.values())
             return TradeoffStats(
                 mode=self.config.mode,
                 persistent_bytes=sum(len(line.encode("utf-8")) + 1 for line in header) + catalog_bytes,

@@ -13,7 +13,8 @@ materializing the dictionary.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterable, Optional, Sequence
@@ -179,51 +180,47 @@ def sampler_advance(state: SamplerState) -> tuple[Perm, int, SamplerState]:
 # -- checkpoint ladder -----------------------------------------------------------
 #
 # The stream is a pure function of the seed, so any completion state seen
-# by any walk is a valid place for a later walk to resume.  Keeping one
-# state per CHECKPOINT_EVERY iterations trades O(stream / K) memory for
-# replays of at most about K hashes (Hellman's time-memory tradeoff).  The
-# ladder lives in the session only; nothing of it is persisted.
-
-CHECKPOINT_EVERY = 256
+# by any walk is a valid place for a later walk to resume.  The ladder keeps
+# them all, so a counter the session has walked past costs no hash
+# (Hellman's time-memory tradeoff).  A state costs 8 + n bytes and no object;
+# mode C's 2^p - 1 bounds a session's ladder, to about 14 MB at p=24, n=7.
+# It lives in the session only; nothing of it is persisted.
 
 
 class CheckpointLadder:
-    """Sorted completion states, at most one per CHECKPOINT_EVERY-iteration
-    bucket.
+    """Every completion state offered, sorted by iteration, in two flat
+    arrays: the iterations, and n permutation digits per state.  Walks start
+    from the seed or from a recorded state, so record mostly appends."""
 
-    Every walk starts from the seed or from a state some walk recorded, and
-    records each completion it passes, so the first state recorded in a
-    bucket is the bucket's lowest completion: a walk resumed from the
-    ladder then stays within one bucket of its counter."""
-
-    def __init__(self):
-        self._iterations: list[int] = []
-        self._states: list[SamplerState] = []
+    def __init__(self, n: int):
+        self._n = n
+        self._iterations = array("q")
+        # the narrowest unsigned type that holds the digits 0..n-1
+        self._digits = array(next(t for t in "BHIQ" if n <= 1 << 8 * array(t).itemsize))
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._iterations)
 
     def record(self, state: SamplerState) -> None:
-        """Remember a completion state (iteration > 0), unless its bucket
-        already holds one."""
-        it = state.iteration
-        bucket = it // CHECKPOINT_EVERY
-        keys = self._iterations
-        i = bisect_right(keys, it)
-        if i and keys[i - 1] // CHECKPOINT_EVERY == bucket:
+        """Remember a completion state (iteration > 0), unless it is known."""
+        it, keys, digits = state.iteration, self._iterations, self._digits
+        if not keys or it > keys[-1]:
+            keys.append(it)
+            digits.extend(state.perm)
             return
-        if i < len(keys) and keys[i] // CHECKPOINT_EVERY == bucket:
-            return
-        keys.insert(i, it)
-        self._states.insert(i, state)
+        i = bisect_left(keys, it)
+        if keys[i] != it:  # a state offered out of order
+            keys.insert(i, it)
+            digits[i * self._n: i * self._n] = array(digits.typecode, state.perm)
 
     def resume(self, state: SamplerState, counter: int) -> SamplerState:
         """Where a walk from `state` towards `counter` should start: the
-        highest checkpoint at or below counter if it is further along than
-        state, else state itself."""
-        i = bisect_right(self._iterations, counter)
-        if i and self._iterations[i - 1] > state.iteration:
-            return self._states[i - 1]
+        highest recorded state at or below counter if it is further along
+        than state, else state itself."""
+        keys, n = self._iterations, self._n
+        i = bisect_right(keys, counter)
+        if i and keys[i - 1] > state.iteration:
+            return SamplerState(keys[i - 1], tuple(self._digits[(i - 1) * n: i * n]))
         return state
 
 
@@ -231,8 +228,8 @@ class ReplayCursor:
     """Walk of the address stream that resolves completion counters.
 
     Each resolve starts from the nearest known state at or below the
-    counter: the cursor's own position, a checkpoint of the shared ladder,
-    or the seed.  Every completion the walk passes is offered to the
+    counter: the cursor's own position, a state of the shared ladder, or
+    the seed.  Every completion the walk passes is offered to the
     ladder.  Chain traversals resolve counters in increasing order, so one
     traversal costs one pass over the stream.  The result always equals
     sampler_replay(seed, counter).

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from functools import lru_cache
 from math import factorial
 
@@ -19,7 +20,6 @@ from stegdisc.errors import (
     UnknownTag,
 )
 from stegdisc.steghash import (
-    CHECKPOINT_EVERY,
     CheckpointLadder,
     HashtagAlphabet,
     ReplayCursor,
@@ -266,7 +266,7 @@ def ladder_replay(counter):
 
 def walked_ladder():
     """A ladder fed by one cursor walk over the whole test stream."""
-    ladder = CheckpointLadder()
+    ladder = CheckpointLadder(len(LADDER_SEED))
     ReplayCursor(LADDER_SEED, ladder).resolve(LADDER_TOP)
     return ladder
 
@@ -286,7 +286,7 @@ class TestCheckpointLadder:
     def test_cursors_sharing_a_ladder_agree_with_replay(self, requests):
         # three cursors feed and use one ladder; requests jump forward and
         # backward, and non-completion counters must still be rejected
-        ladder = CheckpointLadder()
+        ladder = CheckpointLadder(len(LADDER_SEED))
         cursors = [ReplayCursor(LADDER_SEED, ladder) for _ in range(3)]
         for which, counter in requests:
             if counter in LADDER_COMPLETIONS:
@@ -295,30 +295,71 @@ class TestCheckpointLadder:
                 with pytest.raises(InvalidCounter):
                     cursors[which].resolve(counter)
 
-    def test_one_checkpoint_per_bucket(self):
+    def test_every_completion_walked_is_recorded(self):
         ladder = walked_ladder()
-        buckets = {c // CHECKPOINT_EVERY for c in LADDER_COMPLETIONS}
-        assert len(ladder) == len(buckets) > 1
+        assert len(ladder) == len(LADDER_COMPLETIONS)
+        ReplayCursor(LADDER_SEED, ladder).resolve(LADDER_STREAM[70][0])  # known ground
+        assert len(ladder) == len(LADDER_COMPLETIONS)
 
-    def test_counter_on_a_checkpoint_costs_nothing(self):
+    def test_every_counter_walked_resolves_with_no_hash(self):
         ladder = walked_ladder()
-        free = []
         for counter in LADDER_COMPLETIONS:
             cursor = ReplayCursor(LADDER_SEED, ladder)
             assert cursor.resolve(counter) == ladder_replay(counter)
-            if cursor.iterations == 0:
-                free.append(counter)
-        # exactly the checkpoints resolve without hashing: the lowest
-        # completion of each bucket
-        assert len(free) == len(ladder)
-        assert [c // CHECKPOINT_EVERY for c in free] == sorted({c // CHECKPOINT_EVERY for c in free})
+            assert cursor.iterations == 0
+        # a counter past the walk replays from the highest recorded state
+        cursor = ReplayCursor(LADDER_SEED, ladder)
+        beyond = advance_many(LADDER_SEED, len(LADDER_STREAM) + 1)[-1][0]
+        assert cursor.resolve(beyond) == sampler_replay(LADDER_SEED, beyond)
+        assert cursor.iterations == beyond - LADDER_TOP
+        assert len(ladder) == len(LADDER_COMPLETIONS) + 1
 
-    def test_warm_replay_stays_within_one_bucket(self):
-        ladder = walked_ladder()
-        for counter in LADDER_COMPLETIONS:
+    def test_states_offered_out_of_order_are_inserted(self):
+        # a walk from an unrecorded state records out of order: each state
+        # is inserted in place, a known one is not recorded twice
+        states, state = [], SamplerState.fresh(LADDER_SEED)
+        for _ in LADDER_STREAM:
+            state = sampler_advance(state)[2]
+            states.append(state)
+        ladder = CheckpointLadder(len(LADDER_SEED))
+        order = list(range(len(states)))
+        random.Random(11).shuffle(order)
+        for k in order + order[:20]:
+            ladder.record(states[k])
+        assert len(ladder) == len(states)
+        fresh = SamplerState.fresh(LADDER_SEED)
+        for k, state in enumerate(states):
+            assert ladder.resume(fresh, state.iteration) == state
+            assert ladder.resume(fresh, state.iteration - 1) == (states[k - 1] if k else fresh)
             cursor = ReplayCursor(LADDER_SEED, ladder)
-            cursor.resolve(counter)
-            assert cursor.iterations < CHECKPOINT_EVERY
+            assert cursor.resolve(state.iteration) == ladder_replay(state.iteration)
+            assert cursor.iterations == 0
+        with pytest.raises(InvalidCounter):
+            ReplayCursor(LADDER_SEED, ladder).resolve(states[5].iteration + 1)
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 70_000])
+    def test_digits_of_any_n_round_trip(self, n):
+        perm = tuple(reversed(range(n)))
+        ladder = CheckpointLadder(n)
+        ladder.record(SamplerState(2 * n, perm))
+        ladder.record(SamplerState(n, tuple(range(n))))
+        assert ladder.resume(SamplerState.fresh(range(n)), 3 * n) == SamplerState(2 * n, perm)
+        assert ladder.resume(SamplerState.fresh(range(n)), n).perm == tuple(range(n))
+
+    def test_a_state_costs_at_most_24_bytes(self):
+        # traced from before the walk, so what the ladder keeps of the
+        # walk's state objects counts too
+        seed = tuple(range(7))
+        top = advance_many(seed, 3_000)[-1][0]
+        tracemalloc.start()
+        try:
+            ladder = CheckpointLadder(7)
+            ReplayCursor(seed, ladder).resolve(top)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(ladder) == 3_000
+        assert held <= 24 * len(ladder)
 
     @pytest.mark.parametrize("shared", [False, True], ids=["alone", "ladder"])
     def test_cursor_state_is_the_walks_completion_state(self, shared):
@@ -339,11 +380,11 @@ class TestCheckpointLadder:
         # cursor's and replay past the bound; a bounded allocation resuming
         # from a cursor's checkpoint still stops at its own bound
         limit = LADDER_STREAM[60][0]
-        from_alloc = CheckpointLadder()
+        from_alloc = CheckpointLadder(len(LADDER_SEED))
         state = SamplerState.fresh(LADDER_SEED)
         for _ in range(61):
             _, _, state = allocate_address(state, lambda p: False, ladder=from_alloc, limit=limit)
-        from_cursor = CheckpointLadder()
+        from_cursor = CheckpointLadder(len(LADDER_SEED))
         ReplayCursor(LADDER_SEED, from_cursor).resolve(limit)
         fresh = SamplerState.fresh(LADDER_SEED)
         for counter in LADDER_COMPLETIONS:
@@ -387,7 +428,7 @@ class TestAllocate:
 
     def test_overflow_is_not_recorded(self):
         # the completion past the bound reaches neither the ladder nor the caller
-        ladder = CheckpointLadder()
+        ladder = CheckpointLadder(3)
         with pytest.raises(CounterOverflow):
             allocate_address(SamplerState.fresh((0, 1, 2)), lambda p: False, ladder=ladder, limit=2)
         assert len(ladder) == 0
