@@ -301,13 +301,32 @@ class TestCheckpointLadder:
         ReplayCursor(LADDER_SEED, ladder).resolve(LADDER_STREAM[70][0])  # known ground
         assert len(ladder) == len(LADDER_COMPLETIONS)
 
-    def test_every_counter_walked_resolves_with_no_hash(self):
+    def test_counter_on_a_checkpoint_costs_nothing(self):
+        # every completion walked is a checkpoint, so every one of them
+        # resolves without hashing
         ladder = walked_ladder()
         for counter in LADDER_COMPLETIONS:
             cursor = ReplayCursor(LADDER_SEED, ladder)
             assert cursor.resolve(counter) == ladder_replay(counter)
             assert cursor.iterations == 0
+
+    def test_warm_replay_stays_within_one_bucket(self):
+        # a bucket is the span between two recorded states: a warm replay
+        # walks only from the highest recorded state at or below its counter
+        states, state = [], SamplerState.fresh(LADDER_SEED)
+        for _ in LADDER_STREAM:
+            state = sampler_advance(state)[2]
+            states.append(state)
+        for k, state in enumerate(states):
+            ladder = CheckpointLadder(len(LADDER_SEED))
+            for recorded in states[9::10]:
+                ladder.record(recorded)
+            below = states[(k + 1) // 10 * 10 - 1].iteration if k >= 9 else 0
+            cursor = ReplayCursor(LADDER_SEED, ladder)
+            assert cursor.resolve(state.iteration) == ladder_replay(state.iteration)
+            assert cursor.iterations == state.iteration - below
         # a counter past the walk replays from the highest recorded state
+        ladder = walked_ladder()
         cursor = ReplayCursor(LADDER_SEED, ladder)
         beyond = advance_many(LADDER_SEED, len(LADDER_STREAM) + 1)[-1][0]
         assert cursor.resolve(beyond) == sampler_replay(LADDER_SEED, beyond)
