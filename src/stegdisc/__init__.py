@@ -7,7 +7,8 @@ hashtags, and hidden p-bit pointers chain the blocks into files.
 
 from . import errors
 from .carrier import BlockPayload, CarrierObject, CarrierPool
-from .disc import ChainReport, Disc, DiscConfig, FileEntry, TradeoffStats, compute_chain_length
+from .disc import ChainReport, Disc, TradeoffStats, compute_chain_length
+from .document import DiscConfig, FileEntry
 from .osn import BackendConfig, DirectoryBackend, MemoryBackend, open_backend
 from .steghash import (
     CheckpointLadder,

@@ -20,7 +20,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .carrier import CarrierPool, header_size
-from .disc import MODES, Disc, DiscConfig
+from .disc import Disc
+from .document import MODES, DiscConfig, Document
 from .errors import SpecInvalid
 from .osn import MemoryBackend
 
@@ -97,9 +98,9 @@ def _run_one(mode: str, count: int, n: int, p: int, m: int, seed: int) -> Benchm
             raise AssertionError(f"benchmark read mismatch for {name}")
 
     cold = []
-    entries = disc.list_files()
+    catalog = dict(disc.document.entries)
     for name in names:
-        session = Disc(config, backend, pool, entries=entries)
+        session = Disc(Document(config, catalog), backend, pool)
         if session.read_file(name) != payloads[name]:
             raise AssertionError(f"benchmark cold read mismatch for {name}")
         cold.append(session.stats().replay_iterations)

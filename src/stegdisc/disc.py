@@ -19,19 +19,6 @@ Three addressing modes trade local state for recomputation:
      any other replays from the nearest state below it; the ladder is
      never persisted, so a fresh session replays from the seed.
 
-Local persistence is a small superblock+catalog text document; the
-chain itself lives only in the posted objects.  Opening a disc checks
-all of it; the catalog is held as its lines, parsed each time a command
-uses one and written back as read, and mode A's used= line is parsed
-only when the document is written or measured.
-In modes A and B the document also records the allocation sampler's
-position (a `stream=` line), and a fresh session resumes allocation from
-it instead of passing every used address again from counter 0.  Their
-pointers are rank codes and freedom is checked against the used set or
-the network, so the position only decides which free address comes
-first: a stale one costs hashes, never correctness.  Mode C writes no
-such line.
-
 Each block operation has one helper: `Disc._fetch` fetches and decodes
 a post, `Disc._post` embeds and posts a payload, and `Disc._remove`
 removes posts best effort (in mode A an orphan's code stays used).  One
@@ -57,19 +44,11 @@ lookup's cursor.  fsck and chain_blocks always walk the whole chain.
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
-import uuid
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress, repeat
-from math import factorial
-from operator import not_
 from pathlib import Path
-from typing import NamedTuple, Optional
-from urllib.parse import quote, unquote
+from typing import Optional
 
 from .carrier import (
     FLAG_SUPERBLOCK,
@@ -78,42 +57,32 @@ from .carrier import (
     CarrierPool,
     embed,
     encode_payload,
-    header_size,
     read_payload,
 )
+from .document import DiscConfig, Document, FileEntry, write_superblock
 from .errors import (
     BadVersion,
     ChainBroken,
     ConfigInvalid,
     DuplicateAddress,
-    FileNotFound,
     InvalidCounter,
     InvalidName,
     CodeOutOfRange,
     NameExists,
-    NotAPermutation,
     NotFound,
     TruncatedPayload,
     UnsupportedCarrier,
 )
 from .steghash import (
     CheckpointLadder,
-    HashtagAlphabet,
     Perm,
     ReplayCursor,
-    SamplerState,
     allocate_address,
     perm_to_hashtags,
     rank,
     sampler_advance,  # unused here; perfbench/tracing.py rebinds it
     unrank,
-    validate_permutation,
 )
-
-MODES = ("A", "B", "C")
-
-# characters that would break the one-line superblock header fields
-_FIELD_FORBIDDEN = set(",;=\t\n\r ")
 
 
 def compute_chain_length(size: int, block_size: int) -> int:
@@ -123,98 +92,6 @@ def compute_chain_length(size: int, block_size: int) -> int:
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     return -(-size // block_size)
-
-
-def _check_field(value: str, what: str) -> str:
-    if not value or any(c in _FIELD_FORBIDDEN or ord(c) < 0x20 for c in value):
-        raise ConfigInvalid(f"{what} {value!r} is empty or has reserved characters")
-    return value
-
-
-@dataclass
-class DiscConfig:
-    n: int
-    p: int
-    m: int
-    mode: str
-    alphabet: HashtagAlphabet
-    genesis: Perm
-    disc_id: str
-
-    @classmethod
-    def create(
-        cls,
-        n: int,
-        p: int,
-        m: int,
-        mode: str,
-        alphabet: Optional[HashtagAlphabet] = None,
-        genesis=None,
-        disc_id: Optional[str] = None,
-    ) -> "DiscConfig":
-        return cls(
-            n=n,
-            p=p,
-            m=m,
-            mode=mode,
-            alphabet=alphabet or HashtagAlphabet.default(n),
-            genesis=tuple(genesis) if genesis is not None else tuple(range(n)),
-            disc_id=disc_id or uuid.uuid4().hex[:12],
-        )
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigInvalid(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n < 1 or self.p < 1 or self.m < 1:
-            raise ConfigInvalid(f"n, p, m must be >= 1 (n={self.n} p={self.p} m={self.m})")
-        if len(self.alphabet) != self.n:
-            raise ConfigInvalid(f"alphabet has {len(self.alphabet)} tags, expected n={self.n}")
-        try:
-            genesis = validate_permutation(self.genesis)
-        except Exception as exc:
-            raise ConfigInvalid(f"bad genesis: {exc}") from exc
-        if len(genesis) != self.n:
-            raise ConfigInvalid(f"genesis has {len(genesis)} elements, expected n={self.n}")
-        self.genesis = genesis
-        if self.mode == "A" and self.n > 8:
-            raise ConfigInvalid(f"mode A materializes dictionaries; n={self.n} > 8")
-        if self.mode in ("A", "B") and 2 ** self.p <= factorial(self.n):
-            raise ConfigInvalid(
-                f"rank codes need 2^p > n! (p={self.p}, n={self.n})"
-            )
-        _check_field(self.disc_id, "disc_id")
-        for tag in self.alphabet.tags:
-            _check_field(tag, "hashtag")
-
-    def echo_bytes(self) -> bytes:
-        """Config summary embedded in the genesis block for cross-checking."""
-        return (
-            f"n={self.n};p={self.p};m={self.m};mode={self.mode};id={self.disc_id}"
-        ).encode("utf-8")
-
-    def carrier_bytes(self) -> int:
-        """Payload bytes every carrier must hold: a data block or the genesis echo."""
-        return header_size(self.p) + max(self.m, len(self.echo_bytes()))
-
-
-class FileEntry(NamedTuple):
-    """A parsed view of one catalog line; the catalog itself is its lines."""
-
-    name: str
-    start_counter: int  # pointer code of the first block; 0 for empty files
-    length: int  # bytes
-
-    @property
-    def line(self) -> str:
-        """The entry's catalog line in the superblock document."""
-        return f"{quote(self.name, safe='')}\t{self.start_counter}\t{self.length}"
-
-    @classmethod
-    def parse(cls, line: str) -> "FileEntry":
-        """Inverse of `line`, for a line the document reader has checked;
-        only a name with an escape pays for `unquote`."""
-        name, start, length = line.split("\t")
-        return cls(unquote(name) if "%" in name else name, int(start), int(length))
 
 
 def check_name(name: str) -> str:
@@ -253,145 +130,6 @@ class TradeoffStats:
     checkpoints: int  # mode C session ladder length, 0 otherwise
 
 
-# -- superblock document ---------------------------------------------------
-
-_HEADER_KEYS = ("disc_id", "mode", "n", "p", "m", "genesis", "alphabet")
-
-
-def _header(config: DiscConfig, used_codes, stream: Optional[SamplerState]) -> list[str]:
-    """The document's header lines, with a stream= line in modes A and B
-    and a used= line in mode A.
-
-    stream= is `<iteration>:<permutation>`, the allocation sampler's state."""
-    header = [
-        f"disc_id={config.disc_id}",
-        f"mode={config.mode}",
-        f"n={config.n}",
-        f"p={config.p}",
-        f"m={config.m}",
-        "genesis=" + ",".join(str(v) for v in config.genesis),
-        "alphabet=" + ",".join(config.alphabet.tags),
-    ]
-    if stream is not None:
-        header.append(f"stream={stream.iteration}:" + ",".join(map(str, stream.perm)))
-    if used_codes is not None:
-        header.append("used=" + ",".join(map(str, sorted(used_codes))))
-    return header
-
-
-def _text(header: list[str], lines) -> str:
-    """The document: the header lines, then the catalog lines, one per file."""
-    return "\n".join([*header, *lines]) + "\n"
-
-
-def serialize_superblock(
-    config: DiscConfig,
-    entries,
-    used_codes=None,
-    stream: Optional[SamplerState] = None,
-) -> str:
-    return _text(_header(config, used_codes, stream), (entry.line for entry in entries))
-
-
-def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
-    """The allocation sampler state a stream= value names."""
-    if config.mode == "C":
-        raise ConfigInvalid("mode C keeps no stream position")
-    iteration, sep, perm = value.partition(":")
-    iteration = int(iteration)
-    if not sep or iteration < 0:
-        raise ConfigInvalid(f"bad stream position {value!r}")
-    try:
-        perm = validate_permutation(perm.split(","))
-    except NotAPermutation as exc:
-        raise ConfigInvalid(f"bad stream position {value!r}: {exc}") from exc
-    if len(perm) != config.n:
-        raise ConfigInvalid(f"stream position {value!r} is not a permutation of n={config.n}")
-    return SamplerState(iteration, perm)
-
-
-def _catalog(pairs) -> dict[str, str]:
-    """The catalog in chain order, name -> line; a name may appear once."""
-    pairs = list(pairs)
-    catalog = dict(pairs)
-    if len(catalog) != len(pairs):
-        raise ConfigInvalid("the catalog names a file twice")
-    return catalog
-
-
-def _read_document(text: str):
-    """The one reader of the document: parse_superblock's result, but with
-    the catalog as name -> line and the used= value checked, not read.
-    Lines with tabs are the catalog, wherever they stand; it is checked as
-    three columns, in C-level passes with no Python work per line."""
-    lines = text.splitlines()
-    tabs = list(map(str.count, lines, repeat("\t")))
-    header: dict[str, str] = {}
-    for line in filter(None, compress(lines, map(not_, tabs))):
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigInvalid(f"bad header line {line!r}")
-        if key in header:
-            raise ConfigInvalid(f"bad superblock document: header key {key!r} repeats")
-        header[key] = value
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise ConfigInvalid(f"superblock document is missing {missing}")
-    used = header.get("used")
-    catalog = list(compress(lines, tabs))
-    fields = "\t".join(catalog).split("\t")
-    numbers = fields[1::3] + fields[2::3]  # the start and length columns
-    digits = "".join(numbers) + (used or "").replace(",", "") + "0"  # and the used= codes
-    malformed = not set(tabs) <= {0, 2} or "" in numbers or used and ",," in f",{used},"
-    if malformed or not (digits.isascii() and digits.isdigit()):
-        raise ConfigInvalid("bad superblock document: a catalog or used= line is malformed")
-    names = fields[0::3]
-    if "%" in "".join(names):  # only an escape makes a name differ from its quoted form
-        names = [unquote(name) if "%" in name else name for name in names]
-    try:
-        config = DiscConfig(
-            n=int(header["n"]),
-            p=int(header["p"]),
-            m=int(header["m"]),
-            mode=header["mode"],
-            alphabet=HashtagAlphabet(header["alphabet"].split(",")),
-            genesis=tuple(map(int, header["genesis"].split(","))),
-            disc_id=header["disc_id"],
-        )
-        stream = _parse_stream(header["stream"], config) if "stream" in header else None
-    except (ValueError, ConfigInvalid) as exc:
-        raise ConfigInvalid(f"bad superblock document: {exc}") from exc
-    return config, _catalog(zip(names, catalog)), used, stream
-
-
-def _used_codes(value: str) -> set[int]:
-    """The codes a used= value lists."""
-    return set(map(int, filter(None, value.split(","))))
-
-
-def parse_superblock(text: str):
-    """Inverse of serialize_superblock: (config, entries, used_codes, stream)
-    with every line parsed; used_codes is None unless a used= line is there
-    (mode A), and stream is None unless a stream= line is (modes A and B)."""
-    config, catalog, used, stream = _read_document(text)
-    used = _used_codes(used) if used is not None else None
-    return config, list(map(FileEntry.parse, catalog.values())), used, stream
-
-
-def write_superblock(path, text: str) -> None:
-    """Atomic write of `text`: temp file in the same directory, then rename over."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".stegdisc-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def default_pool(config: DiscConfig) -> CarrierPool:
     """Synthetic bitmap pool just large enough for this disc's payloads."""
     need = config.carrier_bytes()
@@ -402,29 +140,17 @@ def default_pool(config: DiscConfig) -> CarrierPool:
 
 
 class Disc:
-    """An open disc: config + backend + carrier pool + local catalog.
+    """An open disc: its document + backend + carrier pool.
 
     Instances are single-writer; all operations serialize on one lock.
     """
 
-    def __init__(
-        self,
-        config: DiscConfig,
-        backend,
-        pool: Optional[CarrierPool] = None,
-        doc_path=None,
-        entries: Optional[list[FileEntry]] = None,
-        stream: Optional[SamplerState] = None,
-    ):
-        self.config = config
+    def __init__(self, document: Document, backend, pool: Optional[CarrierPool] = None, doc_path=None):
+        self.document = document
+        self.config = config = document.config
         self.backend = backend
         self.pool = pool if pool is not None else default_pool(config)
         self.doc_path = Path(doc_path) if doc_path is not None else None
-        self._entries: dict[str, str] = _catalog((e.name, e.line) for e in entries or ())
-        self._used_line = ""  # mode A: the document's used= value
-        # modes A and B resume allocation where the document's stream= line
-        # left it; mode C, and a document without the line, start at the seed
-        self._sampler = stream if stream is not None else SamplerState.fresh(config.genesis)
         # (pointer code, address) of the chain tail, looked up by the first
         # mutation; mode C's sampler takes the lookup cursor's tail state
         self._tail: Optional[tuple[int, Perm]] = None
@@ -441,7 +167,7 @@ class Disc:
 
     @classmethod
     def format(cls, config: DiscConfig, backend, pool=None, doc_path=None) -> "Disc":
-        disc = cls(config, backend, pool, doc_path)
+        disc = cls(Document(config), backend, pool, doc_path)
         disc._post(0, config.genesis, BlockPayload(0, config.echo_bytes(), FLAG_SUPERBLOCK))
         disc._tail = (0, config.genesis)
         disc._persist()
@@ -449,37 +175,16 @@ class Disc:
 
     @classmethod
     def open(cls, doc_path, backend, pool=None) -> "Disc":
-        config, catalog, used, stream = _read_document(Path(doc_path).read_text(encoding="utf-8"))
-        disc = cls(config, backend, pool, doc_path, stream=stream)
-        disc._entries, disc._used_line = catalog, used or ""
-        return disc
+        return cls(Document.read(Path(doc_path).read_text(encoding="utf-8")), backend, pool, doc_path)
 
     # -- helpers -------------------------------------------------------------
 
     def _tags(self, perm: Perm):
         return perm_to_hashtags(perm, self.config.alphabet)
 
-    @cached_property
-    def _used(self) -> set[int]:
-        """Mode A: rank codes of live blocks, read from the used= value on first use."""
-        return _used_codes(self._used_line)
-
-    def _document_header(self) -> list[str]:
-        """The header lines: mode A's used set, modes A and B's sampler position."""
-        mode = self.config.mode
-        used = self._used if mode == "A" else None
-        return _header(self.config, used, self._sampler if mode != "C" else None)
-
     def _persist(self) -> None:
         if self.doc_path is not None:
-            write_superblock(self.doc_path, _text(self._document_header(), self._entries.values()))
-
-    def _entry(self, name: str) -> FileEntry:
-        """`name`'s entry, parsed from its catalog line."""
-        line = self._entries.get(name)
-        if line is None:
-            raise FileNotFound(f"file {name!r} not found")
-        return FileEntry.parse(line)
+            write_superblock(self.doc_path, self.document.text())
 
     def _fetch(self, code: int, addr: Perm):
         """One fetch and one parse: the block (code, address, carrier,
@@ -504,7 +209,7 @@ class Disc:
         stays behind as an orphan.  In mode A the code of a post that went
         is freed and the code of an orphan is kept used, so allocation never
         lands on it."""
-        used = self._used if self.config.mode == "A" else set()
+        used = self.document.used if self.config.mode == "A" else set()
         for code, addr in run:
             try:
                 self.backend.remove(self._tags(addr))
@@ -549,6 +254,8 @@ class Disc:
                 raise ChainBroken(f"counter {code} does not increase past {prev}", "order", code)
             if code in seen:
                 raise ChainBroken(f"pointer {code} repeats along the chain", "cycle", code)
+            if code >> self.config.p:  # only a catalog line can hold so wide a code
+                raise ChainBroken(f"pointer {code} is wider than p bits", "bad-block", code)
             seen.add(code)
             try:  # mode C replays the stream through `cursor`
                 addr = cursor.resolve(code) if cursor is not None else unrank(code, self.config.n)
@@ -590,10 +297,10 @@ class Disc:
         `entry`, or the genesis block; failing that, the chain is walked
         from the genesis block up to the first block pointing there."""
         target = entry.start_counter if entry is not None else 0
-        earlier = reversed(self._entries)  # the tail's guess starts at the last entry
+        earlier = reversed(self.document.entries)  # the tail's guess starts at the last entry
         if entry is not None:  # skip the names up to `entry`'s, comparing keys
             any(map(entry.name.__eq__, earlier))
-        last = next((other for other in map(self._entry, earlier) if other.length), None)
+        last = next((other for other in map(self.document.entry, earlier) if other.length), None)
         if last is not None:
             with suppress(ChainBroken):
                 *_, block = self._walk(last.start_counter, cursor, self._blocks_of(last))
@@ -615,7 +322,7 @@ class Disc:
         identity = tuple(range(self.config.n))
         genesis = self.config.genesis
         mode = self.config.mode
-        used = self._used if mode == "A" else None
+        used = self.document.used if mode == "A" else None
         backend = self.backend
 
         def occupied(perm: Perm) -> bool:
@@ -645,16 +352,16 @@ class Disc:
                 tail = self._before(None, cursor)
                 if tail[0] and cursor is not None:
                     cursor.resolve(tail[0])  # no hash: the lookup left the cursor at the tail
-                    self._sampler = cursor.state
+                    self.document.sampler = cursor.state
             self._tail = tail[:2]
         cfg = self.config
         count = compute_chain_length(len(data), cfg.m)
         limit = 2 ** cfg.p - 1 if cfg.mode == "C" else None  # rank codes need no bound
-        base = self._sampler.iteration
+        base = self.document.sampler.iteration
         while True:
             pending_addrs: set[Perm] = set()
             run: list[tuple[int, Perm]] = []  # (pointer code, address)
-            state = self._sampler
+            state = self.document.sampler
             occupied = self._occupied_predicate(pending_addrs)
             for _ in range(count):
                 # the ladder keeps what a rolled-back write walked: the stream
@@ -675,11 +382,11 @@ class Disc:
                 self._remove(run[:posted])
                 if cfg.mode != "A" or not isinstance(exc, DuplicateAddress):
                     raise
-                self._used.add(run[posted][0])
-        self._sampler = state
+                self.document.used.add(run[posted][0])
+        self.document.sampler = state
         self._hash_iterations += state.iteration - base
         if cfg.mode == "A":
-            self._used.update(code for code, _ in run)
+            self.document.used.update(code for code, _ in run)
         self._tail = run[-1]
         return run[0][0]
 
@@ -705,16 +412,16 @@ class Disc:
         check_name(name)
         data = bytes(data)
         with self._lock:
-            if name in self._entries:
+            if name in self.document.entries:
                 raise NameExists(f"file {name!r} already exists")
             entry = FileEntry(name, self._append_chain(data) if data else 0, len(data))
-            self._entries[name] = entry.line
+            self.document.entries[name] = entry.line
             self._persist()
             return entry
 
     def read_file(self, name: str) -> bytes:
         with self._lock:
-            entry = self._entry(name)
+            entry = self.document.entry(name)
             with self._replay() as cursor:
                 walk = self._walk(entry.start_counter, cursor, self._blocks_of(entry))
                 data = b"".join(payload.data for _, _, _, payload in walk)
@@ -727,10 +434,10 @@ class Disc:
 
     def delete_file(self, name: str) -> None:
         with self._lock:
-            entry = self._entry(name)
+            entry = self.document.entry(name)
             if entry.length > 0:
                 self._splice_run(entry)
-            del self._entries[name]
+            del self.document.entries[name]
             self._persist()
 
     def modify_file(self, name: str, data: bytes) -> FileEntry:
@@ -740,19 +447,20 @@ class Disc:
         the end of the catalog."""
         data = bytes(data)
         with self._lock:
-            entry = self._entry(name)
+            entry = self.document.entry(name)
             first = self._append_chain(data) if data else 0
             if entry.length > 0:
                 self._splice_run(entry)
             fresh = FileEntry(name, first, len(data))
-            del self._entries[name]
-            self._entries[name] = fresh.line
+            del self.document.entries[name]
+            self.document.entries[name] = fresh.line
             self._persist()
             return fresh
 
     def list_files(self) -> list[FileEntry]:
         with self._lock:
-            return sorted(map(self._entry, self._entries))  # names are unique: name order
+            doc = self.document
+            return sorted(map(doc.entry, doc.entries))  # names are unique: name order
 
     def chain_blocks(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Read-only traversal from the genesis block: one
@@ -794,7 +502,7 @@ class Disc:
                 return report
             position = {code: idx for idx, (code, _, _) in enumerate(blocks)}
             total_expected = 0
-            for entry in map(self._entry, self._entries):
+            for entry in map(self.document.entry, self.document.entries):
                 total_expected += self._blocks_of(entry)
                 if not entry.length:
                     continue
@@ -822,17 +530,13 @@ class Disc:
 
     def stats(self) -> TradeoffStats:
         with self._lock:
-            header = self._document_header()
-            # each line is followed by a newline; a name may be non-ASCII
-            catalog_bytes = sum(len(line.encode("utf-8")) + 1 for line in self._entries.values())
+            doc = self.document
             return TradeoffStats(
-                mode=self.config.mode,
-                persistent_bytes=sum(len(line.encode("utf-8")) + 1 for line in header) + catalog_bytes,
-                catalog_bytes=catalog_bytes,
-                dictionary_bytes=sum(len(line) + 1 for line in header if line.startswith("used=")),
+                self.config.mode,
+                *doc.sizes(),  # persistent, catalog and dictionary bytes
                 hash_iterations=self._hash_iterations,
                 replay_iterations=self._replay_iterations,
-                block_count=sum(self._blocks_of(e) for e in map(self._entry, self._entries)),
-                file_count=len(self._entries),
+                block_count=sum(self._blocks_of(e) for e in map(doc.entry, doc.entries)),
+                file_count=len(doc.entries),
                 checkpoints=len(self._ladder) if self._ladder is not None else 0,
             )

@@ -203,7 +203,7 @@ class ShellSession:
         self.disc = None
         disc = self._ensure_disc()
         cfg = disc.config
-        text = f"opened disc {cfg.disc_id} (mode {cfg.mode}, {len(disc._entries)} files)"
+        text = f"opened disc {cfg.disc_id} (mode {cfg.mode}, {len(disc.document.entries)} files)"
         return 0, text, {"disc_id": cfg.disc_id, "mode": cfg.mode}
 
     def _cmd_put(self, opts) -> tuple[int, str, dict]:

@@ -15,9 +15,8 @@ from stegdisc.disc import (
     FileEntry,
     compute_chain_length,
     default_pool,
-    parse_superblock,
-    serialize_superblock,
 )
+from stegdisc.document import Document, parse_superblock, serialize_superblock
 from stegdisc.errors import (
     AllocationStall,
     BackendUnavailable,
@@ -369,7 +368,7 @@ class TestFsck:
     def test_catalog_mismatch_detected(self):
         disc, _ = make_disc("B", m=4)
         disc.write_file("a", b"0123456789")
-        disc._entries["a"] = FileEntry("a", disc._entry("a").start_counter, 6).line
+        disc.document.entries["a"] = FileEntry("a", disc.document.entry("a").start_counter, 6).line
         report = disc.fsck()
         kinds = {v.kind for v in report.violations}
         assert "file-bytes" in kinds or "block-count" in kinds
@@ -384,7 +383,7 @@ def _rewrite_block(disc, backend, addr, **changes):
 
 
 def _edit_entry(disc, name, **changes):
-    disc._entries[name] = disc._entry(name)._replace(**changes).line
+    disc.document.entries[name] = disc.document.entry(name)._replace(**changes).line
 
 
 # Each corruption gets a disc holding a (3 blocks: a0 a1 a2) then b (2
@@ -449,7 +448,7 @@ def _file_bytes(disc, backend, code):
 
 
 def _block_count(disc, backend, code):
-    del disc._entries["b"]
+    del disc.document.entries["b"]
     return [("block-count", 0)], 6
 
 
@@ -857,7 +856,7 @@ class TestCheckpointLadder:
         assert disc.stats().replay_iterations == 0
         # a fresh session has no ladder: it replays from the seed to the run's end
         for name in list(files)[::37]:
-            cold = Disc(disc.config, backend, disc.pool, entries=list(entries.values()))
+            cold = Disc(Document(disc.config, {e.name: e.line for e in entries.values()}), backend, disc.pool)
             assert cold.read_file(name) == files[name]
             start = codes.index(entries[name].start_counter)
             last = codes[start + compute_chain_length(len(files[name]), 8) - 1]
@@ -1266,14 +1265,14 @@ class TestCatalog:
             Disc.open(doc, MemoryBackend())
 
     def test_lines_are_quoted_once(self, monkeypatch, tmp_path):
-        import stegdisc.disc as disc_mod
+        import stegdisc.document as document_mod
 
         disc, backend, doc = make_doc_disc("A", tmp_path, m=4)
         for i in range(20):
             disc.write_file(f"file {i}", b"x")
         calls = []
-        real_quote = disc_mod.quote
-        monkeypatch.setattr(disc_mod, "quote", lambda *a, **kw: calls.append(a) or real_quote(*a, **kw))
+        real_quote = document_mod.quote
+        monkeypatch.setattr(document_mod, "quote", lambda *a, **kw: calls.append(a) or real_quote(*a, **kw))
         disc.stats()
         disc.write_file("one more", b"y")
         disc.stats()
@@ -1285,6 +1284,26 @@ class TestCatalog:
         config, entries, used, stream = parse_superblock(doc.read_text(encoding="utf-8"))
         formatted = [FileEntry(e.name, e.start_counter, e.length) for e in entries]
         assert doc.read_text(encoding="utf-8") == serialize_superblock(config, formatted, used, stream)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_start_code_wider_than_p_is_a_bad_block(self, mode, tmp_path):
+        # a hand-edited line: mode C would replay 10^6 hashes to resolve it
+        disc, backend, doc = make_doc_disc(mode, tmp_path, n=5, p=16)
+        with doc.open("a", encoding="utf-8") as out:
+            out.write("huge\t1000000\t5\n")
+        fresh = Disc.open(doc, backend, small_pool())
+        fetches = backend.counts["fetch"]
+        with pytest.raises(ChainBroken) as fault:
+            fresh.read_file("huge")
+        assert (fault.value.kind, fault.value.counter) == ("bad-block", 1000000)
+        assert fresh.stats().replay_iterations == 0
+        assert backend.counts["fetch"] == fetches
+        # the put's tail guess walks huge's run first, then the chain
+        fresh.write_file("after", b"a" * 20)
+        assert fresh.stats().replay_iterations == 0
+        assert fresh.read_file("after") == b"a" * 20
+        report = fresh.fsck()
+        assert [(v.kind, v.counter) for v in report.violations] == [("file-missing", 1000000), ("block-count", 0)]
 
     @pytest.mark.parametrize("key", ["used", "stream", "mode"])
     def test_repeated_header_key_rejected(self, key):

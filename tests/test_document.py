@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stegdisc.carrier import CarrierPool
-from stegdisc.disc import Disc, DiscConfig, FileEntry, parse_superblock, serialize_superblock
+from stegdisc.disc import Disc
+from stegdisc.document import DiscConfig, Document, FileEntry, parse_superblock, serialize_superblock
 from stegdisc.errors import ConfigInvalid
 from stegdisc.osn import MemoryBackend
 from stegdisc.shell import main
@@ -46,10 +47,10 @@ def counts(monkeypatch):
     monkeypatch.setattr(
         FileEntry, "parse", classmethod(lambda cls, line: counts.update(["parse"]) or parse(cls, line))
     )
-    used = Disc.__dict__["_used"].func
-    counting = cached_property(lambda disc: counts.update(["used"]) or used(disc))
-    counting.__set_name__(Disc, "_used")
-    monkeypatch.setattr(Disc, "_used", counting)
+    used = Document.__dict__["used"].func
+    counting = cached_property(lambda document: counts.update(["used"]) or used(document))
+    counting.__set_name__(Document, "used")
+    monkeypatch.setattr(Document, "used", counting)
     return counts
 
 
@@ -157,7 +158,7 @@ class TestLazyOpen:
         disc = make_disc("A", tmp_path)
         disc.write_file("ab", b"12345")
         text = disc.doc_path.read_text(encoding="utf-8")
-        line = disc._entry("ab").line
+        line = disc.document.entry("ab").line
         _, start, length = line.split("\t")
         as_read = f"%61b\t{start}\t00{length}"  # an escape and zeros the writer never writes
         disc.doc_path.write_text(text.replace(line + "\n", as_read + "\n"), encoding="utf-8")
@@ -193,8 +194,8 @@ def opened(text):
         doc = Path(directory) / "sb.txt"
         doc.write_text(text, encoding="utf-8")
         disc = Disc.open(doc, MemoryBackend(), CarrierPool(synth="opaque", opaque_size=512))
-    used = disc._used if disc.config.mode == "A" else None
-    return list(map(disc._entry, disc._entries)), used
+    used = disc.document.used if disc.config.mode == "A" else None
+    return list(map(disc.document.entry, disc.document.entries)), used
 
 
 def document(mode, entries, used):
@@ -305,9 +306,10 @@ class TestDocumentReader:
                 fresh.modify_file(data.draw(st.sampled_from(names)), b"e" * 11)
             written = fresh.doc_path.read_text(encoding="utf-8")
             assert fresh.fsck().ok
-        mode_used = fresh._used if mode == "A" else None
-        stream = fresh._sampler if mode != "C" else None
-        catalog = [FileEntry(e.name, e.start_counter, e.length) for e in map(fresh._entry, fresh._entries)]
+        doc = fresh.document
+        mode_used = doc.used if mode == "A" else None
+        stream = doc.sampler if mode != "C" else None
+        catalog = [FileEntry(e.name, e.start_counter, e.length) for e in map(doc.entry, doc.entries)]
         assert written == serialize_superblock(fresh.config, catalog, mode_used, stream)
 
 
@@ -365,3 +367,39 @@ class TestGoldenDocument:
         assert fresh.doc_path.read_text(encoding="utf-8") == text
         assert fresh.write_file("next", b"n" * 12).start_counter == code
         assert fresh.fsck().ok
+
+
+# -- which header lines each mode has ----------------------------------------
+
+CONFIG_KEYS = ["disc_id", "mode", "n", "p", "m", "genesis", "alphabet"]
+
+
+def header_keys(text):
+    return [line.partition("=")[0] for line in text.splitlines() if "\t" not in line]
+
+
+class TestHeaderRule:
+    @pytest.mark.parametrize(
+        "mode, written", [("A", ["stream", "used"]), ("B", ["stream"]), ("C", [])]
+    )
+    def test_each_mode_writes_and_reads_its_lines(self, mode, written, counts, tmp_path):
+        disc = make_disc(mode, tmp_path)
+        disc.write_file("f", b"x" * 12)
+        text = disc.doc_path.read_text(encoding="utf-8")
+        assert header_keys(text) == CONFIG_KEYS + written
+        # a used= line outside mode A opens, is never read, and the next write drops it
+        disc.doc_path.write_text(text + "used=1,2\n" * ("used" not in written), encoding="utf-8")
+        counts.clear()
+        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh.write_file("g", b"y" * 3)
+        assert counts["used"] == (mode == "A")
+        assert header_keys(fresh.doc_path.read_text(encoding="utf-8")) == CONFIG_KEYS + written
+        assert fresh.fsck().ok
+        # a stream= line opens only where the writer writes one
+        rest = [line for line in text.splitlines(keepends=True) if not line.startswith("stream=")]
+        disc.doc_path.write_text("".join(rest) + "stream=0:0,1,2,3,4\n", encoding="utf-8")
+        if "stream" in written:
+            assert Disc.open(disc.doc_path, disc.backend, disc.pool).document.sampler.iteration == 0
+        else:
+            with pytest.raises(ConfigInvalid, match="mode C"):
+                Disc.open(disc.doc_path, disc.backend, disc.pool)
