@@ -9,7 +9,7 @@ from . import errors
 from .carrier import BlockPayload, CarrierObject, CarrierPool
 from .disc import ChainReport, Disc, TradeoffStats, compute_chain_length
 from .document import DiscConfig, FileEntry
-from .osn import BackendConfig, DirectoryBackend, MemoryBackend, open_backend
+from .osn import DirectoryBackend, MemoryBackend, open_backend
 from .steghash import (
     CheckpointLadder,
     HashtagAlphabet,
@@ -35,7 +35,6 @@ __all__ = [
     "FileEntry",
     "TradeoffStats",
     "compute_chain_length",
-    "BackendConfig",
     "DirectoryBackend",
     "MemoryBackend",
     "open_backend",

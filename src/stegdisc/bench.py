@@ -35,7 +35,7 @@ class BenchmarkRow:
     dictionary_bytes: int  # mode A used-address line
     hash_iterations: int  # allocation hashing for the write phase
     write_seconds: float
-    read_seconds: float  # warm reads, stats() calls excluded
+    read_seconds: float  # warm reads
     per_read_iterations: list[int] = field(default_factory=list)  # fresh session per read
     warm_per_read_iterations: list[int] = field(default_factory=list)  # the writing session
 
@@ -89,11 +89,11 @@ def _run_one(mode: str, count: int, n: int, p: int, m: int, seed: int) -> Benchm
     warm = []
     read_seconds = 0.0
     for name in names:
-        before = disc.stats().replay_iterations
+        before = disc.replay_iterations
         start = time.perf_counter()
         data = disc.read_file(name)
         read_seconds += time.perf_counter() - start
-        warm.append(disc.stats().replay_iterations - before)
+        warm.append(disc.replay_iterations - before)
         if data != payloads[name]:
             raise AssertionError(f"benchmark read mismatch for {name}")
 
@@ -103,7 +103,7 @@ def _run_one(mode: str, count: int, n: int, p: int, m: int, seed: int) -> Benchm
         session = Disc(Document(config, catalog), backend, pool)
         if session.read_file(name) != payloads[name]:
             raise AssertionError(f"benchmark cold read mismatch for {name}")
-        cold.append(session.stats().replay_iterations)
+        cold.append(session.replay_iterations)
 
     # finish the script: drop a couple of files, disc must stay consistent
     for name in names[:: max(1, count // 3)]:

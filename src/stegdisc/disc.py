@@ -156,8 +156,8 @@ class Disc:
         self._tail: Optional[tuple[int, Perm]] = None
         # mode C: session-local resume points in the stream, never persisted
         self._ladder = CheckpointLadder(config.n) if config.mode == "C" else None
-        self._hash_iterations = 0
-        self._replay_iterations = 0
+        self.hash_iterations = 0  # stream hashes spent allocating
+        self.replay_iterations = 0  # stream hashes spent resolving pointers
         self._lock = threading.RLock()
         need, offer = config.carrier_bytes(), self.pool.min_capacity()
         if need > offer:
@@ -229,7 +229,7 @@ class Disc:
             yield cursor
         finally:
             if cursor is not None:
-                self._replay_iterations += cursor.iterations
+                self.replay_iterations += cursor.iterations
 
     def _blocks_of(self, entry: FileEntry) -> int:
         return compute_chain_length(entry.length, self.config.m)
@@ -384,7 +384,7 @@ class Disc:
                     raise
                 self.document.used.add(run[posted][0])
         self.document.sampler = state
-        self._hash_iterations += state.iteration - base
+        self.hash_iterations += state.iteration - base
         if cfg.mode == "A":
             self.document.used.update(code for code, _ in run)
         self._tail = run[-1]
@@ -534,8 +534,8 @@ class Disc:
             return TradeoffStats(
                 self.config.mode,
                 *doc.sizes(),  # persistent, catalog and dictionary bytes
-                hash_iterations=self._hash_iterations,
-                replay_iterations=self._replay_iterations,
+                hash_iterations=self.hash_iterations,
+                replay_iterations=self.replay_iterations,
                 block_count=sum(self._blocks_of(e) for e in map(doc.entry, doc.entries)),
                 file_count=len(doc.entries),
                 checkpoints=len(self._ladder) if self._ladder is not None else 0,

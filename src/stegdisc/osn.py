@@ -14,8 +14,9 @@ holding the object file plus a line-oriented metadata file.  The store
 keeps no index: a post's directory is derived from its address, and a
 rewrite replaces the object file whole.  Its paths are plain strings, as
 a chain walk pays a query's cost per block.  Every query passes one
-admission path: tag check, then an optional transient-failure draw (for
-resilience tests, off by default).
+admission path: tag check, then a transient-failure draw.  The draw's
+rate and seed are constructor arguments of either backend, for
+resilience tests; the rate defaults to 0, which never fails.
 """
 
 from __future__ import annotations
@@ -26,28 +27,14 @@ import random
 import shutil
 import threading
 import uuid
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
 
 from .errors import BackendUnavailable, DuplicateAddress, NotFound
 
 Hashtags = tuple[str, ...]
 
 _UNTAGGED = object()  # the sequence of a query that names no address
-
-
-@dataclass
-class BackendConfig:
-    mode: str = "memory"  # "memory" | "dir"
-    root: Optional[Path] = None
-    failure_rate: float = 0.0  # probability of a transient failure per query
-    failure_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.failure_rate <= 1.0:
-            raise ValueError(f"failure_rate {self.failure_rate} not in [0, 1]")
 
 
 def _check_hashtags(hashtags) -> Hashtags:
@@ -65,16 +52,18 @@ class _BackendBase:
     define the storage primitives, which always run under the lock:
     `_has`, `_put`, `_get`, `_rewrite`, `_drop` and `_all`."""
 
-    def __init__(self, config: BackendConfig):
-        self.config = config
+    def __init__(self, failure_rate: float = 0.0, failure_seed: int = 0):
+        if not 0.0 <= failure_rate <= 1.0:
+            raise ValueError(f"failure_rate {failure_rate} not in [0, 1]")
+        self.failure_rate = failure_rate  # probability of a transient failure per query
         self._lock = threading.RLock()
-        self._chaos = random.Random(config.failure_seed)
+        self._chaos = random.Random(failure_seed)
 
     def _query(self, hashtags=_UNTAGGED) -> Hashtags:
         """Admit one query, before it takes the lock: check its sequence,
         then draw the injected failure.  Returns the checked tags."""
         tags = () if hashtags is _UNTAGGED else _check_hashtags(hashtags)
-        if self.config.failure_rate and self._chaos.random() < self.config.failure_rate:
+        if self.failure_rate and self._chaos.random() < self.failure_rate:
             raise BackendUnavailable("injected transient failure")
         return tags
 
@@ -126,8 +115,8 @@ class MemoryBackend(_BackendBase):
     """Volatile backend; the default for tests and benchmarks.  It keeps
     only each address's object bytes, with no post id or timestamp."""
 
-    def __init__(self, config: Optional[BackendConfig] = None):
-        super().__init__(config or BackendConfig(mode="memory"))
+    def __init__(self, failure_rate: float = 0.0, failure_seed: int = 0):
+        super().__init__(failure_rate, failure_seed)
         self._posts: dict[Hashtags, bytes] = {}
 
     def _has(self, tags):
@@ -162,12 +151,10 @@ class DirectoryBackend(_BackendBase):
     OBJECT = "object.bin"
     META = "meta.txt"
 
-    def __init__(self, root, config: Optional[BackendConfig] = None):
-        cfg = config or BackendConfig(mode="dir", root=Path(root))
-        super().__init__(cfg)
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._root = str(self.root)
+    def __init__(self, root, failure_rate: float = 0.0, failure_seed: int = 0):
+        super().__init__(failure_rate, failure_seed)
+        self._root = str(Path(root))  # root may be a str or a Path
+        os.makedirs(self._root, exist_ok=True)
 
     @staticmethod
     def _digest(tags: Hashtags) -> str:
@@ -226,23 +213,10 @@ class DirectoryBackend(_BackendBase):
         return out
 
 
-def open_backend(config: BackendConfig) -> _BackendBase:
-    if config.mode == "memory":
-        return MemoryBackend(config)
-    if config.mode == "dir":
-        if config.root is None:
-            raise ValueError("dir backend needs a root path")
-        return DirectoryBackend(config.root, config)
-    raise ValueError(f"unknown backend mode {config.mode!r}")
-
-
-def parse_backend_spec(spec: str) -> BackendConfig:
-    """Parse "memory" or "dir:<path>" as used by the command line."""
+def open_backend(spec: str) -> _BackendBase:
+    """The backend a command-line spec names: "memory" or "dir:<path>"."""
     if spec == "memory":
-        return BackendConfig(mode="memory")
-    if spec.startswith("dir:"):
-        path = spec[len("dir:"):]
-        if not path:
-            raise ValueError("dir backend spec is missing a path")
-        return BackendConfig(mode="dir", root=Path(path))
+        return MemoryBackend()
+    if spec.startswith("dir:") and len(spec) > len("dir:"):
+        return DirectoryBackend(spec[len("dir:"):])
     raise ValueError(f"unknown backend spec {spec!r}")

@@ -28,7 +28,7 @@ from .errors import (
     UnknownCommand,
     UsageError,
 )
-from .osn import open_backend, parse_backend_spec
+from .osn import open_backend
 from .steghash import HashtagAlphabet
 
 DOC_NAME = "superblock.txt"
@@ -137,7 +137,7 @@ class ShellSession:
 
     def _ensure_backend(self):
         if self.backend is None:
-            self.backend = open_backend(parse_backend_spec(self.backend_spec))
+            self.backend = open_backend(self.backend_spec)
         return self.backend
 
     def _ensure_disc(self) -> Disc:

@@ -274,7 +274,6 @@ def default_stall_limit(n: int) -> int:
 def allocate_address(
     state: SamplerState,
     occupied: Callable[[Perm], bool],
-    max_occupied: Optional[int] = None,
     ladder: Optional[CheckpointLadder] = None,
     limit: Optional[int] = None,
 ) -> tuple[Perm, int, SamplerState]:
@@ -285,11 +284,10 @@ def allocate_address(
     stream.  Every completion passed, occupied or not, is offered to
     `ladder`.  Raises CounterOverflow at the first completion whose counter
     passes `limit` (mode C's 2^p - 1), before it is offered or returned,
-    and AllocationStall after max_occupied consecutive occupied emissions
-    (default 10*n! for n <= 8, else 10^6).
+    and AllocationStall after default_stall_limit(n) consecutive occupied
+    emissions (10*n! for n <= 8, else 10^6).
     """
-    if max_occupied is None:
-        max_occupied = default_stall_limit(len(state.perm))
+    stall_limit = default_stall_limit(len(state.perm))
     misses = 0
     while True:
         perm, counter, state = sampler_advance(state)
@@ -300,7 +298,7 @@ def allocate_address(
         if not occupied(perm):
             return perm, counter, state
         misses += 1
-        if misses >= max_occupied:
+        if misses >= stall_limit:
             raise AllocationStall(
                 f"{misses} consecutive occupied addresses (n={len(perm)})"
             )

@@ -865,13 +865,13 @@ class TestCheckpointLadder:
 
     def test_rolled_back_write_leaves_sound_checkpoints(self):
         disc, backend = make_disc("C", n=7, p=24, m=8)
-        backend.config.failure_rate = 0.02
+        backend.failure_rate = 0.02
         with pytest.raises(BackendUnavailable):
             disc.write_file("big", bytes(range(256)) * 2)  # 64 blocks
         stats = disc.stats()
         assert stats.hash_iterations == 0  # no allocation committed ...
         assert stats.checkpoints >= 2  # ... yet the walk left checkpoints
-        backend.config.failure_rate = 0.0
+        backend.failure_rate = 0.0
         assert disc.fsck().ok
         rng = random.Random(2)
         files = {f"g{i}": rng.randbytes(rng.randrange(1, 60)) for i in range(40)}

@@ -5,13 +5,7 @@ import os
 import pytest
 
 from stegdisc.errors import BackendUnavailable, DuplicateAddress, NotFound
-from stegdisc.osn import (
-    BackendConfig,
-    DirectoryBackend,
-    MemoryBackend,
-    open_backend,
-    parse_backend_spec,
-)
+from stegdisc.osn import DirectoryBackend, MemoryBackend, open_backend
 
 ABC = ("#a", "#b", "#c")
 CAB = ("#c", "#a", "#b")
@@ -180,14 +174,13 @@ class TestDurability:
 
 class TestInjection:
     def test_failures_are_injected(self):
-        config = BackendConfig(mode="memory", failure_rate=1.0)
-        backend = MemoryBackend(config)
+        backend = MemoryBackend(failure_rate=1.0)
         with pytest.raises(BackendUnavailable):
             backend.exists(ABC)
 
     def test_failures_seeded(self):
         def script(seed):
-            backend = MemoryBackend(BackendConfig(mode="memory", failure_rate=0.5, failure_seed=seed))
+            backend = MemoryBackend(failure_rate=0.5, failure_seed=seed)
             out = []
             for i in range(40):
                 try:
@@ -201,13 +194,16 @@ class TestInjection:
         assert script(1) != script(2)
 
     def test_zero_rate_never_fails(self):
-        backend = MemoryBackend(BackendConfig(mode="memory"))
+        backend = MemoryBackend()
         for _ in range(100):
             backend.exists(ABC)
 
-    def test_rate_validated(self):
-        with pytest.raises(ValueError):
-            BackendConfig(mode="memory", failure_rate=1.5)
+    def test_rate_validated(self, tmp_path):
+        for rate in (1.5, -0.1):
+            with pytest.raises(ValueError):
+                MemoryBackend(failure_rate=rate)
+            with pytest.raises(ValueError):
+                DirectoryBackend(tmp_path / "store", failure_rate=rate)
 
 
 class _CountingChaos:
@@ -224,10 +220,9 @@ class _CountingChaos:
 @pytest.fixture(params=["memory", "dir"])
 def counted(request, tmp_path):
     if request.param == "memory":
-        backend = MemoryBackend(BackendConfig(mode="memory", failure_rate=0.5))
+        backend = MemoryBackend(failure_rate=0.5)
     else:
-        root = tmp_path / "store"
-        backend = DirectoryBackend(root, BackendConfig(mode="dir", root=root, failure_rate=0.5))
+        backend = DirectoryBackend(tmp_path / "store", failure_rate=0.5)
     backend._chaos = _CountingChaos()
     return backend
 
@@ -280,14 +275,26 @@ class TestAdmission:
 
 
 class TestSpec:
-    def test_memory_spec(self):
-        assert isinstance(open_backend(parse_backend_spec("memory")), MemoryBackend)
-
-    def test_dir_spec(self, tmp_path):
-        backend = open_backend(parse_backend_spec(f"dir:{tmp_path / 's'}"))
-        assert isinstance(backend, DirectoryBackend)
-
-    def test_bad_specs(self):
-        for bad in ("dir:", "s3:bucket", ""):
-            with pytest.raises(ValueError):
-                parse_backend_spec(bad)
+    def test_spec_table(self, tmp_path):
+        store = tmp_path / "s"
+        table = [
+            ("memory", MemoryBackend),
+            (f"dir:{store}", DirectoryBackend),
+            ("", ValueError),
+            ("dir:", ValueError),
+            ("s3:bucket", ValueError),
+            ("memory:x", ValueError),
+            ("DIR:x", ValueError),
+        ]
+        for spec, want in table:
+            if want is ValueError:
+                with pytest.raises(ValueError):
+                    open_backend(spec)
+                continue
+            backend = open_backend(spec)
+            assert type(backend) is want, spec
+            backend.post(b"obj", ABC)
+        # the dir spec's posts land under its path
+        assert sorted(p.name for p in (store / DirectoryBackend._digest(ABC)).iterdir()) == [
+            "meta.txt", "object.bin",
+        ]

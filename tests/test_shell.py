@@ -10,7 +10,7 @@ import pytest
 from conftest import child_env
 from stegdisc.disc import Disc, DiscConfig
 from stegdisc.errors import UsageError
-from stegdisc.osn import BackendConfig, DirectoryBackend, MemoryBackend
+from stegdisc.osn import DirectoryBackend, MemoryBackend
 from stegdisc.shell import ShellSession, default_disc_path, main
 from stegdisc.steghash import perm_to_hashtags
 
@@ -76,10 +76,16 @@ class TestDispatch:
     def test_backend_failure_exit_three(self, tmp_path):
         sess = session(tmp_path)
         sess.execute(["format", "C", "4", "16", "8"])
-        sess.backend = MemoryBackend(BackendConfig(mode="memory", failure_rate=1.0))
+        sess.backend = MemoryBackend(failure_rate=1.0)
         sess.disc = None  # force reopen against the failing backend
         assert sess.execute(["ls"]) == 0  # catalog is local, no backend query
         assert sess.execute(["fsck"]) == 3
+
+    def test_unknown_backend_spec_exit_one(self, tmp_path, capsys):
+        sess = session(tmp_path, backend_spec="s3:bucket")
+        assert sess.execute(["format", "A", "4", "16", "8"]) == 1
+        assert "s3:bucket" in capsys.readouterr().out
+        assert not (tmp_path / "sb.txt").exists()
 
     def test_json_output(self, tmp_path, capsys):
         sess = session(tmp_path, json_out=True)

@@ -433,7 +433,7 @@ class TestAllocate:
     def test_stall(self):
         state = SamplerState.fresh((0, 1, 2))
         with pytest.raises(AllocationStall):
-            allocate_address(state, lambda p: True, max_occupied=25)
+            allocate_address(state, lambda p: True)
 
     def test_default_stall_limit(self):
         assert default_stall_limit(3) == 60
@@ -443,7 +443,7 @@ class TestAllocate:
     def test_overflow_propagates(self):
         state = SamplerState.fresh((0, 1, 2))
         with pytest.raises(CounterOverflow):
-            allocate_address(state, lambda p: True, max_occupied=10 ** 6, limit=10)
+            allocate_address(state, lambda p: True, limit=10)
 
     def test_overflow_is_not_recorded(self):
         # the completion past the bound reaches neither the ladder nor the caller
