@@ -44,9 +44,9 @@ lookup's cursor.  fsck and chain_blocks always walk the whole chain.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from math import factorial
 from pathlib import Path
 from typing import Optional
 
@@ -61,6 +61,7 @@ from .carrier import (
 )
 from .document import DiscConfig, Document, FileEntry, write_superblock
 from .errors import (
+    AllocationStall,
     BadVersion,
     ChainBroken,
     ConfigInvalid,
@@ -123,6 +124,7 @@ class TradeoffStats:
     persistent_bytes: int  # full superblock+catalog document
     catalog_bytes: int  # the per-file lines alone
     dictionary_bytes: int  # mode A used-address line, 0 otherwise
+    journal_bytes: int  # records appended after the document's snapshot
     hash_iterations: int  # stream hashes spent allocating (this session)
     replay_iterations: int  # stream hashes spent resolving pointers on reads/traversals
     block_count: int  # live data blocks
@@ -140,10 +142,7 @@ def default_pool(config: DiscConfig) -> CarrierPool:
 
 
 class Disc:
-    """An open disc: its document + backend + carrier pool.
-
-    Instances are single-writer; all operations serialize on one lock.
-    """
+    """An open disc, single-writer: its document + backend + carrier pool."""
 
     def __init__(self, document: Document, backend, pool: Optional[CarrierPool] = None, doc_path=None):
         self.document = document
@@ -158,7 +157,6 @@ class Disc:
         self._ladder = CheckpointLadder(config.n) if config.mode == "C" else None
         self.hash_iterations = 0  # stream hashes spent allocating
         self.replay_iterations = 0  # stream hashes spent resolving pointers
-        self._lock = threading.RLock()
         need, offer = config.carrier_bytes(), self.pool.min_capacity()
         if need > offer:
             raise ConfigInvalid(f"blocks need {need} carrier bytes, the pool offers {offer}")
@@ -182,9 +180,9 @@ class Disc:
     def _tags(self, perm: Perm):
         return perm_to_hashtags(perm, self.config.alphabet)
 
-    def _persist(self) -> None:
+    def _persist(self, name: Optional[str] = None) -> None:
         if self.doc_path is not None:
-            write_superblock(self.doc_path, self.document.text())
+            self.document.save(self.doc_path, name, write_superblock)
 
     def _fetch(self, code: int, addr: Perm):
         """One fetch and one parse: the block (code, address, carrier,
@@ -209,16 +207,15 @@ class Disc:
         stays behind as an orphan.  In mode A the code of a post that went
         is freed and the code of an orphan is kept used, so allocation never
         lands on it."""
-        used = self.document.used if self.config.mode == "A" else set()
         for code, addr in run:
             try:
                 self.backend.remove(self._tags(addr))
             except NotFound:
                 pass  # already gone
             except Exception:
-                used.add(code)
+                self.document.mark((code,))
                 continue
-            used.discard(code)
+            self.document.mark((code,), used=False)
 
     @contextmanager
     def _replay(self):
@@ -346,6 +343,12 @@ class Disc:
         raises DuplicateAddress: its code is marked used and the run is
         allocated again from the same sampler state.
         """
+        cfg = self.config
+        count = compute_chain_length(len(data), cfg.m)
+        if cfg.mode == "A":  # fail fast; the identity (NULL) and the genesis are never free
+            free = factorial(cfg.n) - len({tuple(range(cfg.n)), cfg.genesis}) - len(self.document.used)
+            if count > free:
+                raise AllocationStall(f"a run of {count} blocks needs more than the {free} free codes")
         tail = None  # the tail block, as the session's first mutation fetched it
         if self._tail is None:  # the session's first mutation looks up the tail
             with self._replay() as cursor:
@@ -354,8 +357,6 @@ class Disc:
                     cursor.resolve(tail[0])  # no hash: the lookup left the cursor at the tail
                     self.document.sampler = cursor.state
             self._tail = tail[:2]
-        cfg = self.config
-        count = compute_chain_length(len(data), cfg.m)
         limit = 2 ** cfg.p - 1 if cfg.mode == "C" else None  # rank codes need no bound
         base = self.document.sampler.iteration
         while True:
@@ -382,11 +383,10 @@ class Disc:
                 self._remove(run[:posted])
                 if cfg.mode != "A" or not isinstance(exc, DuplicateAddress):
                     raise
-                self.document.used.add(run[posted][0])
+                self.document.mark((run[posted][0],))
         self.document.sampler = state
         self.hash_iterations += state.iteration - base
-        if cfg.mode == "A":
-            self.document.used.update(code for code, _ in run)
+        self.document.mark(code for code, _ in run)
         self._tail = run[-1]
         return run[0][0]
 
@@ -411,34 +411,31 @@ class Disc:
     def write_file(self, name: str, data: bytes) -> FileEntry:
         check_name(name)
         data = bytes(data)
-        with self._lock:
-            if name in self.document.entries:
-                raise NameExists(f"file {name!r} already exists")
-            entry = FileEntry(name, self._append_chain(data) if data else 0, len(data))
-            self.document.entries[name] = entry.line
-            self._persist()
-            return entry
+        if name in self.document.entries:
+            raise NameExists(f"file {name!r} already exists")
+        entry = FileEntry(name, self._append_chain(data) if data else 0, len(data))
+        self.document.entries[name] = entry.line
+        self._persist(name)
+        return entry
 
     def read_file(self, name: str) -> bytes:
-        with self._lock:
-            entry = self.document.entry(name)
-            with self._replay() as cursor:
-                walk = self._walk(entry.start_counter, cursor, self._blocks_of(entry))
-                data = b"".join(payload.data for _, _, _, payload in walk)
-            if len(data) != entry.length:
-                raise ChainBroken(
-                    f"file {name!r} yielded {len(data)} bytes, expected {entry.length}",
-                    "file-bytes", entry.start_counter,
-                )
-            return data
+        entry = self.document.entry(name)
+        with self._replay() as cursor:
+            walk = self._walk(entry.start_counter, cursor, self._blocks_of(entry))
+            data = b"".join(payload.data for _, _, _, payload in walk)
+        if len(data) != entry.length:
+            raise ChainBroken(
+                f"file {name!r} yielded {len(data)} bytes, expected {entry.length}",
+                "file-bytes", entry.start_counter,
+            )
+        return data
 
     def delete_file(self, name: str) -> None:
-        with self._lock:
-            entry = self.document.entry(name)
-            if entry.length > 0:
-                self._splice_run(entry)
-            del self.document.entries[name]
-            self._persist()
+        entry = self.document.entry(name)
+        if entry.length > 0:
+            self._splice_run(entry)
+        del self.document.entries[name]
+        self._persist(name)
 
     def modify_file(self, name: str, data: bytes) -> FileEntry:
         """Replace a file's contents: the new run is posted before the old
@@ -446,26 +443,24 @@ class Disc:
         chain.  The new run sits at the chain tail, so the entry moves to
         the end of the catalog."""
         data = bytes(data)
-        with self._lock:
-            entry = self.document.entry(name)
-            first = self._append_chain(data) if data else 0
-            if entry.length > 0:
-                self._splice_run(entry)
-            fresh = FileEntry(name, first, len(data))
-            del self.document.entries[name]
-            self.document.entries[name] = fresh.line
-            self._persist()
-            return fresh
+        entry = self.document.entry(name)
+        first = self._append_chain(data) if data else 0
+        if entry.length > 0:
+            self._splice_run(entry)
+        fresh = FileEntry(name, first, len(data))
+        del self.document.entries[name]
+        self.document.entries[name] = fresh.line
+        self._persist(name)
+        return fresh
 
     def list_files(self) -> list[FileEntry]:
-        with self._lock:
-            doc = self.document
-            return sorted(map(doc.entry, doc.entries))  # names are unique: name order
+        doc = self.document
+        return sorted(map(doc.entry, doc.entries))  # names are unique: name order
 
     def chain_blocks(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Read-only traversal from the genesis block: one
         (pointer code, address, payload) triple per data block, in chain order."""
-        with self._lock, self._replay() as cursor:
+        with self._replay() as cursor:
             return [(code, addr, payload) for code, addr, _, payload in self._chain(cursor)][1:]
 
     # -- inspection ------------------------------------------------------------
@@ -474,7 +469,7 @@ class Disc:
         """Read-only chain check: traversal stops at the first fault the
         walker raises; catalog coverage is only judged on a fully
         traversed chain."""
-        with self._lock, self._replay() as cursor:
+        with self._replay() as cursor:
             report = ChainReport()
             chain = self._chain(cursor)
             try:
@@ -529,14 +524,13 @@ class Disc:
             return report
 
     def stats(self) -> TradeoffStats:
-        with self._lock:
-            doc = self.document
-            return TradeoffStats(
-                self.config.mode,
-                *doc.sizes(),  # persistent, catalog and dictionary bytes
-                hash_iterations=self.hash_iterations,
-                replay_iterations=self.replay_iterations,
-                block_count=sum(self._blocks_of(e) for e in map(doc.entry, doc.entries)),
-                file_count=len(doc.entries),
-                checkpoints=len(self._ladder) if self._ladder is not None else 0,
-            )
+        doc = self.document
+        return TradeoffStats(
+            self.config.mode,
+            *doc.sizes(),  # persistent, catalog, dictionary and journal bytes
+            hash_iterations=self.hash_iterations,
+            replay_iterations=self.replay_iterations,
+            block_count=sum(self._blocks_of(e) for e in map(doc.entry, doc.entries)),
+            file_count=len(doc.entries),
+            checkpoints=len(self._ladder) if self._ladder is not None else 0,
+        )

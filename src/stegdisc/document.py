@@ -5,14 +5,20 @@ Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.  Opening a disc checks
 all of it; the catalog is held as its lines, parsed each time a command
 uses one and written back as read, and mode A's used= line is parsed
-only when the document is written or measured.
-In modes A and B the document also records the allocation sampler's
-position (a `stream=` line), and a fresh session resumes allocation from
-it instead of passing every used address again from counter 0.  Their
-pointers are rank codes and freedom is checked against the used set or
-the network, so the position only decides which free address comes
-first: a stale one costs hashes, never correctness.  Mode C writes no
-such line.
+only when a command needs the used set.  In modes A and B a `stream=`
+line records the allocation sampler's position, and a fresh session
+resumes allocation from it.  Their pointers are rank codes and freedom
+is checked against the used set or the network, so a stale position
+costs hashes, never correctness.  Mode C writes no such line.
+
+These lines are a snapshot, and a journal follows: a put, edit or rm
+appends one group of records with one write(), its catalog record last:
+`+<TAB><catalog line>` adds or moves an entry to the end, `+!<quoted
+name>` drops one, `+@<iteration>:<perm>` moves the allocation position,
+and `+*<codes>` / `+^<codes>` mark mode A codes used / free.  A torn last
+line is ignored.  A group that would take the journal past 2 % of the
+snapshot's bytes is written as a snapshot instead (a temp file renamed
+over).  Earlier versions reject a journal: a record has three tabs or no "=".
 """
 
 from __future__ import annotations
@@ -117,11 +123,15 @@ class FileEntry(NamedTuple):
 _HEADER_KEYS = ("disc_id", "mode", "n", "p", "m", "genesis", "alphabet")
 
 
-def _header(config: DiscConfig, used_codes, stream: Optional[SamplerState]) -> list[str]:
-    """The header lines, with a stream= line when `stream` is given and a
-    used= line when `used_codes` is.
+def _position(state: SamplerState) -> str:
+    """`<iteration>:<perm>`, a sampler state as stream= and +@ hold it."""
+    return f"{state.iteration}:" + ",".join(map(str, state.perm))
 
-    stream= is `<iteration>:<permutation>`, the allocation sampler's state."""
+
+def _header(config: DiscConfig, used_codes, stream: Optional[SamplerState]) -> list[str]:
+    """The header lines, with a stream= line (the sampler's state, as
+    `_position` writes it) when `stream` is given and a used= line when
+    `used_codes` is."""
     header = [
         f"disc_id={config.disc_id}",
         f"mode={config.mode}",
@@ -132,7 +142,7 @@ def _header(config: DiscConfig, used_codes, stream: Optional[SamplerState]) -> l
         "alphabet=" + ",".join(config.alphabet.tags),
     ]
     if stream is not None:
-        header.append(f"stream={stream.iteration}:" + ",".join(map(str, stream.perm)))
+        header.append("stream=" + _position(stream))
     if used_codes is not None:
         header.append("used=" + ",".join(map(str, sorted(used_codes))))
     return header
@@ -148,8 +158,12 @@ def serialize_superblock(config: DiscConfig, entries, used_codes=None, stream=No
     return _text(_header(config, used_codes, stream), (entry.line for entry in entries))
 
 
-def write_superblock(path, text: str) -> None:
-    """Atomic write of `text`: temp file in the same directory, then rename over."""
+def write_superblock(path, text: str, append: bool = False) -> None:
+    """Write `text` to `path`: appended with one write(), or atomically (a temp file renamed over)."""
+    if append:
+        with open(path, "ab", buffering=0) as handle:
+            handle.write(text.encode("utf-8"))
+        return
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".stegdisc-")
     try:
@@ -180,12 +194,14 @@ def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
 
 
 def _read_document(text: str):
-    """The one reader of the document: (config, catalog, used, stream),
-    the catalog as name -> line, the used= value checked but not read,
-    and None for a line that is not there.
-    Lines with tabs are the catalog, wherever they stand; it is checked as
-    three columns, in C-level passes with no Python work per line."""
-    lines = text.splitlines()
+    """The one reader: (config, catalog as name -> line, the used= value and
+    code records checked but not read, stream, the (snapshot, journal)
+    bytes, None when the text ends in a torn line), None for what is absent.
+    Snapshot lines with tabs and catalog records are checked as C-level columns."""
+    plus = text.find("+")  # one memchr: the first record is at or after the first "+"
+    cut = text.find("\n+", plus - 1) + 1 if plus > 0 else 0
+    snapshot, journal = (text[:cut], text[cut:]) if cut else (text, "")
+    lines = snapshot.splitlines()
     tabs = list(map(str.count, lines, repeat("\t")))
     header: dict[str, str] = {}
     for line in filter(None, compress(lines, map(not_, tabs))):
@@ -198,17 +214,40 @@ def _read_document(text: str):
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ConfigInvalid(f"superblock document is missing {missing}")
-    used = header.get("used")
     catalog = list(compress(lines, tabs))
     fields = "\t".join(catalog).split("\t")
-    numbers = fields[1::3] + fields[2::3]  # the start and length columns
-    digits = "".join(numbers) + (used or "").replace(",", "") + "0"  # and the used= codes
-    malformed = not set(tabs) <= {0, 2} or "" in numbers or used and ",," in f",{used},"
-    if malformed or not (digits.isascii() and digits.isdigit()):
-        raise ConfigInvalid("bad superblock document: a catalog or used= line is malformed")
     names = fields[0::3]
     if "%" in "".join(names):  # only an escape makes a name differ from its quoted form
         names = [unquote(name) if "%" in name else name for name in names]
+    entries = dict(zip(names, catalog))  # name -> line, in chain order
+    if len(entries) != len(catalog):
+        raise ConfigInvalid("the catalog names a file twice")
+    *records, _ = journal.split("\n")  # "" after the last newline, else a torn record: ignored
+    puts, marks = [], []
+    for record in records:  # the journal, in order: a few dozen records at most
+        kind = record[:2]
+        if kind == "+\t":
+            body = record[2:]
+            name = unquote(body.partition("\t")[0])
+            entries.pop(name, None)
+            entries[name] = body
+            puts.append(body)
+        elif kind == "+*" or kind == "+^":
+            marks.append(record[1:])
+        elif kind == "+@":
+            header["stream"] = record[2:]  # only the last position is parsed
+        elif kind == "+!" and unquote(record[2:]) in entries:
+            del entries[unquote(record[2:])]
+        else:
+            raise ConfigInvalid(f"bad journal record {record!r}, or a drop of no entry")
+    appended = "\t".join(puts).split("\t")  # the journal's catalog records
+    numbers = [*fields[1::3], *fields[2::3], *appended[1::3], *appended[2::3]]  # starts, lengths
+    codes = ",".join([header.get("used") or "0", *(m[1:] for m in marks)])  # used= may be empty
+    digits = "".join(numbers) + codes.replace(",", "") + "0"
+    malformed = not set(tabs) <= {0, 2} or not set(map(str.count, puts, repeat("\t"))) <= {2}
+    malformed = malformed or "" in numbers or ",," in f",{codes},"
+    if malformed or not (digits.isascii() and digits.isdigit()):
+        raise ConfigInvalid("bad superblock document: a catalog, used= or journal line is malformed")
     try:
         config = DiscConfig(
             n=int(header["n"]),
@@ -222,22 +261,24 @@ def _read_document(text: str):
         stream = _parse_stream(header["stream"], config) if "stream" in header else None
     except (ValueError, ConfigInvalid) as exc:
         raise ConfigInvalid(f"bad superblock document: {exc}") from exc
-    entries = dict(zip(names, catalog))  # name -> line, in chain order
-    if len(entries) != len(catalog):
-        raise ConfigInvalid("the catalog names a file twice")
-    return config, entries, used, stream
+    used = [header["used"], *marks] if "used" in header else None
+    written = (len(snapshot.encode("utf-8")), len(journal.encode("utf-8")))
+    return config, entries, used, stream, written if text.endswith("\n") else None
 
 
-def _used_codes(value: str) -> set[int]:
-    """The codes a used= value lists."""
-    return set(map(int, filter(None, value.split(","))))
+def _used_codes(values) -> set[int]:
+    """The codes a used= value lists, then marked used ("*") or freed ("^") by journal records."""
+    used = set(map(int, filter(None, values[0].split(","))))
+    for record in values[1:]:
+        (used.update if record[0] == "*" else used.difference_update)(map(int, record[1:].split(",")))
+    return used
 
 
 def parse_superblock(text: str):
-    """Inverse of serialize_superblock: (config, entries, used_codes, stream)
-    with every line parsed; used_codes is None unless a used= line is there
-    (mode A), and stream is None unless a stream= line is (modes A and B)."""
-    config, catalog, used, stream = _read_document(text)
+    """Inverse of serialize_superblock, the journal applied: (config, entries,
+    used_codes, stream) with every line parsed; used_codes is None unless a
+    used= line is there (mode A), and stream is None unless a position is."""
+    config, catalog, used, stream, _ = _read_document(text)
     used = _used_codes(used) if used is not None else None
     return config, list(map(FileEntry.parse, catalog.values())), used, stream
 
@@ -247,12 +288,15 @@ class Document:
     used codes and allocation sampler.  Mode A writes a used= line, modes
     A and B a stream= line; mode C's sampler lives for the session alone."""
 
-    def __init__(self, config: DiscConfig, entries=None, used_line: Optional[str] = None, sampler=None):
+    def __init__(self, config: DiscConfig, entries=None, used=None, sampler=None, written=None):
         self.config = config
         self.entries: dict[str, str] = entries if entries is not None else {}
-        self._used_line = used_line or ""  # the used= value, parsed in mode A alone
+        self._used = used or [""]  # the used= value and code records, parsed in mode A alone
         # a document without a stream= line, and mode C, start at the seed
         self.sampler = sampler if sampler is not None else SamplerState.fresh(config.genesis)
+        self.written = written  # the file's (snapshot, journal) bytes; None: save a snapshot
+        self._saved = self.sampler  # the allocation position the file holds
+        self._marks: dict[int, bool] = {}  # mode A codes used (True) or freed since the last save
 
     @classmethod
     def read(cls, text: str) -> "Document":
@@ -260,8 +304,15 @@ class Document:
 
     @cached_property
     def used(self) -> set[int]:
-        """Mode A: rank codes of live blocks, read from the used= value on first use."""
-        return _used_codes(self._used_line)
+        """Mode A: rank codes of live blocks, read on first use."""
+        return _used_codes(self._used)
+
+    def mark(self, codes, used: bool = True) -> None:
+        """Mode A: mark `codes` used, or free them, for the next journal group."""
+        if self.config.mode == "A":
+            changed = [code for code in codes if (code in self.used) != used]
+            (self.used.update if used else self.used.difference_update)(changed)
+            self._marks.update(dict.fromkeys(changed, used))
 
     def entry(self, name: str) -> FileEntry:
         """`name`'s entry, parsed from its catalog line."""
@@ -278,10 +329,36 @@ class Document:
     def text(self) -> str:
         return _text(self._mode_header(), self.entries.values())
 
-    def sizes(self) -> tuple[int, int, int]:
-        """Bytes of the whole document, of its catalog lines and of its used= line."""
+    def _group(self, name: str) -> str:
+        """The records of the changes since the last save, `name`'s entry last."""
+        marks = self._marks
+        records = [sign + ",".join(str(code) for code in marks if marks[code] is used)
+                   for sign, used in (("*", True), ("^", False)) if used in marks.values()]
+        if self.config.mode != "C" and self.sampler != self._saved:
+            records.append("@" + _position(self.sampler))
+        line = self.entries.get(name)
+        records.append("\t" + line if line is not None else "!" + quote(name, safe=""))
+        return "".join(f"+{record}\n" for record in records)
+
+    def save(self, path, name: Optional[str], write) -> None:
+        """Write `name`'s change as a journal group via `write(path, text, append)`; write a
+        snapshot for no `name`, an unknown file size (torn, a write raised) or a full journal."""
+        group = self._group(name) if name is not None and self.written else ""
+        snapshot, journal = self.written or (0, 0)
+        journal += len(group.encode("utf-8"))
+        append = bool(group) and 50 * journal <= snapshot  # the journal stays within 2 %
+        text = group if append else self.text()
+        self.written = None  # until `write` returns
+        write(path, text, append)
+        self.written = (snapshot, journal) if append else (len(text.encode("utf-8")), 0)
+        self._marks.clear()
+        self._saved = self.sampler
+
+    def sizes(self) -> tuple[int, int, int, int]:
+        """Bytes of the document (the file, once read or written), catalog, used= line and journal."""
         header = self._mode_header()
         # each line is followed by a newline; a name may be non-ASCII
         catalog = sum(len(line.encode("utf-8")) + 1 for line in self.entries.values())
         used = sum(len(line) + 1 for line in header if line.startswith("used="))
-        return len(_text(header, ()).encode("utf-8")) + catalog, catalog, used
+        snapshot, journal = self.written or (len(_text(header, ()).encode("utf-8")) + catalog, 0)
+        return snapshot + journal, catalog, used, journal

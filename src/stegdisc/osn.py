@@ -25,7 +25,6 @@ import hashlib
 import os
 import random
 import shutil
-import threading
 import uuid
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,20 +47,17 @@ def _check_hashtags(hashtags) -> Hashtags:
 
 
 class _BackendBase:
-    """Shared plumbing: admission, locking, failure injection.  Subclasses
-    define the storage primitives, which always run under the lock:
-    `_has`, `_put`, `_get`, `_rewrite`, `_drop` and `_all`."""
+    """Shared plumbing: admission and failure injection.  Subclasses define
+    the storage primitives `_has`, `_put`, `_get`, `_rewrite`, `_drop`, `_all`."""
 
     def __init__(self, failure_rate: float = 0.0, failure_seed: int = 0):
         if not 0.0 <= failure_rate <= 1.0:
             raise ValueError(f"failure_rate {failure_rate} not in [0, 1]")
         self.failure_rate = failure_rate  # probability of a transient failure per query
-        self._lock = threading.RLock()
         self._chaos = random.Random(failure_seed)
 
     def _query(self, hashtags=_UNTAGGED) -> Hashtags:
-        """Admit one query, before it takes the lock: check its sequence,
-        then draw the injected failure.  Returns the checked tags."""
+        """Admit one query: check its tags, then draw the injected failure; returns the tags."""
         tags = () if hashtags is _UNTAGGED else _check_hashtags(hashtags)
         if self.failure_rate and self._chaos.random() < self.failure_rate:
             raise BackendUnavailable("injected transient failure")
@@ -75,40 +71,33 @@ class _BackendBase:
 
     def post(self, data: bytes, hashtags) -> str:
         tags = self._query(hashtags)
-        with self._lock:
-            if self._has(tags):
-                raise DuplicateAddress(f"address occupied: {' '.join(tags)}")
-            self._put(tags, bytes(data))
+        if self._has(tags):
+            raise DuplicateAddress(f"address occupied: {' '.join(tags)}")
+        self._put(tags, bytes(data))
         return uuid.uuid4().hex
 
     def exists(self, hashtags) -> bool:
-        tags = self._query(hashtags)
-        with self._lock:
-            return self._has(tags)
+        return self._has(self._query(hashtags))
 
     def fetch(self, hashtags) -> bytes:
         tags = self._query(hashtags)
-        with self._lock:
-            self._present(tags)
-            return self._get(tags)
+        self._present(tags)
+        return self._get(tags)
 
     def replace(self, hashtags, data: bytes) -> None:
         tags = self._query(hashtags)
-        with self._lock:
-            self._present(tags)
-            self._rewrite(tags, bytes(data))
+        self._present(tags)
+        self._rewrite(tags, bytes(data))
 
     def remove(self, hashtags) -> None:
         tags = self._query(hashtags)
-        with self._lock:
-            self._present(tags)
-            self._drop(tags)
+        self._present(tags)
+        self._drop(tags)
 
     def live_addresses(self) -> list[Hashtags]:
         """All occupied ordered sequences (test/inspection helper)."""
         self._query()
-        with self._lock:
-            return self._all()
+        return self._all()
 
 
 class MemoryBackend(_BackendBase):

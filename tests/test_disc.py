@@ -166,6 +166,30 @@ class TestWrite:
         with pytest.raises(FileNotFound):
             disc.read_file("big")
 
+    @pytest.mark.parametrize("genesis, fit", [((1, 0, 2, 3), 22), (None, 23)], ids=["genesis", "identity"])
+    def test_full_mode_a_disc_fails_before_any_hash(self, genesis, fit, monkeypatch, tmp_path):
+        # n=4 has 24 addresses: the identity is the NULL pointer, and the
+        # genesis block takes one more unless it is the identity
+        import stegdisc.steghash as steghash_mod
+
+        config = DiscConfig.create(n=4, p=16, m=1, mode="A", disc_id="full", genesis=genesis)
+        doc = tmp_path / "sb.txt"
+        disc = Disc.format(config, MemoryBackend(), small_pool(), doc_path=doc)
+        for i in range(fit):
+            disc.write_file(f"f{i}", b"x")
+        text = doc.read_text(encoding="utf-8")
+        hashes = []
+        advance = steghash_mod.sampler_advance
+        monkeypatch.setattr(steghash_mod, "sampler_advance", lambda state: hashes.append(1) or advance(state))
+        with pytest.raises(AllocationStall):
+            disc.write_file("one too many", b"y")
+        assert hashes == []
+        assert doc.read_text(encoding="utf-8") == text
+        assert disc.fsck().ok
+        disc.delete_file("f3")
+        disc.write_file("one too many", b"y")
+        assert disc.fsck().ok and disc.read_file("one too many") == b"y"
+
     @pytest.mark.parametrize("mode", MODES)
     def test_genesis_never_reallocated(self, mode):
         disc, backend = make_disc(mode, n=3, m=1)

@@ -1,6 +1,8 @@
 """The superblock document: one columnar reader, a lazy open that parses
-only the catalog lines a command uses, and write-back byte for byte."""
+only the catalog lines a command uses, write-back byte for byte, and the
+journal of records appended after the snapshot."""
 
+import json
 import tempfile
 from collections import Counter
 from functools import cached_property
@@ -16,8 +18,8 @@ from stegdisc.disc import Disc
 from stegdisc.document import DiscConfig, Document, FileEntry, parse_superblock, serialize_superblock
 from stegdisc.errors import ConfigInvalid
 from stegdisc.osn import MemoryBackend
-from stegdisc.shell import main
-from stegdisc.steghash import SamplerState
+from stegdisc.shell import ShellSession, main
+from stegdisc.steghash import HashtagAlphabet, SamplerState
 
 MODES = ("A", "B", "C")
 
@@ -403,3 +405,209 @@ class TestHeaderRule:
         else:
             with pytest.raises(ConfigInvalid, match="mode C"):
                 Disc.open(disc.doc_path, disc.backend, disc.pool)
+
+
+# -- the journal: a snapshot followed by appended record groups --------------
+
+
+def big_disc(mode, directory, count=300, **options):
+    """A disc of `count` files of 1-3 blocks, n=7, large enough for a journal."""
+    config = DiscConfig.create(n=7, p=24, m=8, mode=mode, disc_id=f"journal-{mode}", **options)
+    pool = CarrierPool(synth="opaque", opaque_size=512)
+    disc = Disc.format(config, MemoryBackend(), pool, doc_path=Path(directory) / "sb.txt")
+    for i in range(count):
+        disc.write_file(f"file {i:04d}", bytes([i % 251]) * (1 + i % 20))
+    return disc
+
+
+def split(text):
+    """(snapshot, journal) of a document's text."""
+    cut = text.find("\n+") + 1
+    return (text[:cut], text[cut:]) if cut else (text, "")
+
+
+def compact(disc):
+    """Put or rm a padding file until a write leaves no journal, so that
+    the next groups are appended."""
+    while split(disc.doc_path.read_text(encoding="utf-8"))[1]:
+        if "pad" in disc.document.entries:
+            disc.delete_file("pad")
+        else:
+            disc.write_file("pad", b"p")
+
+
+def mutate(disc, i):
+    """The i-th of a cycle of puts, empty puts, edits and rms."""
+    step = i % 5
+    if step in (0, 1):
+        disc.write_file(f"new {i}", bytes([i % 256]) * (1 + i % 23))
+    elif step == 2:
+        disc.write_file(f"empty {i}", b"")
+    elif step == 3:
+        disc.modify_file(f"file {i:04d}", b"e" * (1 + i % 17))
+    else:
+        disc.delete_file(f"file {i:04d}")
+
+
+def same_state(fresh, live):
+    assert list(fresh.document.entries.items()) == list(live.document.entries.items())
+    if live.config.mode != "C":
+        assert fresh.document.sampler == live.document.sampler
+    if live.config.mode == "A":
+        assert fresh.document.used == live.document.used
+
+
+class TestJournal:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reopen_gives_the_live_session_state(self, mode, tmp_path):
+        disc = big_disc(mode, tmp_path)
+        appended = compacted = 0
+        for i in range(60):
+            before = disc.doc_path.read_text(encoding="utf-8")
+            mutate(disc, i)
+            text = disc.doc_path.read_text(encoding="utf-8")
+            if text.startswith(before):
+                appended += 1
+                group = text[len(before):].splitlines()
+                assert all(line.startswith("+") for line in group)
+                assert "\t" in group[-1] or group[-1].startswith("+!")  # the catalog record is last
+            else:
+                compacted += 1
+            # a reader from before the journal rejects every record line: a
+            # catalog record has three tabs, every other record no "="
+            _, journal = split(text)
+            assert all(line.count("\t") == 3 or "=" not in line for line in journal.splitlines())
+            same_state(Disc.open(disc.doc_path, disc.backend, disc.pool), disc)
+        assert appended > 2 * compacted > 0
+        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        assert fresh.fsck().ok
+        assert fresh.read_file("new 55") == bytes([55]) * (1 + 55 % 23)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_journal_stays_within_two_percent_of_the_snapshot(self, mode, tmp_path):
+        disc = big_disc(mode, tmp_path)
+        for i in range(80):
+            mutate(disc, i)
+            text = disc.doc_path.read_text(encoding="utf-8")
+            snapshot, journal = split(text)
+            assert 50 * len(journal.encode("utf-8")) <= len(snapshot.encode("utf-8"))
+            stats = disc.stats()
+            assert stats.persistent_bytes == disc.doc_path.stat().st_size
+            assert stats.journal_bytes == len(journal.encode("utf-8"))
+            # a fresh session learns the journal's size from the text
+            assert Disc.open(disc.doc_path, disc.backend, disc.pool).document.written == disc.document.written
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_torn_last_record_is_ignored(self, mode, tmp_path):
+        disc = big_disc(mode, tmp_path)
+        compact(disc)
+        entries = dict(disc.document.entries)
+        disc.write_file("torn", b"t" * 12)
+        text = disc.doc_path.read_text(encoding="utf-8")
+        assert text.endswith("\n+\t" + disc.document.entries["torn"] + "\n")
+        disc.doc_path.write_text(text[:-1], encoding="utf-8")  # the last newline never landed
+        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        assert fresh.document.entries == entries
+        fresh.write_file("after", b"a" * 5)  # the next write is a snapshot
+        text = fresh.doc_path.read_text(encoding="utf-8")
+        assert not split(text)[1]
+        again = Disc.open(fresh.doc_path, fresh.backend, fresh.pool)
+        assert "torn" not in again.document.entries and again.read_file("after") == b"a" * 5
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_malformed_record_inside_the_journal_is_rejected(self, mode, tmp_path):
+        disc = big_disc(mode, tmp_path)
+        compact(disc)
+        disc.write_file("new 0", b"n" * 9)
+        disc.delete_file("file 0001")
+        snapshot, journal = split(disc.doc_path.read_text(encoding="utf-8"))
+        assert journal.count("\n") >= 2
+        Disc.open(disc.doc_path, disc.backend, disc.pool)
+        first = journal.index("\n") + 1
+        # an unknown kind, a drop of no entry, a catalog record with two
+        # columns or a letter for a number, an empty code, no codes, no kind
+        for record in ("+?what", "+!no%20such%20file", "+\tname\t12", "+\tname\tx\t3", "+*1,,2", "+^", "+"):
+            disc.doc_path.write_text(snapshot + journal[:first] + record + "\n" + journal[first:], encoding="utf-8")
+            with pytest.raises(ConfigInvalid):
+                Disc.open(disc.doc_path, disc.backend, disc.pool)
+
+    def test_a_put_on_a_thousand_file_mode_c_disc_appends_under_100_bytes(self, tmp_path):
+        disc = big_disc("C", tmp_path, count=1000)
+        appended = 0
+        for i in range(30):
+            size = disc.doc_path.stat().st_size
+            disc.write_file(f"new {i}", b"n" * 40)
+            grown = disc.doc_path.stat().st_size - size
+            assert grown < 100
+            appended += disc.document.written[1] > 0
+        assert appended > 20
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_write_that_raises_is_followed_by_a_snapshot(self, mode, monkeypatch, tmp_path):
+        import stegdisc.disc as disc_mod
+
+        disc = big_disc(mode, tmp_path)
+        compact(disc)
+        real = disc_mod.write_superblock
+        calls = []
+
+        def failing(path, text, append=False):
+            calls.append(append)
+            if len(calls) == 1:
+                raise OSError("disc full")
+            real(path, text, append)
+
+        monkeypatch.setattr(disc_mod, "write_superblock", failing)
+        with pytest.raises(OSError):
+            disc.write_file("lost", b"l" * 9)  # in the session, not in the file
+        disc.write_file("kept", b"k" * 9)
+        assert calls == [True, False]
+        text = disc.doc_path.read_text(encoding="utf-8")
+        assert not split(text)[1]
+        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        same_state(fresh, disc)
+        assert fresh.read_file("lost") == b"l" * 9 and fresh.fsck().ok
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("newline", [True, False], ids=["whole", "no-last-newline"])
+    def test_a_document_without_a_journal_opens_and_appends(self, mode, newline, tmp_path):
+        disc = big_disc(mode, tmp_path)
+        # the document as the writer before the journal wrote it
+        config, entries, used, stream = parse_superblock(disc.doc_path.read_text(encoding="utf-8"))
+        earlier = serialize_superblock(config, entries, used, stream)
+        disc.doc_path.write_text(earlier if newline else earlier[:-1], encoding="utf-8")
+        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh.write_file("appended", b"a" * 20)
+        text = fresh.doc_path.read_text(encoding="utf-8")
+        if newline:
+            assert text.startswith(earlier) and text[len(earlier):].startswith("+")
+        else:  # a record appended there would join the last line
+            assert not split(text)[1]
+        same_state(Disc.open(disc.doc_path, disc.backend, disc.pool), fresh)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stat_prints_the_journal_bytes(self, mode, tmp_path, capsys):
+        disc = big_disc(mode, tmp_path)
+        disc.write_file("appended", b"a" * 20)
+        _, journal = split(disc.doc_path.read_text(encoding="utf-8"))
+        assert journal
+        session = ShellSession(disc.doc_path, "memory", json_out=True)
+        session.backend = disc.backend
+        capsys.readouterr()
+        assert session.execute(["stat"]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["journal_bytes"] == len(journal.encode("utf-8"))
+        assert stats["persistent_bytes"] == disc.doc_path.stat().st_size
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_plus_inside_a_line_starts_no_journal(self, mode, tmp_path):
+        alphabet = HashtagAlphabet([f"#c+{i}" for i in range(7)])
+        disc = big_disc(mode, tmp_path, alphabet=alphabet)
+        compact(disc)
+        assert "+" in disc.doc_path.read_text(encoding="utf-8")
+        assert Disc.open(disc.doc_path, disc.backend, disc.pool).document.written == disc.document.written
+        disc.write_file("appended", b"a" * 20)
+        assert split(disc.doc_path.read_text(encoding="utf-8"))[1]
+        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        same_state(fresh, disc)
+        assert fresh.document.written == disc.document.written
