@@ -83,8 +83,6 @@ class DiscConfig:
         if len(genesis) != self.n:
             raise ConfigInvalid(f"genesis has {len(genesis)} elements, expected n={self.n}")
         self.genesis = genesis
-        if self.mode == "A" and self.n > 8:
-            raise ConfigInvalid(f"mode A materializes dictionaries; n={self.n} > 8")
         if self.mode in ("A", "B") and 2 ** self.p <= factorial(self.n):
             raise ConfigInvalid(f"rank codes need 2^p > n! (p={self.p}, n={self.n})")
         _check_field(self.disc_id, "disc_id")
@@ -128,36 +126,6 @@ def _position(state: SamplerState) -> str:
     return f"{state.iteration}:" + ",".join(map(str, state.perm))
 
 
-def _header(config: DiscConfig, used_codes, stream: Optional[SamplerState]) -> list[str]:
-    """The header lines, with a stream= line (the sampler's state, as
-    `_position` writes it) when `stream` is given and a used= line when
-    `used_codes` is."""
-    header = [
-        f"disc_id={config.disc_id}",
-        f"mode={config.mode}",
-        f"n={config.n}",
-        f"p={config.p}",
-        f"m={config.m}",
-        "genesis=" + ",".join(str(v) for v in config.genesis),
-        "alphabet=" + ",".join(config.alphabet.tags),
-    ]
-    if stream is not None:
-        header.append("stream=" + _position(stream))
-    if used_codes is not None:
-        header.append("used=" + ",".join(map(str, sorted(used_codes))))
-    return header
-
-
-def _text(header: list[str], lines) -> str:
-    """The document: the header lines, then the catalog lines, one per file."""
-    return "\n".join([*header, *lines]) + "\n"
-
-
-def serialize_superblock(config: DiscConfig, entries, used_codes=None, stream=None) -> str:
-    """The document holding exactly the lines given, whatever the mode."""
-    return _text(_header(config, used_codes, stream), (entry.line for entry in entries))
-
-
 def write_superblock(path, text: str, append: bool = False) -> None:
     """Write `text` to `path`: appended with one write(), or atomically (a temp file renamed over)."""
     if append:
@@ -196,7 +164,7 @@ def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
 def _read_document(text: str):
     """The one reader: (config, catalog as name -> line, the used= value and
     code records checked but not read, stream, the (snapshot, journal)
-    bytes, None when the text ends in a torn line), None for what is absent.
+    bytes), None for what is absent.
     Snapshot lines with tabs and catalog records are checked as C-level columns."""
     plus = text.find("+")  # one memchr: the first record is at or after the first "+"
     cut = text.find("\n+", plus - 1) + 1 if plus > 0 else 0
@@ -262,25 +230,7 @@ def _read_document(text: str):
     except (ValueError, ConfigInvalid) as exc:
         raise ConfigInvalid(f"bad superblock document: {exc}") from exc
     used = [header["used"], *marks] if "used" in header else None
-    written = (len(snapshot.encode("utf-8")), len(journal.encode("utf-8")))
-    return config, entries, used, stream, written if text.endswith("\n") else None
-
-
-def _used_codes(values) -> set[int]:
-    """The codes a used= value lists, then marked used ("*") or freed ("^") by journal records."""
-    used = set(map(int, filter(None, values[0].split(","))))
-    for record in values[1:]:
-        (used.update if record[0] == "*" else used.difference_update)(map(int, record[1:].split(",")))
-    return used
-
-
-def parse_superblock(text: str):
-    """Inverse of serialize_superblock, the journal applied: (config, entries,
-    used_codes, stream) with every line parsed; used_codes is None unless a
-    used= line is there (mode A), and stream is None unless a position is."""
-    config, catalog, used, stream, _ = _read_document(text)
-    used = _used_codes(used) if used is not None else None
-    return config, list(map(FileEntry.parse, catalog.values())), used, stream
+    return config, entries, used, stream, (len(snapshot.encode("utf-8")), len(journal.encode("utf-8")))
 
 
 class Document:
@@ -294,18 +244,24 @@ class Document:
         self._used = used or [""]  # the used= value and code records, parsed in mode A alone
         # a document without a stream= line, and mode C, start at the seed
         self.sampler = sampler if sampler is not None else SamplerState.fresh(config.genesis)
-        self.written = written  # the file's (snapshot, journal) bytes; None: save a snapshot
+        self.written = written  # the file's (snapshot, journal) bytes; None: unknown, save a snapshot
+        self._torn = False  # the file ends in a torn line: a group appended would join it
         self._saved = self.sampler  # the allocation position the file holds
         self._marks: dict[int, bool] = {}  # mode A codes used (True) or freed since the last save
 
     @classmethod
     def read(cls, text: str) -> "Document":
-        return cls(*_read_document(text))
+        document = cls(*_read_document(text))
+        document._torn = not text.endswith("\n")
+        return document
 
     @cached_property
     def used(self) -> set[int]:
         """Mode A: rank codes of live blocks, read on first use."""
-        return _used_codes(self._used)
+        used = set(map(int, filter(None, self._used[0].split(","))))
+        for record in self._used[1:]:  # marked used ("*") or freed ("^") by journal records
+            (used.update if record[0] == "*" else used.difference_update)(map(int, record[1:].split(",")))
+        return used
 
     def mark(self, codes, used: bool = True) -> None:
         """Mode A: mark `codes` used, or free them, for the next journal group."""
@@ -322,12 +278,27 @@ class Document:
         return FileEntry.parse(line)
 
     def _mode_header(self) -> list[str]:
-        mode = self.config.mode
-        used = self.used if mode == "A" else None
-        return _header(self.config, used, self.sampler if mode != "C" else None)
+        """The header: the config lines, then a stream= line (the sampler's
+        position) in modes A and B and a used= line in mode A."""
+        config = self.config
+        header = [
+            f"disc_id={config.disc_id}",
+            f"mode={config.mode}",
+            f"n={config.n}",
+            f"p={config.p}",
+            f"m={config.m}",
+            "genesis=" + ",".join(map(str, config.genesis)),
+            "alphabet=" + ",".join(config.alphabet.tags),
+        ]
+        if config.mode != "C":
+            header.append("stream=" + _position(self.sampler))
+        if config.mode == "A":
+            header.append("used=" + ",".join(map(str, sorted(self.used))))
+        return header
 
     def text(self) -> str:
-        return _text(self._mode_header(), self.entries.values())
+        """The snapshot: the header lines, then the catalog lines, one per file."""
+        return "\n".join([*self._mode_header(), *self.entries.values()]) + "\n"
 
     def _group(self, name: str) -> str:
         """The records of the changes since the last save, `name`'s entry last."""
@@ -342,8 +313,8 @@ class Document:
 
     def save(self, path, name: Optional[str], write) -> None:
         """Write `name`'s change as a journal group via `write(path, text, append)`; write a
-        snapshot for no `name`, an unknown file size (torn, a write raised) or a full journal."""
-        group = self._group(name) if name is not None and self.written else ""
+        snapshot for no `name`, a torn file, an unknown file size (a write raised) or a full journal."""
+        group = self._group(name) if name is not None and self.written and not self._torn else ""
         snapshot, journal = self.written or (0, 0)
         journal += len(group.encode("utf-8"))
         append = bool(group) and 50 * journal <= snapshot  # the journal stays within 2 %
@@ -351,6 +322,7 @@ class Document:
         self.written = None  # until `write` returns
         write(path, text, append)
         self.written = (snapshot, journal) if append else (len(text.encode("utf-8")), 0)
+        self._torn = False
         self._marks.clear()
         self._saved = self.sampler
 
@@ -360,5 +332,5 @@ class Document:
         # each line is followed by a newline; a name may be non-ASCII
         catalog = sum(len(line.encode("utf-8")) + 1 for line in self.entries.values())
         used = sum(len(line) + 1 for line in header if line.startswith("used="))
-        snapshot, journal = self.written or (len(_text(header, ()).encode("utf-8")) + catalog, 0)
+        snapshot, journal = self.written or (len("\n".join(header).encode("utf-8")) + 1 + catalog, 0)
         return snapshot + journal, catalog, used, journal

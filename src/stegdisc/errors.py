@@ -11,10 +11,6 @@ class SizeMismatch(StegDiscError):
     """Permutation length does not match the alphabet size."""
 
 
-class UnknownTag(StegDiscError):
-    """Hashtag not part of the disc's alphabet."""
-
-
 class NotAPermutation(StegDiscError):
     """Sequence is not a permutation (duplicate, missing or out-of-range element)."""
 

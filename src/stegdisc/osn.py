@@ -26,7 +26,6 @@ import os
 import random
 import shutil
 import uuid
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import BackendUnavailable, DuplicateAddress, NotFound
@@ -69,12 +68,11 @@ class _BackendBase:
 
     # -- interface -------------------------------------------------------
 
-    def post(self, data: bytes, hashtags) -> str:
+    def post(self, data: bytes, hashtags) -> None:
         tags = self._query(hashtags)
         if self._has(tags):
             raise DuplicateAddress(f"address occupied: {' '.join(tags)}")
         self._put(tags, bytes(data))
-        return uuid.uuid4().hex
 
     def exists(self, hashtags) -> bool:
         return self._has(self._query(hashtags))
@@ -102,7 +100,7 @@ class _BackendBase:
 
 class MemoryBackend(_BackendBase):
     """Volatile backend; the default for tests and benchmarks.  It keeps
-    only each address's object bytes, with no post id or timestamp."""
+    each address's object bytes."""
 
     def __init__(self, failure_rate: float = 0.0, failure_seed: int = 0):
         super().__init__(failure_rate, failure_seed)
@@ -129,12 +127,12 @@ class MemoryBackend(_BackendBase):
 class DirectoryBackend(_BackendBase):
     """Durable backend: root/<digest>/object.bin + meta.txt per post.
 
-    meta.txt is one hashtag per line followed by the ISO-8601 creation
-    timestamp; the digest is SHA-256 over the newline-joined ordered
-    sequence, so distinct orderings land in distinct directories.  A
-    post's directory is derived from its address, never indexed, so
-    every handle on one root sees the same posts.  meta.txt is written
-    last and removed first: a post exists exactly while it is there.
+    meta.txt is the ordered hashtags, one per line; the digest is
+    SHA-256 over the newline-joined ordered sequence, so distinct
+    orderings land in distinct directories.  A post's directory is
+    derived from its address, never indexed, so every handle on one root
+    sees the same posts.  meta.txt is written last and removed first: a
+    post exists exactly while it is there.
     """
 
     OBJECT = "object.bin"
@@ -172,9 +170,8 @@ class DirectoryBackend(_BackendBase):
         post_dir = self._dir(tags)
         os.makedirs(post_dir, exist_ok=True)
         self._write_object(post_dir, data)
-        meta = "\n".join(tags) + "\n" + datetime.now(timezone.utc).isoformat() + "\n"
         with open(f"{post_dir}/{self.META}", "w", encoding="utf-8") as out:
-            out.write(meta)
+            out.write("\n".join(tags) + "\n")
 
     def _get(self, tags):
         with open(f"{self._dir(tags)}/{self.OBJECT}", "rb") as obj:
@@ -196,6 +193,7 @@ class DirectoryBackend(_BackendBase):
                 continue
             with open(meta, encoding="utf-8") as text:
                 lines = text.read().splitlines()
+            # meta.txt written by earlier versions ends in a timestamp line
             tags = tuple(line for line in lines if line.startswith("#"))
             if tags:
                 out.append(tags)

@@ -132,7 +132,6 @@ class ShellSession:
         self.verbose = verbose
         self.backend = None
         self.disc: Optional[Disc] = None
-        self.history: list[str] = []
         self.done = False
 
     def _ensure_backend(self):
@@ -151,7 +150,6 @@ class ShellSession:
 
     def run_command(self, argv: list[str]) -> tuple[int, str, dict]:
         """Returns (status, text output, json payload)."""
-        self.history.append(shlex.join(argv))
         if not argv:
             return 0, "", {}
         name, *args = argv

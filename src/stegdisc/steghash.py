@@ -27,7 +27,6 @@ from .errors import (
     InvalidCounter,
     NotAPermutation,
     SizeMismatch,
-    UnknownTag,
 )
 
 Perm = tuple[int, ...]
@@ -62,7 +61,6 @@ class HashtagAlphabet:
         if len(set(tags)) != len(tags):
             raise ConfigInvalid("alphabet tags must be pairwise distinct")
         self.tags = tags
-        self._index = {tag: i for i, tag in enumerate(tags)}
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -72,12 +70,6 @@ class HashtagAlphabet:
 
     def __repr__(self) -> str:
         return f"HashtagAlphabet({list(self.tags)!r})"
-
-    def index(self, tag: str) -> int:
-        try:
-            return self._index[tag]
-        except KeyError:
-            raise UnknownTag(f"{tag!r} is not in the alphabet") from None
 
     @classmethod
     def default(cls, n: int) -> "HashtagAlphabet":
@@ -91,14 +83,6 @@ def perm_to_hashtags(perm: Sequence[int], alphabet: HashtagAlphabet) -> tuple[st
     if len(perm) != len(alphabet):
         raise SizeMismatch(f"permutation of {len(perm)} vs alphabet of {len(alphabet)}")
     return tuple(alphabet.tags[i] for i in perm)
-
-
-def hashtags_to_perm(seq: Sequence[str], alphabet: HashtagAlphabet) -> Perm:
-    """Exact inverse of perm_to_hashtags."""
-    indices = tuple(alphabet.index(tag) for tag in seq)
-    if len(indices) != len(alphabet) or len(set(indices)) != len(indices):
-        raise NotAPermutation(f"{list(seq)!r} is not a permutation of the alphabet")
-    return indices
 
 
 # -- lexicographic rank / unrank ---------------------------------------------

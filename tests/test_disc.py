@@ -16,7 +16,7 @@ from stegdisc.disc import (
     compute_chain_length,
     default_pool,
 )
-from stegdisc.document import Document, parse_superblock, serialize_superblock
+from stegdisc.document import Document
 from stegdisc.errors import (
     AllocationStall,
     BackendUnavailable,
@@ -79,10 +79,21 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             DiscConfig.create(n=3, p=16, m=4, mode="Z")
 
-    def test_mode_a_needs_small_n(self):
-        with pytest.raises(ConfigInvalid):
-            DiscConfig.create(n=9, p=64, m=4, mode="A")
-        DiscConfig.create(n=9, p=64, m=4, mode="C")  # fine without dictionaries
+    def test_mode_a_past_n_8(self, tmp_path):
+        # mode A keeps rank codes and computes rank/unrank on demand, so n
+        # is bounded only by 2^p > n! (10! = 3,628,800 < 2^24)
+        disc, backend, doc = make_doc_disc("A", tmp_path, n=10, p=24)
+        rng = random.Random(10)
+        files = {f"f{i:02d}": rng.randbytes(rng.randrange(0, 30)) for i in range(20)}
+        for name, blob in files.items():
+            disc.write_file(name, blob)
+        disc.delete_file("f07")
+        del files["f07"]
+        fresh = Disc.open(doc, backend, small_pool())
+        assert {entry.name for entry in fresh.list_files()} == set(files)
+        for name, blob in files.items():
+            assert fresh.read_file(name) == blob
+        assert fresh.fsck().ok
 
     def test_rank_codes_must_fit(self):
         # 2^p must exceed n! when pointers are rank codes
@@ -730,20 +741,23 @@ class TestPersistence:
             FileEntry("percent%25", 1, 1),
         ]
         used = {1, 5, 9}
-        text = serialize_superblock(config, entries, used)
-        config2, entries2, used2, _ = parse_superblock(text)
+        written = Document(config, {entry.name: entry.line for entry in entries})
+        written.used.update(used)
+        text = written.text()
+        read = Document.read(text)
+        config2 = read.config
         assert (config2.n, config2.p, config2.m, config2.mode) == (4, 16, 8, "A")
         assert config2.genesis == config.genesis
         assert config2.alphabet.tags == config.alphabet.tags
-        assert entries2 == entries
-        assert used2 == used
+        assert list(map(read.entry, read.entries)) == entries
+        assert read.used == used
+        assert read.text() == text
 
     def test_superblock_no_used_line_outside_mode_a(self):
         config = DiscConfig.create(n=4, p=16, m=8, mode="C", disc_id="rt")
-        text = serialize_superblock(config, [])
+        text = Document(config).text()
         assert "used=" not in text
-        _, _, used, _ = parse_superblock(text)
-        assert used is None
+        assert Document.read(text).text() == text
 
     @pytest.mark.parametrize("mode", MODES)
     def test_reopen_reads_and_extends(self, mode, tmp_path):
@@ -962,6 +976,13 @@ def make_doc_disc(mode, tmp_path, n=7, p=24, m=8):
     return Disc.format(config, backend, small_pool(), doc_path=doc), backend, doc
 
 
+def _reorder_catalog(doc, names):
+    """Write the document back as a snapshot whose catalog lists `names` in that order."""
+    document = Document.read(doc.read_text(encoding="utf-8"))
+    document.entries = {name: document.entries[name] for name in names}
+    doc.write_text(document.text(), encoding="utf-8")
+
+
 def run_starts(disc):
     """First pointer of each file's run, in chain order, from a traversal
     and the catalog's block counts."""
@@ -1040,8 +1061,8 @@ class TestCatalogNeighbours:
                 del reference[name]
             if step % 40 == 39:
                 disc = Disc.open(doc, backend, small_pool())
-            _, entries, _, _ = parse_superblock(doc.read_text(encoding="utf-8"))
-            assert [e.start_counter for e in entries if e.length] == run_starts(disc)
+            read = Document.read(doc.read_text(encoding="utf-8"))
+            assert [e.start_counter for e in map(read.entry, read.entries) if e.length] == run_starts(disc)
         assert disc.fsck().ok
         for name, blob in reference.items():
             assert disc.read_file(name) == blob
@@ -1052,12 +1073,8 @@ class TestCatalogNeighbours:
         for name in ("a", "b", "c", "d"):
             disc.write_file(name, name.encode() * 9)
         disc.modify_file("b", b"B" * 7)  # chain order is now a c d b
-        config, entries, used, stream = parse_superblock(doc.read_text(encoding="utf-8"))
-        by_name = {e.name: e for e in entries}
         # the catalog order an in-place edit used to leave behind
-        doc.write_text(
-            serialize_superblock(config, [by_name[n] for n in "abcd"], used, stream), encoding="utf-8"
-        )
+        _reorder_catalog(doc, "abcd")
         fresh = Disc.open(doc, backend, small_pool())
         fresh.write_file("e", b"after the real tail")
         assert fresh.read_file("e") == b"after the real tail"
@@ -1078,8 +1095,7 @@ class TestCatalogNeighbours:
         files = {f"f{i:03d}": rng.randbytes(rng.randrange(1, 17)) for i in range(300)}
         for name, blob in files.items():
             disc.write_file(name, blob)
-        config, entries, used, stream = parse_superblock(doc.read_text(encoding="utf-8"))
-        doc.write_text(serialize_superblock(config, entries[::-1], used, stream), encoding="utf-8")
+        _reorder_catalog(doc, reversed(files))
         fresh = Disc.open(doc, backend, small_pool())
         before = backend.counts["fetch"]
         fresh.delete_file("f000")  # the genesis block points at its run
@@ -1281,10 +1297,8 @@ class TestCatalog:
     def test_duplicate_name_rejected(self, tmp_path):
         config = DiscConfig.create(n=4, p=16, m=8, mode="C", disc_id="dup")
         doc = tmp_path / "sb.txt"
-        doc.write_text(
-            serialize_superblock(config, [FileEntry("x", 1, 3), FileEntry("x", 9, 3)]),
-            encoding="utf-8",
-        )
+        text = Document(config, {"x": FileEntry("x", 1, 3).line}).text()
+        doc.write_text(text + FileEntry("x", 9, 3).line + "\n", encoding="utf-8")
         with pytest.raises(ConfigInvalid):
             Disc.open(doc, MemoryBackend())
 
@@ -1305,9 +1319,10 @@ class TestCatalog:
         fresh.write_file("after reopen", b"z")
         fresh.stats()
         assert calls == [("one more",), ("after reopen",)]
-        config, entries, used, stream = parse_superblock(doc.read_text(encoding="utf-8"))
-        formatted = [FileEntry(e.name, e.start_counter, e.length) for e in entries]
-        assert doc.read_text(encoding="utf-8") == serialize_superblock(config, formatted, used, stream)
+        text = doc.read_text(encoding="utf-8")
+        formatted = Document.read(text)
+        formatted.entries = {e.name: e.line for e in map(formatted.entry, formatted.entries)}
+        assert text == formatted.text()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_start_code_wider_than_p_is_a_bad_block(self, mode, tmp_path):
@@ -1332,17 +1347,22 @@ class TestCatalog:
     @pytest.mark.parametrize("key", ["used", "stream", "mode"])
     def test_repeated_header_key_rejected(self, key):
         config = DiscConfig.create(n=4, p=16, m=8, mode="A", disc_id="rep")
-        text = serialize_superblock(config, [], {5}, SamplerState.fresh(config.genesis))
+        document = Document(config)
+        document.used.add(5)
+        text = document.text()
         line = next(line for line in text.splitlines() if line.startswith(key + "="))
         with pytest.raises(ConfigInvalid, match="repeats"):
-            parse_superblock(text + line + "\n")
+            Document.read(text + line + "\n")
 
 
 def _rewrite_stream(doc, stream):
     """Write the document back with `stream` as its sampler position (None
     drops the line, as a document written before the line existed)."""
-    config, entries, used, _ = parse_superblock(doc.read_text(encoding="utf-8"))
-    doc.write_text(serialize_superblock(config, entries, used, stream), encoding="utf-8")
+    document = Document.read(doc.read_text(encoding="utf-8"))
+    document.sampler = stream or document.sampler
+    lines = document.text().splitlines(keepends=True)
+    kept = [line for line in lines if stream is not None or not line.startswith("stream=")]
+    doc.write_text("".join(kept), encoding="utf-8")
 
 
 class TestStreamPosition:
@@ -1395,14 +1415,14 @@ class TestStreamPosition:
             if i >= 2:
                 disc.delete_file(f"f{i - 2}")
                 del files[f"f{i - 2}"]
-        position = parse_superblock(doc.read_text(encoding="utf-8"))[3]
+        position = Document.read(doc.read_text(encoding="utf-8")).sampler
         assert position.iteration > 10 * (2 ** 3 - 1)
         assert disc.fsck().ok
         for name, blob in files.items():
             assert disc.read_file(name) == blob
         fresh = Disc.open(doc, backend, small_pool())
         fresh.write_file("late", b"z" * 8)
-        after = parse_superblock(doc.read_text(encoding="utf-8"))[3]
+        after = Document.read(doc.read_text(encoding="utf-8")).sampler
         # the reopened sampler started at the persisted position
         assert fresh.stats().hash_iterations == after.iteration - position.iteration > 0
         assert fresh.fsck().ok
@@ -1418,8 +1438,8 @@ class TestStreamPosition:
         assert fresh.fsck().ok
         for name, blob in files.items():
             assert fresh.read_file(name) == blob
-        stream = parse_superblock(doc.read_text(encoding="utf-8"))[3]
-        assert stream is not None and stream.iteration > 0
+        text = doc.read_text(encoding="utf-8")
+        assert "stream=" in text and Document.read(text).sampler.iteration > 0
 
     @pytest.mark.parametrize(
         "value", ["x:0,1,2,3", "-1:0,1,2,3", "9:0,1,2", "9:0,1,1,3"],
@@ -1427,9 +1447,10 @@ class TestStreamPosition:
     )
     def test_malformed_line_rejected(self, value):
         config = DiscConfig.create(n=4, p=16, m=8, mode="B", disc_id="bad")
-        text = serialize_superblock(config, []) + f"stream={value}\n"
+        text = Document(config).text()  # its stream= line holds the seed
+        assert "stream=0:0,1,2,3\n" in text
         with pytest.raises(ConfigInvalid, match="^bad superblock document: "):
-            parse_superblock(text)
+            Document.read(text.replace("stream=0:0,1,2,3\n", f"stream={value}\n"))
 
     @pytest.mark.parametrize("mode", ["A", "B"])
     @pytest.mark.parametrize("stale", ["genesis", "hand-edited"])
@@ -1466,7 +1487,7 @@ class TestStreamPosition:
         fresh.write_file("d", b"d" * 12)
         text = doc.read_text(encoding="utf-8")
         assert "stream=" not in text
-        assert parse_superblock(text)[3] is None
+        assert "\n+@" not in text  # nor a journal record that moves the position
         doc.write_text(text + "stream=0:" + ",".join(map(str, range(7))) + "\n", encoding="utf-8")
         with pytest.raises(ConfigInvalid, match="mode C"):
             Disc.open(doc, backend, small_pool())
@@ -1529,10 +1550,6 @@ class TestModeCTail:
             disc.write_file(name, name.encode() * 9)
         files["b"] = b"B" * 7
         disc.modify_file("b", files["b"])  # chain order is now a c d b
-        config, entries, used, stream = parse_superblock(doc.read_text(encoding="utf-8"))
-        by_name = {e.name: e for e in entries}
         # d's run does not end the chain, so the lookup walks from the genesis block
-        doc.write_text(
-            serialize_superblock(config, [by_name[n] for n in "abcd"], used, stream), encoding="utf-8"
-        )
+        _reorder_catalog(doc, "abcd")
         _reopen_and_put(disc, backend, doc, files)

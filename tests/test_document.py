@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stegdisc.carrier import CarrierPool
 from stegdisc.disc import Disc
-from stegdisc.document import DiscConfig, Document, FileEntry, parse_superblock, serialize_superblock
+from stegdisc.document import DiscConfig, Document, FileEntry
 from stegdisc.errors import ConfigInvalid
 from stegdisc.osn import MemoryBackend
 from stegdisc.shell import ShellSession, main
@@ -202,8 +202,11 @@ def opened(text):
 
 def document(mode, entries, used):
     config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id="rd")
-    stream = None if mode == "C" else SamplerState(9, (3, 1, 0, 2))
-    return serialize_superblock(config, entries, used if mode == "A" else None, stream)
+    catalog = {entry.name: entry.line for entry in entries}
+    doc = Document(config, catalog, sampler=SamplerState(9, (3, 1, 0, 2)))
+    if mode == "A":
+        doc.used.update(used)
+    return doc.text()
 
 
 CATALOGS = st.dictionaries(
@@ -246,10 +249,8 @@ class TestDocumentReader:
     def test_open_reads_what_the_eager_parse_reads(self, mode, catalog, used):
         entries = [FileEntry(name, *numbers) for name, numbers in catalog.items()]
         text = document(mode, entries, used)
-        _, parsed, parsed_used, _ = parse_superblock(text)
-        assert parsed == old_catalog(text) == entries
+        assert old_catalog(text) == entries
         assert opened(text) == (entries, used if mode == "A" else None)
-        assert parsed_used == (used if mode == "A" else None)
 
     @given(st.sampled_from(MODES), CATALOGS, st.sets(st.integers(1, 23), max_size=8), st.data())
     @settings(max_examples=80, deadline=None)
@@ -263,19 +264,13 @@ class TestDocumentReader:
         except ValueError:
             old = None
         try:
-            eager = parse_superblock(text)
-        except ConfigInvalid:
-            eager = None
-        try:
             lazy = opened(text)
         except ConfigInvalid:
             lazy = None
-        # the eager wrapper and the lazy open share one reader
-        assert (eager is None) == (lazy is None)
         if old is None:
             assert lazy is None
         if lazy is not None:
-            assert lazy[0] == eager[1] == old
+            assert lazy[0] == old
 
     @given(
         st.sampled_from(MODES),
@@ -293,13 +288,13 @@ class TestDocumentReader:
             for name, size in sizes.items():
                 disc.write_file(name, bytes([size]) * size)
             # empty files may have names no put accepts, such as tabs
-            config, entries, used, stream = parse_superblock(disc.doc_path.read_text(encoding="utf-8"))
-            entries += [FileEntry(name, 0, 0) for name in dict.fromkeys(extra) if name not in sizes]
-            text = serialize_superblock(config, entries, used, stream)
-            assert serialize_superblock(*parse_superblock(text)) == text
+            edited = Document.read(disc.doc_path.read_text(encoding="utf-8"))
+            edited.entries.update((name, FileEntry(name, 0, 0).line) for name in extra if name not in sizes)
+            text = edited.text()
+            assert Document.read(text).text() == text
             disc.doc_path.write_text(text, encoding="utf-8")
             fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
-            names = [entry.name for entry in entries]
+            names = list(edited.entries)
             if op.startswith("put") or not names:
                 fresh.write_file("put here", b"" if op == "put empty" else b"p" * 13)
             elif op == "rm":
@@ -309,10 +304,9 @@ class TestDocumentReader:
             written = fresh.doc_path.read_text(encoding="utf-8")
             assert fresh.fsck().ok
         doc = fresh.document
-        mode_used = doc.used if mode == "A" else None
-        stream = doc.sampler if mode != "C" else None
-        catalog = [FileEntry(e.name, e.start_counter, e.length) for e in map(doc.entry, doc.entries)]
-        assert written == serialize_superblock(fresh.config, catalog, mode_used, stream)
+        # every line as the writer formats it
+        doc.entries = {e.name: e.line for e in map(doc.entry, doc.entries)}
+        assert written == doc.text()
 
 
 # -- documents written by an earlier release ---------------------------------
@@ -508,6 +502,9 @@ class TestJournal:
         disc.doc_path.write_text(text[:-1], encoding="utf-8")  # the last newline never landed
         fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
         assert fresh.document.entries == entries
+        stats = fresh.stats()  # the file as it is, torn line and all
+        assert stats.persistent_bytes == disc.doc_path.stat().st_size
+        assert stats.journal_bytes == len(split(text[:-1])[1].encode("utf-8"))
         fresh.write_file("after", b"a" * 5)  # the next write is a snapshot
         text = fresh.doc_path.read_text(encoding="utf-8")
         assert not split(text)[1]
@@ -573,8 +570,7 @@ class TestJournal:
     def test_a_document_without_a_journal_opens_and_appends(self, mode, newline, tmp_path):
         disc = big_disc(mode, tmp_path)
         # the document as the writer before the journal wrote it
-        config, entries, used, stream = parse_superblock(disc.doc_path.read_text(encoding="utf-8"))
-        earlier = serialize_superblock(config, entries, used, stream)
+        earlier = Document.read(disc.doc_path.read_text(encoding="utf-8")).text()
         disc.doc_path.write_text(earlier if newline else earlier[:-1], encoding="utf-8")
         fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
         fresh.write_file("appended", b"a" * 20)

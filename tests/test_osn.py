@@ -36,11 +36,6 @@ class TestCrud:
             backend.fetch(ABC)
         assert backend.fetch(CAB) == b"obj"
 
-    def test_post_ids_are_fresh(self, backend):
-        first = backend.post(b"obj", ABC)
-        second = backend.post(b"obj", CAB)
-        assert first and second and first != second
-
     def test_fetch_round_trip(self, backend):
         blob = bytes(range(256)) * 3
         backend.post(blob, ABC)
@@ -102,9 +97,18 @@ class TestDurability:
         DirectoryBackend(root).post(b"obj", ABC)
         (post_dir,) = [d for d in root.iterdir() if d.is_dir()]
         assert (post_dir / "object.bin").read_bytes() == b"obj"
-        lines = (post_dir / "meta.txt").read_text().splitlines()
-        assert lines[:3] == list(ABC)
-        assert "T" in lines[3]  # ISO-8601 timestamp
+        assert (post_dir / "meta.txt").read_text(encoding="utf-8") == "#a\n#b\n#c\n"
+
+    def test_meta_with_a_timestamp_line_still_reads(self, tmp_path):
+        # earlier versions wrote an ISO-8601 timestamp after the hashtags
+        root = tmp_path / "store"
+        DirectoryBackend(root).post(b"old", ABC)
+        meta = root / DirectoryBackend._digest(ABC) / "meta.txt"
+        meta.write_text("#a\n#b\n#c\n2026-01-02T03:04:05.678901+00:00\n", encoding="utf-8")
+        backend = DirectoryBackend(root)
+        assert backend.live_addresses() == [ABC]
+        assert backend.exists(ABC)
+        assert backend.fetch(ABC) == b"old"
 
     def test_distinct_orders_distinct_dirs(self, tmp_path):
         root = tmp_path / "store"

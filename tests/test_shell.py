@@ -103,12 +103,6 @@ class TestDispatch:
         assert sess.execute(["stat"]) == 0
         assert json.loads(capsys.readouterr().out)["stats"]["checkpoints"] >= 1
 
-    def test_history_recorded(self, tmp_path):
-        sess = session(tmp_path)
-        sess.execute(["format", "C", "4", "16", "8"])
-        sess.execute(["ls"])
-        assert sess.history[-1] == "ls"
-
 
 class TestDifferential:
     def test_shell_equals_library(self, tmp_path):
