@@ -10,7 +10,8 @@ an uncompressed 24-bit BMP, or copied verbatim into an "opaque" blob
 carrier (fast path for tests and benchmarks).  Embedding writes, and
 extraction reads, only the channel bytes the payload spans, never the
 whole image.  Carriers come from a pool of deterministic synthetic covers
-derived from (disc id, block counter).
+derived from (disc id, block counter), each with just the rows its
+payload needs.
 """
 
 from __future__ import annotations
@@ -288,7 +289,8 @@ def synthetic_bitmap(disc_id: str, counter: int, width: int, height: int) -> Car
 
 class CarrierPool:
     """Source of cover objects for new posts: deterministic synthetic bitmaps
-    of width x height, or opaque blobs of opaque_size when synth="opaque"."""
+    `width` pixels wide with the fewest rows, up to `height`, that hold a
+    post's payload, or opaque blobs of opaque_size when synth="opaque"."""
 
     def __init__(
         self,
@@ -307,12 +309,16 @@ class CarrierPool:
         self.disc_id = disc_id
 
     def min_capacity(self) -> int:
-        """Capacity of every carrier this pool serves."""
+        """The largest payload this pool's carriers can hold."""
         if self.synth == "opaque":
             return self.opaque_size
         return self.width * self.height * 3 // 8
 
-    def next_carrier(self, counter: int) -> CarrierObject:
+    def next_carrier(self, counter: int, nbytes: int) -> CarrierObject:
+        """The cover for block `counter` that holds an `nbytes` payload; a
+        payload over min_capacity() gets the tallest cover, which embed
+        rejects."""
         if self.synth == "opaque":
             return CarrierObject.opaque(bytes(self.opaque_size))
-        return synthetic_bitmap(self.disc_id, counter, self.width, self.height)
+        rows = -(-nbytes * 8 // (self.width * 3))
+        return synthetic_bitmap(self.disc_id, counter, self.width, min(max(rows, 1), self.height))

@@ -133,12 +133,10 @@ class TradeoffStats:
 
 
 def default_pool(config: DiscConfig) -> CarrierPool:
-    """Synthetic bitmap pool just large enough for this disc's payloads."""
-    need = config.carrier_bytes()
-    side = 8
-    while side * side * 3 < need * 8:
-        side *= 2
-    return CarrierPool(synth="bitmap", width=side, height=side, disc_id=config.disc_id)
+    """Synthetic bitmaps 16 pixels wide (48 channel bytes a row, no row
+    padding), as tall as this disc's largest payload needs."""
+    return CarrierPool(synth="bitmap", width=16, height=-(-config.carrier_bytes() * 8 // 48),
+                       disc_id=config.disc_id)
 
 
 class Disc:
@@ -197,8 +195,10 @@ class Disc:
             raise ChainBroken(f"undecodable block at {' '.join(tags)}", "bad-block", code) from exc
 
     def _post(self, code: int, addr: Perm, payload: BlockPayload, m: Optional[int] = None) -> None:
-        """Embed `payload` in the pool's carrier for `code` and post it at `addr`."""
-        stego = embed(self.pool.next_carrier(code), encode_payload(payload, self.config.p, m))
+        """Embed `payload` in the pool's carrier for `code`, sized to the
+        encoded payload, and post it at `addr`."""
+        raw = encode_payload(payload, self.config.p, m)
+        stego = embed(self.pool.next_carrier(code, len(raw)), raw)
         self.backend.post(stego.data, self._tags(addr))
 
     def _remove(self, run) -> None:

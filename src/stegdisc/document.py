@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-import uuid
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +66,7 @@ class DiscConfig:
                genesis=None, disc_id: Optional[str] = None) -> "DiscConfig":
         genesis = tuple(genesis) if genesis is not None else tuple(range(n))
         alphabet = alphabet or HashtagAlphabet.default(n)
-        return cls(n, p, m, mode, alphabet, genesis, disc_id or uuid.uuid4().hex[:12])
+        return cls(n, p, m, mode, alphabet, genesis, disc_id or os.urandom(6).hex())
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -94,7 +93,9 @@ class DiscConfig:
         return f"n={self.n};p={self.p};m={self.m};mode={self.mode};id={self.disc_id}".encode("utf-8")
 
     def carrier_bytes(self) -> int:
-        """Payload bytes every carrier must hold: a data block or the genesis echo."""
+        """The largest payload a block posts: a full data block or the
+        genesis echo.  Each post's cover holds its own payload, so this
+        bounds the pool's tallest cover, not every cover's size."""
         return header_size(self.p) + max(self.m, len(self.echo_bytes()))
 
 

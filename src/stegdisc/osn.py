@@ -25,7 +25,6 @@ import hashlib
 import os
 import random
 import shutil
-import uuid
 from pathlib import Path
 
 from .errors import BackendUnavailable, DuplicateAddress, NotFound
@@ -156,7 +155,7 @@ class DirectoryBackend(_BackendBase):
     def _write_object(self, post_dir: str, data: bytes) -> None:
         """object.bin's one writer: a temp file renamed over it, so a crash
         leaves the old bytes or the new ones, never a mix."""
-        tmp = f"{post_dir}/.object-{uuid.uuid4().hex}"
+        tmp = f"{post_dir}/.object-{os.urandom(16).hex()}"
         try:
             with open(tmp, "wb") as out:
                 out.write(data)

@@ -253,11 +253,35 @@ class TestPool:
     def test_synthetic_bitmap_pool(self):
         pool = CarrierPool(synth="bitmap", width=16, height=16, disc_id="x")
         assert pool.min_capacity() == 16 * 16 * 3 // 8
-        carrier = pool.next_carrier(1)
+        carrier = pool.next_carrier(1, 40)
         assert carrier.kind == "bitmap"
-        assert carrier.data == pool.next_carrier(1).data  # same counter, same carrier
+        assert carrier.data == pool.next_carrier(1, 40).data  # same counter, same carrier
 
     def test_opaque_pool(self):
         pool = CarrierPool(synth="opaque", opaque_size=64)
         assert pool.min_capacity() == 64
-        assert pool.next_carrier(3).kind == "opaque"
+        carrier = pool.next_carrier(3, 10)
+        assert carrier.kind == "opaque"
+        assert capacity(carrier) == 64  # an opaque blob is never sized
+
+    def test_cover_has_the_fewest_rows_that_hold_the_payload(self):
+        pool = CarrierPool(synth="bitmap", width=16, height=16, disc_id="x")
+        for nbytes in range(1, pool.min_capacity() + 1):
+            carrier = pool.next_carrier(5, nbytes)
+            assert carrier.geometry[:2] == (16, -(-nbytes // 6))  # a 16-pixel row: 48 bits, 6 bytes
+            assert capacity(carrier) >= nbytes
+
+    def test_never_more_rows_than_the_pool_height(self):
+        pool = CarrierPool(synth="bitmap", width=16, height=12, disc_id="x")
+        for nbytes in (72, 73, 500, 10 ** 6):
+            assert pool.next_carrier(2, nbytes).geometry[:2] == (16, 12)
+        with pytest.raises(CapacityExceeded):
+            embed(pool.next_carrier(2, 73), bytes(73))
+
+    def test_a_short_cover_is_the_first_rows_of_a_tall_one(self):
+        # SHAKE-256 output is prefix-stable, and 16-pixel rows have no padding
+        pool = CarrierPool(synth="bitmap", width=16, height=16, disc_id="x")
+        short, tall = pool.next_carrier(9, 9), pool.next_carrier(9, 96)
+        offset = short.geometry[2]
+        assert short.geometry[1] == 2 and tall.geometry[1] == 16
+        assert tall.data[offset:].startswith(short.data[offset:])

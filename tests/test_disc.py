@@ -8,7 +8,14 @@ from math import factorial
 import numpy as np
 import pytest
 
-from stegdisc.carrier import CarrierObject, CarrierPool, embed, encode_payload, read_payload
+from stegdisc.carrier import (
+    CarrierObject,
+    CarrierPool,
+    embed,
+    encode_payload,
+    header_size,
+    read_payload,
+)
 from stegdisc.disc import (
     Disc,
     DiscConfig,
@@ -620,10 +627,25 @@ def numpy_reference_cover(disc_id, counter, width, height):
 
 
 class NumpyCoverPool(CarrierPool):
-    """The default pool's geometry, serving the covers posted before numpy was dropped."""
+    """The covers posted before numpy was dropped: every post the pool's
+    full width x height, whatever its payload."""
 
-    def next_carrier(self, counter):
+    def next_carrier(self, counter, nbytes):
         return numpy_reference_cover(self.disc_id, counter, self.width, self.height)
+
+
+class SquareCoverPool(CarrierPool):
+    """The covers posted before covers were sized to their payload: every
+    post the pool's full width x height."""
+
+    def next_carrier(self, counter, nbytes):
+        return super().next_carrier(counter, self.min_capacity())
+
+
+def cover_size(nbytes):
+    """BMP bytes of a default-pool cover for an nbytes payload: the 54-byte
+    headers, then 16-pixel rows of 48 bytes (6 hidden bytes) with no padding."""
+    return 54 + 48 * -(-nbytes // 6)
 
 
 def high_bits(data):
@@ -639,8 +661,7 @@ class TestNumpyCovers:
         backend = DirectoryBackend(tmp_path / "osn")
         config = DiscConfig.create(n=5, p=16, m=8, mode=mode, disc_id=f"np-{mode}")
         new_pool = default_pool(config)
-        old_pool = NumpyCoverPool(
-            width=new_pool.width, height=new_pool.height, disc_id=config.disc_id)
+        old_pool = NumpyCoverPool(width=16, height=16, disc_id=config.disc_id)
         doc = tmp_path / "sb.txt"
         old = Disc.format(config, backend, old_pool, doc_path=doc)
         files = {f"f{i}": random.Random(i).randbytes(5 + 9 * i) for i in range(4)}
@@ -660,12 +681,76 @@ class TestNumpyCovers:
             assert fresh.fsck().ok
             assert {name: fresh.read_file(name) for name in files} == files
         kept = 0
-        for code, addr, _ in disc.chain_blocks():
+        for code, addr, payload in disc.chain_blocks():
             cover = old_pool if code in old_codes else new_pool
-            want = cover.next_carrier(code).data
+            want = cover.next_carrier(code, header_size(16) + len(payload.data)).data
             assert high_bits(backend.fetch(disc._tags(addr))) == high_bits(want)
             kept += code in old_codes
         assert kept == sum(compute_chain_length(len(files[name]), 8) for name in ("f0", "f3"))
+
+
+class TestSquareCovers:
+    """A disc posted with 16x16 covers for every block reopens with the
+    default pool, whose covers are sized to each payload."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_old_disc_takes_put_edit_and_rm(self, mode, tmp_path):
+        backend = MemoryBackend()
+        config = DiscConfig.create(n=5, p=16, m=64, mode=mode, disc_id=f"sq-{mode}")
+        doc = tmp_path / "sb.txt"
+        old = Disc.format(config, backend, SquareCoverPool(width=16, height=16, disc_id=config.disc_id),
+                          doc_path=doc)
+        files = {f"f{i}": random.Random(i).randbytes(30 + 50 * i) for i in range(4)}
+        for name, data in files.items():
+            old.write_file(name, data)
+        old_codes = [code for code, _, _ in old.chain_blocks()]
+        rewritten = {old_codes[0]: old_codes[1], old_codes[-1]: 0}  # f0's and f3's last blocks
+
+        disc = Disc.open(doc, backend)
+        assert (disc.pool.width, disc.pool.height) == (16, 12)
+        assert disc.fsck().ok
+        assert {name: disc.read_file(name) for name in files} == files
+        files["new"] = b"posted with a sized cover"
+        disc.write_file("new", files["new"])  # rewrites f3's last block, an old one
+        files["f1"] = random.Random(9).randbytes(100)
+        disc.modify_file("f1", files["f1"])  # rewrites f0's last block
+        disc.delete_file("f2")  # rewrites f0's last block again
+        del files["f2"]
+
+        for fresh in (disc, Disc.open(doc, backend)):
+            assert fresh.fsck().ok
+            assert {name: fresh.read_file(name) for name in files} == files
+        chain = {code: (addr, payload) for code, addr, payload in disc.chain_blocks()}
+        for code, (addr, payload) in chain.items():
+            size = 822 if code in old_codes else cover_size(header_size(16) + len(payload.data))
+            assert len(backend.fetch(disc._tags(addr))) == size
+        for code, pointer in rewritten.items():  # still on the chain, pointing elsewhere
+            assert chain[code][1].next_counter != pointer
+
+
+class TestCoverSizes:
+    """Each post's cover has the fewest 16-pixel rows that hold its payload."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_posts_are_sized_to_their_payload(self, mode):
+        backend = MemoryBackend()
+        config = DiscConfig.create(n=7, p=16, m=64, mode=mode, disc_id=f"size-{mode}")
+        disc = Disc.format(config, backend)
+        assert (disc.pool.width, disc.pool.height) == (16, 12)
+        disc.write_file("full", bytes(64))
+        disc.write_file("one", b"x")
+        sizes = [len(backend.fetch(disc._tags(addr))) for _, addr, _ in disc.chain_blocks()]
+        assert sizes == [54 + 12 * 48, 150]
+        genesis = len(backend.fetch(disc._tags(config.genesis)))
+        assert genesis == cover_size(header_size(16) + len(config.echo_bytes())) < 630
+
+    def test_wider_pointers_take_a_taller_cover(self):
+        config = DiscConfig.create(n=7, p=24, m=64, mode="C", disc_id="size-p24")
+        disc = Disc.format(config, MemoryBackend())
+        assert (disc.pool.width, disc.pool.height) == (16, 13)
+        disc.write_file("full", bytes(64))
+        (_, addr, _), = disc.chain_blocks()
+        assert len(disc.backend.fetch(disc._tags(addr))) == 678
 
 
 class TestReplaySoundness:
