@@ -44,7 +44,7 @@ def header_size(p: int) -> int:
     return 6 + counter_bytes(p)
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockPayload:
     """Hidden content of one posted object."""
 
@@ -78,24 +78,9 @@ def encode_payload(payload: BlockPayload, p: int, m: Optional[int] = None) -> by
 
 
 def decode_payload(raw: bytes, p: int) -> BlockPayload:
-    """Exact inverse of encode_payload; trailing bytes beyond data_len are ignored."""
-    hsize = header_size(p)
-    if len(raw) < hsize:
-        raise TruncatedPayload(f"{len(raw)} bytes < header size {hsize}")
-    version, flags = raw[0], raw[1]
-    if version != PAYLOAD_VERSION:
-        raise BadVersion(f"unknown payload version {version}")
-    nbytes = counter_bytes(p)
-    next_counter = int.from_bytes(raw[2:2 + nbytes], "big")
-    (data_len,) = struct.unpack(">I", raw[2 + nbytes:hsize])
-    if len(raw) < hsize + data_len:
-        raise TruncatedPayload(f"declared {data_len} data bytes, {len(raw) - hsize} present")
-    return BlockPayload(
-        next_counter=next_counter,
-        data=bytes(raw[hsize:hsize + data_len]),
-        flags=flags,
-        version=version,
-    )
+    """Inverse of encode_payload, by the one payload parser, read_payload;
+    trailing bytes beyond data_len are ignored."""
+    return read_payload(CarrierObject.opaque(raw), p)
 
 
 # -- BMP container -------------------------------------------------------------
@@ -105,6 +90,7 @@ def decode_payload(raw: bytes, p: int) -> BlockPayload:
 
 _BMP_FILE_HEADER = struct.Struct("<2sIHHI")
 _BMP_INFO_HEADER = struct.Struct("<IiiHHIIiiII")
+_BMP_HEADERS = struct.Struct(_BMP_FILE_HEADER.format + _BMP_INFO_HEADER.format[1:])  # both, parsed as one
 # a channel byte's LSB as an ASCII digit, so extracted bits parse as one int
 _LSB_DIGITS = bytes(b"01"[value & 1] for value in range(256))
 # a channel byte with its LSB cleared, and an ASCII digit as the byte 0 or 1,
@@ -146,14 +132,12 @@ def make_bitmap(width: int, height: int, channel_bytes: Optional[bytes] = None) 
 def _parse_bmp(data: bytes) -> tuple[int, int, int, int]:
     """Return (width, height, pixel_offset, stride); UnsupportedCarrier if not
     a plain bottom-up 24-bit uncompressed BMP."""
-    if len(data) < _BMP_FILE_HEADER.size + _BMP_INFO_HEADER.size:
+    if len(data) < _BMP_HEADERS.size:
         raise UnsupportedCarrier("too short for a BMP header")
-    magic, _size, _r1, _r2, offset = _BMP_FILE_HEADER.unpack_from(data, 0)
+    (magic, _size, _r1, _r2, offset, hdr_size, width, height, planes, bpp, compression,
+     _img_size, _xppm, _yppm, _colors, _important) = _BMP_HEADERS.unpack_from(data)
     if magic != b"BM":
         raise UnsupportedCarrier("missing BM magic")
-    (hdr_size, width, height, planes, bpp, compression,
-     _img_size, _xppm, _yppm, _colors, _important) = _BMP_INFO_HEADER.unpack_from(
-        data, _BMP_FILE_HEADER.size)
     if hdr_size < _BMP_INFO_HEADER.size or planes != 1:
         raise UnsupportedCarrier(f"unsupported BMP header (size {hdr_size})")
     if bpp != 24 or compression != 0:
@@ -252,31 +236,44 @@ def embed(carrier: CarrierObject, payload: bytes) -> CarrierObject:
     return CarrierObject("bitmap", bytes(out))
 
 
+def _hidden(stego: CarrierObject, start: int, nbytes: int) -> bytes:
+    """Hidden bytes start..start+nbytes-1, read from the channel bytes they span."""
+    if nbytes <= 0:
+        return b""
+    data = stego.data
+    if stego.kind == "opaque":
+        return bytes(data[start:start + nbytes])
+    width, _, offset, stride = geometry = stego.geometry
+    if stride == width * 3:  # no row padding: the bits' channel bytes are one slice
+        chan = data[offset + start * 8:offset + (start + nbytes) * 8]
+    else:  # the channel bytes of every row the bits reach, less those of earlier bytes
+        spans = _spans(geometry, (start + nbytes) * 8)
+        chan = b"".join([data[at:at + length] for at, length in spans])[start * 8:]
+    return int(chan.translate(_LSB_DIGITS), 2).to_bytes(nbytes, "big")
+
+
 def extract(stego: CarrierObject, expected_len: int) -> bytes:
     """Recover the first expected_len hidden bytes (inverse of embed) from the bytes they span."""
     if expected_len > capacity(stego):
         raise CapacityExceeded(f"{expected_len} bytes > capacity {capacity(stego)}")
-    if expected_len <= 0:
-        return b""
-    if stego.kind == "opaque":
-        return bytes(stego.data[:expected_len])
-    spans = _spans(stego.geometry, expected_len * 8)
-    chan = b"".join([stego.data[start:start + length] for start, length in spans])
-    return int(chan.translate(_LSB_DIGITS), 2).to_bytes(expected_len, "big")
+    return _hidden(stego, 0, expected_len)
 
 
 def read_payload(stego: CarrierObject, p: int) -> BlockPayload:
-    """Two-phase payload read: extract the header, then exactly the bytes the
-    header's data_len declares."""
+    """Two-phase payload read: extract and parse the header once, then
+    extract exactly the data bytes its data_len declares."""
     hsize = header_size(p)
     cap = capacity(stego)
     if hsize > cap:
         raise TruncatedPayload(f"capacity {cap} below header size {hsize}")
-    head = extract(stego, hsize)
-    (data_len,) = struct.unpack(">I", head[hsize - 4:hsize])
+    head = _hidden(stego, 0, hsize)
+    data_len = int.from_bytes(head[hsize - 4:], "big")
     if hsize + data_len > cap:
         raise TruncatedPayload(f"declared {data_len} data bytes exceed capacity {cap}")
-    return decode_payload(extract(stego, hsize + data_len), p)
+    if head[0] != PAYLOAD_VERSION:
+        raise BadVersion(f"unknown payload version {head[0]}")
+    counter = int.from_bytes(head[2:hsize - 4], "big")
+    return BlockPayload(counter, _hidden(stego, hsize, data_len), head[1], head[0])
 
 
 # -- carrier pool --------------------------------------------------------------
@@ -308,7 +305,7 @@ class CarrierPool:
         self.opaque_size = opaque_size
         self.disc_id = disc_id
 
-    def min_capacity(self) -> int:
+    def max_capacity(self) -> int:
         """The largest payload this pool's carriers can hold."""
         if self.synth == "opaque":
             return self.opaque_size
@@ -316,7 +313,7 @@ class CarrierPool:
 
     def next_carrier(self, counter: int, nbytes: int) -> CarrierObject:
         """The cover for block `counter` that holds an `nbytes` payload; a
-        payload over min_capacity() gets the tallest cover, which embed
+        payload over max_capacity() gets the tallest cover, which embed
         rejects."""
         if self.synth == "opaque":
             return CarrierObject.opaque(bytes(self.opaque_size))

@@ -155,7 +155,7 @@ class Disc:
         self._ladder = CheckpointLadder(config.n) if config.mode == "C" else None
         self.hash_iterations = 0  # stream hashes spent allocating
         self.replay_iterations = 0  # stream hashes spent resolving pointers
-        need, offer = config.carrier_bytes(), self.pool.min_capacity()
+        need, offer = config.carrier_bytes(), self.pool.max_capacity()
         if need > offer:
             raise ConfigInvalid(f"blocks need {need} carrier bytes, the pool offers {offer}")
 

@@ -79,10 +79,10 @@ class HashtagAlphabet:
 
 def perm_to_hashtags(perm: Sequence[int], alphabet: HashtagAlphabet) -> tuple[str, ...]:
     """Render a permutation as the ordered hashtag sequence it addresses."""
-    perm = validate_permutation(perm)
-    if len(perm) != len(alphabet):
-        raise SizeMismatch(f"permutation of {len(perm)} vs alphabet of {len(alphabet)}")
-    return tuple(alphabet.tags[i] for i in perm)
+    perm, tags = validate_permutation(perm), alphabet.tags
+    if len(perm) != len(tags):
+        raise SizeMismatch(f"permutation of {len(perm)} vs alphabet of {len(tags)}")
+    return tuple([tags[i] for i in perm])
 
 
 # -- lexicographic rank / unrank ---------------------------------------------
@@ -102,13 +102,16 @@ def unrank(code: int, n: int) -> Perm:
     """Permutation of 0..n-1 at lexicographic position code."""
     if n < 1:
         raise NotAPermutation("n must be >= 1")
-    if not 0 <= code < factorial(n):
-        raise CodeOutOfRange(f"code {code} out of range for n={n} (n! = {factorial(n)})")
+    place = factorial(n - 1)  # the weight of the next digit: (n-1)!, then (n-2)!, ...
+    if not 0 <= code < place * n:
+        raise CodeOutOfRange(f"code {code} out of range for n={n} (n! = {place * n})")
     remaining = list(range(n))
     out = []
-    for i in range(n - 1, -1, -1):
-        digit, code = divmod(code, factorial(i))
+    for i in range(n - 1, 0, -1):
+        digit, code = divmod(code, place)
         out.append(remaining.pop(digit))
+        place //= i
+    out += remaining  # the last digit is always 0
     return tuple(out)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stegdisc.carrier import (
     FLAG_SUPERBLOCK,
+    PAYLOAD_VERSION,
     BlockPayload,
     CarrierObject,
     CarrierPool,
@@ -249,24 +250,72 @@ class TestEmbed:
             assert read_payload(embed(cover, encode_payload(payload, p)), p) == payload
 
 
+class TestReadPayload:
+    """read_payload parses the header once, then extracts only the data
+    bytes it declares, from bit 8 * header_size(p) on."""
+
+    # 16 and 32 pixels: 48- and 96-byte rows, no padding; 5 and 17: padded rows
+    @pytest.mark.parametrize("width", [5, 16, 17, 32])
+    @given(st.integers(1, 6), st.sampled_from([1, 8, 16, 24]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_every_data_length_round_trips(self, width, height, p, data):
+        chan = data.draw(st.binary(min_size=width * height * 3, max_size=width * height * 3))
+        cover = CarrierObject.bitmap(width, height, channel_bytes=chan)
+        room = capacity(cover) - header_size(p)
+        counter, flags = data.draw(st.integers(0, 2 ** p - 1)), data.draw(st.integers(0, 255))
+        body = data.draw(st.binary(min_size=max(room, 0), max_size=max(room, 0)))
+        for size in range(room + 1):
+            payload = BlockPayload(next_counter=counter, data=body[:size], flags=flags)
+            raw = encode_payload(payload, p)
+            stego = embed(cover, raw)
+            assert lsb_oracle_extract(stego.data, len(raw)) == raw
+            assert read_payload(stego, p) == payload
+
+    @staticmethod
+    def hide(raw, kind):
+        """A carrier whose capacity is exactly len(raw), holding raw."""
+        if kind == "opaque":
+            return CarrierObject.opaque(raw)
+        cover = CarrierObject.bitmap(-(-8 * len(raw) // 3), 1)  # one padded row
+        assert capacity(cover) == len(raw)
+        return embed(cover, raw)
+
+    @pytest.mark.parametrize("kind", ["opaque", "bitmap"])
+    def test_errors_come_in_order(self, kind):
+        p = 16
+        hsize = header_size(p)
+        good = encode_payload(BlockPayload(next_counter=3, data=b"abc"), p)
+        assert read_payload(self.hide(good, kind), p) == BlockPayload(next_counter=3, data=b"abc")
+        bad_version = bytes([PAYLOAD_VERSION + 1]) + good[1:]
+        # capacity below the header size, whatever the version byte says
+        with pytest.raises(TruncatedPayload, match="below header size"):
+            read_payload(self.hide(bad_version[:hsize - 1], kind), p)
+        # a declared length past capacity before the version byte
+        too_long = bad_version[:hsize - 4] + (4).to_bytes(4, "big") + b"abc"
+        with pytest.raises(TruncatedPayload, match="exceed capacity"):
+            read_payload(self.hide(too_long, kind), p)
+        with pytest.raises(BadVersion):
+            read_payload(self.hide(bad_version, kind), p)
+
+
 class TestPool:
     def test_synthetic_bitmap_pool(self):
         pool = CarrierPool(synth="bitmap", width=16, height=16, disc_id="x")
-        assert pool.min_capacity() == 16 * 16 * 3 // 8
+        assert pool.max_capacity() == 16 * 16 * 3 // 8
         carrier = pool.next_carrier(1, 40)
         assert carrier.kind == "bitmap"
         assert carrier.data == pool.next_carrier(1, 40).data  # same counter, same carrier
 
     def test_opaque_pool(self):
         pool = CarrierPool(synth="opaque", opaque_size=64)
-        assert pool.min_capacity() == 64
+        assert pool.max_capacity() == 64
         carrier = pool.next_carrier(3, 10)
         assert carrier.kind == "opaque"
         assert capacity(carrier) == 64  # an opaque blob is never sized
 
     def test_cover_has_the_fewest_rows_that_hold_the_payload(self):
         pool = CarrierPool(synth="bitmap", width=16, height=16, disc_id="x")
-        for nbytes in range(1, pool.min_capacity() + 1):
+        for nbytes in range(1, pool.max_capacity() + 1):
             carrier = pool.next_carrier(5, nbytes)
             assert carrier.geometry[:2] == (16, -(-nbytes // 6))  # a 16-pixel row: 48 bits, 6 bytes
             assert capacity(carrier) >= nbytes

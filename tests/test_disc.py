@@ -639,7 +639,7 @@ class SquareCoverPool(CarrierPool):
     post the pool's full width x height."""
 
     def next_carrier(self, counter, nbytes):
-        return super().next_carrier(counter, self.min_capacity())
+        return super().next_carrier(counter, self.max_capacity())
 
 
 def cover_size(nbytes):

@@ -7,15 +7,16 @@ import tempfile
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
+from unittest import mock
 from urllib.parse import unquote
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stegdisc.carrier import CarrierPool
 from stegdisc.disc import Disc
-from stegdisc.document import DiscConfig, Document, FileEntry
+from stegdisc.document import DiscConfig, Document, FileEntry, write_superblock
 from stegdisc.errors import ConfigInvalid
 from stegdisc.osn import MemoryBackend
 from stegdisc.shell import ShellSession, main
@@ -277,12 +278,20 @@ class TestDocumentReader:
         st.dictionaries(NAMES.filter(lambda name: "\t" not in name), st.integers(0, 20), max_size=6),
         st.lists(NAMES, max_size=3),
         st.sampled_from(["put", "put empty", "rm", "edit"]),
-        st.data(),
+        st.integers(0, 8),
     )
     @settings(max_examples=40, deadline=None)
+    # a snapshot at least 50 times the group's size takes the group as a journal
+    @example("A", dict.fromkeys(["5", "a", "%", "5%%", "%%é", "éé火火"], 0), [], "rm", 0)
     def test_open_mutate_persist_writes_what_the_writer_writes(
-        self, mode, sizes, extra, op, data
+        self, mode, sizes, extra, op, pick
     ):
+        writes = []
+
+        def recorded(path, text, append=False):
+            writes.append((text, append))
+            write_superblock(path, text, append)
+
         with tempfile.TemporaryDirectory() as directory:
             disc = make_disc(mode, directory)
             for name, size in sizes.items():
@@ -295,18 +304,25 @@ class TestDocumentReader:
             disc.doc_path.write_text(text, encoding="utf-8")
             fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
             names = list(edited.entries)
-            if op.startswith("put") or not names:
-                fresh.write_file("put here", b"" if op == "put empty" else b"p" * 13)
-            elif op == "rm":
-                fresh.delete_file(data.draw(st.sampled_from(names)))
-            else:
-                fresh.modify_file(data.draw(st.sampled_from(names)), b"e" * 11)
+            with mock.patch("stegdisc.disc.write_superblock", recorded):
+                if op.startswith("put") or not names:
+                    fresh.write_file("put here", b"" if op == "put empty" else b"p" * 13)
+                elif op == "rm":
+                    fresh.delete_file(names[pick % len(names)])
+                else:
+                    fresh.modify_file(names[pick % len(names)], b"e" * 11)
             written = fresh.doc_path.read_text(encoding="utf-8")
             assert fresh.fsck().ok
         doc = fresh.document
         # every line as the writer formats it
         doc.entries = {e.name: e.line for e in map(doc.entry, doc.entries)}
-        assert written == doc.text()
+        [(group, journaled)] = writes
+        if journaled:  # the old snapshot, then exactly the writer's group, read back as the new one
+            assert group.startswith("+") and group.endswith("\n")
+            assert written == text + group
+            assert Document.read(written).text() == doc.text()
+        else:
+            assert written == doc.text()
 
 
 # -- documents written by an earlier release ---------------------------------

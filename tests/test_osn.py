@@ -175,6 +175,51 @@ class TestDurability:
             post_dir = root / DirectoryBackend._digest(tags)
             assert sorted(path.name for path in post_dir.iterdir()) == names
 
+    @pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7])
+    def test_fetch_is_byte_exact_at_any_size(self, tmp_path, size):
+        blob = os.urandom(size)
+        backend = DirectoryBackend(tmp_path / "store")
+        backend.post(blob, ABC)
+        assert backend.fetch(ABC) == blob
+        backend.replace(ABC, blob[::-1])
+        assert DirectoryBackend(tmp_path / "store").fetch(ABC) == blob[::-1]
+
+    def test_short_reads_and_writes_move_every_byte(self, tmp_path, monkeypatch):
+        # a read or write may move fewer bytes than asked; only an empty read ends the file
+        read, write = os.read, os.write
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 100)))
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:100]))
+        blob = os.urandom(1000)
+        backend = DirectoryBackend(tmp_path / "store")
+        backend.post(blob, ABC)
+        assert backend.fetch(ABC) == blob
+        assert backend.live_addresses() == [ABC]
+        backend.replace(ABC, blob[:333])
+        monkeypatch.undo()
+        assert DirectoryBackend(tmp_path / "store").fetch(ABC) == blob[:333]
+
+    def test_each_query_digests_its_sequence_once(self, tmp_path, monkeypatch):
+        backend = DirectoryBackend(tmp_path / "store")
+        digest, calls = DirectoryBackend._digest, []
+        monkeypatch.setattr(DirectoryBackend, "_digest", staticmethod(lambda tags: calls.append(tags) or digest(tags)))
+        queries = [
+            lambda: backend.exists(ABC),
+            lambda: backend.post(b"obj", ABC),
+            lambda: backend.exists(ABC),
+            lambda: backend.fetch(ABC),
+            lambda: backend.replace(ABC, b"new"),
+            lambda: backend.remove(ABC),
+            lambda: backend.fetch(ABC),  # NotFound
+            lambda: backend.remove(ABC),  # NotFound
+        ]
+        for query in queries:
+            calls.clear()
+            try:
+                query()
+            except NotFound:
+                pass
+            assert calls == [ABC]
+
 
 class TestInjection:
     def test_failures_are_injected(self):
