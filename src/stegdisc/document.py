@@ -5,33 +5,38 @@ Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.  Opening a disc checks
 all of it; the catalog is held as its lines, parsed each time a command
 uses one and written back as read, and mode A's used= line is parsed
-only when a command needs the used set.  In modes A and B a `stream=`
-line records the allocation sampler's position, and a fresh session
-resumes allocation from it.  Their pointers are rank codes and freedom
-is checked against the used set or the network, so a stale position
-costs hashes, never correctness.  Mode C writes no such line.
+only when a command needs the used set.  That line holds the sorted
+codes as their differences after a `~` (`used=~22,1,9` is {22, 23, 32});
+each gap, like each code a journal record names, is at least 1 and has
+no leading zero (rank 0 is the NULL pointer).  The line an earlier
+version wrote, the codes themselves with no `~`, still reads, and the
+next snapshot writes gaps; an earlier version rejects the `~` line.  In
+modes A and B a `stream=` line records the allocation sampler's
+position, and a fresh session resumes allocation from it.  Their
+pointers are rank codes and freedom is checked against the used set or
+the network, so a stale position costs hashes, never correctness.  Mode
+C writes no such line.
 
 These lines are a snapshot, and a journal follows: a put, edit or rm
 appends one group of records with one write(), its catalog record last:
 `+<TAB><catalog line>` adds or moves an entry to the end, `+!<quoted
 name>` drops one, `+@<iteration>:<perm>` moves the allocation position,
-and `+*<codes>` / `+^<codes>` mark mode A codes used / free.  A torn last
-line is ignored.  A group that would take the journal past 2 % of the
-snapshot's bytes is written as a snapshot instead (a temp file renamed
+and `+*<codes>` / `+^<codes>` mark mode A codes used / free (the codes
+themselves, not gaps).  A torn last line is ignored.  A group that would
+take the journal past 2 % of the snapshot's bytes is written as a
+snapshot instead (a new file, readable by its owner alone, renamed
 over).  Earlier versions reject a journal: a record has three tabs or no "=".
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from math import factorial
-from operator import not_
-from pathlib import Path
+from operator import not_, sub
 from typing import NamedTuple, Optional
 from urllib.parse import quote, unquote
 
@@ -133,8 +138,9 @@ def write_superblock(path, text: str, append: bool = False) -> None:
         with open(path, "ab", buffering=0) as handle:
             handle.write(text.encode("utf-8"))
         return
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".stegdisc-")
+    # owner-only (0o600), as the document holds the genesis and the alphabet
+    tmp = os.path.join(os.path.dirname(path), f".stegdisc-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -211,10 +217,12 @@ def _read_document(text: str):
             raise ConfigInvalid(f"bad journal record {record!r}, or a drop of no entry")
     appended = "\t".join(puts).split("\t")  # the journal's catalog records
     numbers = [*fields[1::3], *fields[2::3], *appended[1::3], *appended[2::3]]  # starts, lengths
-    codes = ",".join([header.get("used") or "0", *(m[1:] for m in marks)])  # used= may be empty
+    used = header.get("used", "")  # "~" and the gaps between the sorted codes, or the codes
+    codes = ",".join([used.removeprefix("~") or "1", *(m[1:] for m in marks)])  # used= may be empty
     digits = "".join(numbers) + codes.replace(",", "") + "0"
     malformed = not set(tabs) <= {0, 2} or not set(map(str.count, puts, repeat("\t"))) <= {2}
     malformed = malformed or "" in numbers or ",," in f",{codes},"
+    malformed = malformed or ",0" in f",{codes}"  # each code and gap is at least 1, with no leading 0
     if malformed or not (digits.isascii() and digits.isdigit()):
         raise ConfigInvalid("bad superblock document: a catalog, used= or journal line is malformed")
     try:
@@ -259,7 +267,9 @@ class Document:
     @cached_property
     def used(self) -> set[int]:
         """Mode A: rank codes of live blocks, read on first use."""
-        used = set(map(int, filter(None, self._used[0].split(","))))
+        value = self._used[0]
+        codes = map(int, filter(None, value.removeprefix("~").split(",")))
+        used = set(accumulate(codes) if value.startswith("~") else codes)  # "~": gaps between sorted codes
         for record in self._used[1:]:  # marked used ("*") or freed ("^") by journal records
             (used.update if record[0] == "*" else used.difference_update)(map(int, record[1:].split(",")))
         return used
@@ -294,7 +304,8 @@ class Document:
         if config.mode != "C":
             header.append("stream=" + _position(self.sampler))
         if config.mode == "A":
-            header.append("used=" + ",".join(map(str, sorted(self.used))))
+            codes = sorted(self.used)
+            header.append("used=~" + ",".join(map(str, map(sub, codes, [0, *codes]))))
         return header
 
     def text(self) -> str:

@@ -40,11 +40,11 @@ _UNTAGGED = object()  # the sequence of a query that names no address
 
 def _check_hashtags(hashtags) -> Hashtags:
     tags = tuple(hashtags)
+    for tag in tags:
+        if not isinstance(tag, str) or not tag.startswith("#"):
+            raise ValueError(f"not a hashtag: {tag!r}")
     if not tags or len(set(tags)) != len(tags):
         raise ValueError(f"hashtag sequence must be non-empty and distinct: {tags!r}")
-    for tag in tags:
-        if not tag.startswith("#"):
-            raise ValueError(f"not a hashtag: {tag!r}")
     return tags
 
 

@@ -3,9 +3,12 @@ only the catalog lines a command uses, write-back byte for byte, and the
 journal of records appended after the snapshot."""
 
 import json
+import os
+import stat
 import tempfile
 from collections import Counter
 from functools import cached_property
+from math import factorial
 from pathlib import Path
 from unittest import mock
 from urllib.parse import unquote
@@ -327,16 +330,17 @@ class TestDocumentReader:
 
 # -- documents written by an earlier release ---------------------------------
 
-# Written after golden_disc's operations: modes A and B by the code before
-# SamplerState became (iteration, perm), mode C by the code before the
-# catalog was held as its lines; the pointer code is that of the next put's
-# first block.  Pins the stream= and used= lines' text, which the round-trip
-# tests above only compare with the current writer.
+# The text the writer writes after golden_disc's operations; the pointer code
+# is that of the next put's first block.  Pins the stream= and used= lines'
+# text, which the round-trip tests above only compare with the current writer.
+# Modes B and C read as written by an earlier release: modes A and B's lines
+# date from before SamplerState became (iteration, perm), mode C's from before
+# the catalog was held as its lines.
 GOLDEN = {
     "A": (
         "disc_id=doc-A\nmode=A\nn=5\np=16\nm=8\ngenesis=0,1,2,3,4\n"
         "alphabet=#tag0,#tag1,#tag2,#tag3,#tag4\nstream=112:0,4,3,1,2\n"
-        "used=22,23,32,41,50,70,99\n"
+        "used=~22,1,9,9,9,20,29\n"
         "f00\t0\t0\nf02\t41\t14\nf03\t0\t0\nf05\t50\t14\n"
         "empty%20one\t0\t0\nempty%20two\t0\t0\nf01\t32\t20\n",
         2,
@@ -357,6 +361,10 @@ GOLDEN = {
     ),
 }
 
+# Mode A's text as the writer before the used= gaps wrote it: the codes
+# themselves.  It opens, allocates alike, and persists as GOLDEN["A"].
+EARLIER = {"A": GOLDEN["A"][0].replace("used=~22,1,9,9,9,20,29\n", "used=22,23,32,41,50,70,99\n")}
+
 
 def golden_disc(mode, directory):
     """The operations the GOLDEN documents were written after."""
@@ -367,18 +375,31 @@ def golden_disc(mode, directory):
     return disc
 
 
+def reopened(mode, text, directory):
+    """golden_disc's disc reopened from `text` and persisted at once: the
+    text persisted, and the first code of the next put, after which fsck is clean."""
+    disc = golden_disc(mode, directory)
+    disc.doc_path.write_text(text, encoding="utf-8")
+    fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+    fresh._persist()
+    persisted = fresh.doc_path.read_text(encoding="utf-8")
+    code = fresh.write_file("next", b"n" * 12).start_counter
+    assert fresh.fsck().ok
+    return persisted, code
+
+
 class TestGoldenDocument:
     @pytest.mark.parametrize("mode", MODES)
     def test_earlier_document_opens_persists_and_allocates_alike(self, mode, tmp_path):
         text, code = GOLDEN[mode]
-        disc = golden_disc(mode, tmp_path)
-        assert disc.doc_path.read_text(encoding="utf-8") == text
-        disc.doc_path.write_text(text, encoding="utf-8")
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
-        fresh._persist()
-        assert fresh.doc_path.read_text(encoding="utf-8") == text
-        assert fresh.write_file("next", b"n" * 12).start_counter == code
-        assert fresh.fsck().ok
+        assert reopened(mode, EARLIER.get(mode, text), tmp_path) == (text, code)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_writer_writes_the_golden_text(self, mode, tmp_path):
+        text, code = GOLDEN[mode]
+        assert golden_disc(mode, tmp_path).doc_path.read_text(encoding="utf-8") == text
+        (tmp_path / "again").mkdir()
+        assert reopened(mode, text, tmp_path / "again") == (text, code)
 
 
 # -- which header lines each mode has ----------------------------------------
@@ -623,3 +644,101 @@ class TestJournal:
         fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
         same_state(fresh, disc)
         assert fresh.document.written == disc.document.written
+
+
+# -- mode A's used= line as gaps ----------------------------------------------
+
+N10 = factorial(10)
+
+
+def used_line(text):
+    return next(line for line in text.splitlines() if line.startswith("used="))
+
+
+def with_used(text, value):
+    """`text` with its used= line's value replaced by `value`."""
+    return text.replace(used_line(text), "used=" + value, 1)
+
+
+class TestUsedGaps:
+    @given(st.one_of(st.sets(st.integers(1, N10 - 1), max_size=40), st.sets(st.integers(1, 600), max_size=40)))
+    @example(set())
+    @example({7})
+    @example({N10 - 1})
+    @example({1, 256, 257, 70_000, N10 - 1})
+    @settings(max_examples=80, deadline=None)
+    def test_codes_round_trip_through_text_and_read(self, codes):
+        doc = Document(DiscConfig.create(n=10, p=24, m=8, mode="A", disc_id="gaps"))
+        doc.mark(codes)
+        text = doc.text()
+        ordered = sorted(codes)
+        gaps = [code - before for before, code in zip([0, *ordered], ordered)]
+        assert used_line(text) == "used=~" + ",".join(map(str, gaps))
+        read = Document.read(text)
+        assert read.used == codes
+        assert read.text() == text
+
+    # a code of 0 as an earlier writer's line would hold it is rejected too:
+    # its next snapshot would write a gap of 0
+    @pytest.mark.parametrize(
+        "value",
+        ["~0", "~5,0", "~5,00", "~5,07", "~5,,3", "~5,", "~,5", "~5,x", "~5,-3", "~5,٣", "~~5", "~ 5", "0,5"],
+    )
+    def test_a_zero_gap_an_empty_element_or_a_non_digit_is_rejected(self, value, tmp_path):
+        disc = make_disc("A", tmp_path)
+        disc.write_file("f", b"x" * 12)
+        text = disc.doc_path.read_text(encoding="utf-8")
+        assert used_line(text).startswith("used=~")
+        disc.doc_path.write_text(with_used(text, value), encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match="malformed"):
+            Disc.open(disc.doc_path, disc.backend, disc.pool)
+        disc.doc_path.write_text(with_used(text, "~5,7"), encoding="utf-8")
+        assert Disc.open(disc.doc_path, disc.backend, disc.pool).document.used == {5, 12}
+
+    def test_an_absolute_snapshot_and_its_journal_read_alike_and_resave_as_gaps(self, tmp_path):
+        disc = big_disc("A", tmp_path)
+        compact(disc)
+        mutate(disc, 0)  # a put: +* records
+        mutate(disc, 4)  # an rm: +^ records
+        snapshot, journal = split(disc.doc_path.read_text(encoding="utf-8"))
+        assert "\n+*" in "\n" + journal and "\n+^" in "\n" + journal
+        # the snapshot as the writer before the gaps wrote it
+        absolute = ",".join(map(str, sorted(Document.read(snapshot).used)))
+        disc.doc_path.write_text(with_used(snapshot, absolute) + journal, encoding="utf-8")
+        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        same_state(fresh, disc)
+        fresh._persist()
+        text = fresh.doc_path.read_text(encoding="utf-8")
+        assert not split(text)[1] and used_line(text).startswith("used=~")
+        same_state(Disc.open(disc.doc_path, disc.backend, disc.pool), disc)
+        assert fresh.fsck().ok
+
+
+class TestDocumentFile:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_document_is_owner_only_after_format_snapshot_and_append(self, mode, tmp_path):
+        def owner_only(disc):
+            return stat.S_IMODE(disc.doc_path.stat().st_mode) == 0o600
+
+        (tmp_path / "formatted").mkdir()
+        assert owner_only(make_disc(mode, tmp_path / "formatted"))  # format writes the first snapshot
+        disc = big_disc(mode, tmp_path, count=150)
+        compact(disc)  # the last write was a snapshot
+        assert owner_only(disc)
+        disc.write_file("appended", b"a" * 9)
+        assert split(disc.doc_path.read_text(encoding="utf-8"))[1]  # appended
+        assert owner_only(disc)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["formatted", "sb.txt"]
+
+    def test_a_failed_snapshot_leaves_the_old_document_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "sb.txt"
+        write_superblock(path, "old\n")
+
+        def refuse(src, dst):
+            raise OSError("no rename")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="no rename"):
+            write_superblock(path, "new\n")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sb.txt"]

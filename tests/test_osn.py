@@ -308,7 +308,11 @@ class TestAdmission:
                 call()
             assert counted._chaos.draws == before + 1, verb
 
-    @pytest.mark.parametrize("bad", [("#a", "#a"), ("a", "b"), ()])
+    # the last four hold tags that are not str: each is a ValueError too,
+    # never an AttributeError or a TypeError from a str method or set()
+    @pytest.mark.parametrize(
+        "bad", [("#a", "#a"), ("a", "b"), (), (1, 2), (b"#a", b"#b"), ("#a", 3), (["#a"], "#b")]
+    )
     def test_rejected_sequence_draws_nothing(self, counted, bad):
         calls = [
             ("post", lambda: counted.post(b"x", bad)),
