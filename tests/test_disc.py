@@ -3,10 +3,14 @@
 import dataclasses
 import hashlib
 import random
+import tempfile
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegdisc.carrier import (
     CarrierObject,
@@ -41,6 +45,7 @@ from stegdisc.steghash import (
     SamplerState,
     perm_to_hashtags,
     rank,
+    sampler_advance,
     sampler_replay,
 )
 
@@ -799,6 +804,130 @@ class TestModeEquivalence:
             results[mode] = {e.name: disc.read_file(e.name) for e in disc.list_files()}
             assert disc.fsck().ok
         assert results["A"] == results["B"] == results["C"]
+
+
+# one step of a differential script: (verb, file, size of the new contents)
+STEPS = st.one_of(
+    st.tuples(st.sampled_from(["put", "edit"]), st.sampled_from("abcd"), st.integers(0, 70)),
+    st.tuples(st.just("rm"), st.sampled_from("abcd"), st.just(0)),
+    st.tuples(st.just("reopen"), st.just(""), st.just(0)),
+)
+
+
+def _addresses(disc):
+    return [addr for _, addr, _ in disc.chain_blocks()]
+
+
+def _store(backend, skip):
+    """Every post's bytes by address, but the one at `skip`."""
+    return {tags: backend.fetch(tags) for tags in backend.live_addresses() if tags != skip}
+
+
+class TestModeDifferential:
+    """Differential testing (McKeeman, Differential Testing for Software,
+    Digital Technical Journal, 1998): one script runs in the three modes,
+    which share one address stream.  Modes A and B post the same bytes at
+    the same addresses, bar the genesis echo that names the mode; mode C
+    posts at the same addresses until a session starts after a step that
+    removed the chain's last run (its pointers are stream positions, and it
+    resumes allocation from the tail, not from a stream= line)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(STEPS, max_size=30))
+    def test_one_script_three_modes(self, script):
+        with tempfile.TemporaryDirectory() as tmp:
+            sessions = {}
+            for mode in MODES:
+                config = DiscConfig.create(n=6, p=16, m=16, mode=mode, disc_id="differential")
+                backend, doc = MemoryBackend(), Path(tmp) / f"{mode}.txt"
+                sessions[mode] = (Disc.format(config, backend, doc_path=doc), backend, doc)
+            genesis = perm_to_hashtags(config.genesis, config.alphabet)
+            files, tail_removed = {}, False
+            before = []
+            for index, (verb, name, size) in enumerate(script):
+                blob = bytes([index]) * size
+                if verb in ("put", "edit") and (name in files) == (verb == "edit"):
+                    files[name] = blob
+                elif verb == "rm" and name in files:
+                    del files[name]
+                elif verb != "reopen":
+                    continue  # a put of a live name, or an edit or rm of none
+                for mode, (disc, backend, doc) in sessions.items():
+                    if verb == "reopen":
+                        sessions[mode] = (Disc.open(doc, backend), backend, doc)
+                    elif verb == "put":
+                        disc.write_file(name, blob)
+                    elif verb == "edit":
+                        disc.modify_file(name, blob)
+                    else:
+                        disc.delete_file(name)
+                chains = {mode: _addresses(disc) for mode, (disc, _, _) in sessions.items()}
+                after = chains["A"]
+                # the chain's last run went, and no new run took its place
+                if before and before[-1] not in after and (not after or after[-1] in before):
+                    tail_removed = True
+                before = after
+                assert chains["B"] == chains["A"]
+                assert _store(sessions["B"][1], genesis) == _store(sessions["A"][1], genesis)
+                if not tail_removed:
+                    assert chains["C"] == chains["A"]
+            for disc, _, _ in sessions.values():
+                assert {entry.name: disc.read_file(entry.name) for entry in disc.list_files()} == files
+                assert disc.fsck().ok
+
+
+def _first_free(genesis, counter, taken):
+    """(counter, address) of the first stream position past `counter`
+    whose address is not in `taken`."""
+    state = SamplerState(counter, sampler_replay(genesis, counter)) if counter else SamplerState.fresh(genesis)
+    while True:
+        perm, counter, state = sampler_advance(state)
+        if perm not in taken:
+            return counter, perm
+
+
+class TestModeDifferences:
+    """The two places where the modes' addresses differ, both owned by the
+    pointer encoding: rank codes reserve rank 0 (the identity) for NULL,
+    and stream positions need no stream= line, so mode C resumes from the
+    chain tail."""
+
+    def test_only_mode_c_posts_at_the_identity(self):
+        identity, addresses = (0, 1, 2), {}
+        for mode in MODES:
+            config = DiscConfig.create(n=3, p=8, m=4, mode=mode, genesis=(1, 0, 2), disc_id="identity")
+            disc = Disc.format(config, MemoryBackend())
+            disc.write_file("four blocks", b"x" * 16)  # every code A and B have free
+            addresses[mode] = disc.chain_blocks()
+            assert disc.fsck().ok
+        assert addresses["C"][1][:2] == (7, identity)
+        assert identity not in {addr for _, addr, _ in addresses["A"] + addresses["B"]}
+
+    def test_a_session_after_the_tail_file_went(self, tmp_path):
+        runs = {}
+        for mode in MODES:
+            config = DiscConfig.create(n=6, p=16, m=16, mode=mode, disc_id="resume")
+            backend, doc = MemoryBackend(), tmp_path / f"{mode}.txt"
+            disc = Disc.format(config, backend, doc_path=doc)
+            disc.write_file("a", b"a" * 40)
+            disc.write_file("b", b"b" * 40)
+            before = disc.chain_blocks()
+            fresh = Disc.open(doc, backend)
+            fresh.delete_file("b")
+            fresh.write_file("c", b"c" * 40)
+            runs[mode] = before, fresh.chain_blocks()[3:]
+            assert fresh.fsck().ok
+        genesis = config.genesis
+        (before, c_run) = runs["C"]
+        a_last, b_last = before[2][0], before[5][0]  # mode C's codes are stream positions
+        a_run = {addr for _, addr, _ in before[:3]}
+        # mode C resumes from a's last block, so c takes b's first position again
+        assert c_run[0][0] == _first_free(genesis, a_last, a_run | {genesis})[0] == before[3][0]
+        # modes A and B resume from stream=, past b's last block
+        _, want = _first_free(genesis, b_last, a_run | {genesis, tuple(range(6))})
+        for mode in ("A", "B"):
+            assert [addr for _, addr, _ in runs[mode][0]] == [addr for _, addr, _ in before]
+            assert runs[mode][1][0][1] == want
 
 
 class TestChainBound:
