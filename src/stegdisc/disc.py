@@ -6,7 +6,9 @@ Each file occupies a consecutive run of blocks; every block's hidden
 payload carries a pointer to the next block, so deletion is a splice:
 copy the run's tail pointer into the predecessor and drop the run.
 
-Three addressing modes trade local state for recomputation:
+Three addressing modes trade local state for recomputation over one
+address stream.  They differ in two choices, which the disc reads from
+the config's `Encoding` record (document.py), never from the mode letter:
 
   A  dual dictionaries: a used-address set is kept locally and codes
      are translated through rank/unrank; pointers are rank codes.
@@ -18,6 +20,13 @@ Three addressing modes trade local state for recomputation:
      passes, so a counter the session has walked past costs no hash and
      any other replays from the nearest state below it; the ladder is
      never persisted, so a fresh session replays from the seed.
+
+All three allocate from the same stream in the same order, so they post
+at the same addresses but in two places, both owned by the pointer
+encoding: rank codes reserve the identity (rank 0, NULL) and stream
+positions do not; and rank-code modes resume a fresh session from the
+persisted stream position, stream positions from the chain tail, which
+is earlier once the tail file was removed.
 
 Each block operation has one helper: `Disc._fetch` fetches and decodes
 a post, `Disc._post` embeds and posts a payload, and `Disc._remove`
@@ -79,7 +88,6 @@ from .steghash import (
     Perm,
     ReplayCursor,
     allocate_address,
-    perm_to_hashtags,
     rank,
     sampler_advance,  # unused here; perfbench/tracing.py rebinds it
     unrank,
@@ -152,7 +160,7 @@ class Disc:
         # mutation; mode C's sampler takes the lookup cursor's tail state
         self._tail: Optional[tuple[int, Perm]] = None
         # mode C: session-local resume points in the stream, never persisted
-        self._ladder = CheckpointLadder(config.n) if config.mode == "C" else None
+        self._ladder = CheckpointLadder(config.n) if config.encoding.positions else None
         self.hash_iterations = 0  # stream hashes spent allocating
         self.replay_iterations = 0  # stream hashes spent resolving pointers
         need, offer = config.carrier_bytes(), self.pool.max_capacity()
@@ -176,7 +184,9 @@ class Disc:
     # -- helpers -------------------------------------------------------------
 
     def _tags(self, perm: Perm):
-        return perm_to_hashtags(perm, self.config.alphabet)
+        """The hashtags of an address that unrank, the replay cursor or the
+        allocator produced; the backend checks the tags on every verb."""
+        return tuple(map(self.config.alphabet.tags.__getitem__, perm))
 
     def _persist(self, name: Optional[str] = None) -> None:
         if self.doc_path is not None:
@@ -221,7 +231,7 @@ class Disc:
     def _replay(self):
         """A replay cursor in mode C, None otherwise; the hashes it spent
         count as replay iterations when the scope ends."""
-        cursor = ReplayCursor(self.config.genesis, self._ladder) if self.config.mode == "C" else None
+        cursor = ReplayCursor(self.config.genesis, self._ladder) if self.config.encoding.positions else None
         try:
             yield cursor
         finally:
@@ -245,9 +255,9 @@ class Disc:
                     f"chain ends after {len(seen)} of the {count} blocks from {start}",
                     "file-truncated", start,
                 )
-            # order first: in mode C a backward pointer is an order fault
-            # whether or not it also closes a cycle
-            if self.config.mode == "C" and code <= prev:
+            # order first: a stream position that does not increase is an
+            # order fault whether or not it also closes a cycle
+            if self.config.encoding.positions and code <= prev:
                 raise ChainBroken(f"counter {code} does not increase past {prev}", "order", code)
             if code in seen:
                 raise ChainBroken(f"pointer {code} repeats along the chain", "cycle", code)
@@ -315,23 +325,6 @@ class Disc:
         stego = embed(carrier, encode_payload(fresh, self.config.p))
         self.backend.replace(self._tags(addr), stego.data)
 
-    def _occupied_predicate(self, pending: set[Perm]):
-        identity = tuple(range(self.config.n))
-        genesis = self.config.genesis
-        mode = self.config.mode
-        used = self.document.used if mode == "A" else None
-        backend = self.backend
-
-        def occupied(perm: Perm) -> bool:
-            # rank 0 (the identity) would collide with the NULL pointer
-            if perm in pending or (mode != "C" and perm == identity):
-                return True
-            if mode == "A":
-                return perm == genesis or rank(perm) in used
-            return backend.exists(self._tags(perm))
-
-        return occupied
-
     def _append_chain(self, data: bytes) -> int:
         """Allocate, post and link a run of blocks at the chain tail.
 
@@ -343,10 +336,11 @@ class Disc:
         raises DuplicateAddress: its code is marked used and the run is
         allocated again from the same sampler state.
         """
-        cfg = self.config
+        cfg, encoding = self.config, self.config.encoding
         count = compute_chain_length(len(data), cfg.m)
-        if cfg.mode == "A":  # fail fast; the identity (NULL) and the genesis are never free
-            free = factorial(cfg.n) - len({tuple(range(cfg.n)), cfg.genesis}) - len(self.document.used)
+        used = self.document.used if encoding.used_set else None
+        if used is not None:  # fail fast; the identity (NULL) and the genesis are never free
+            free = factorial(cfg.n) - len({tuple(range(cfg.n)), cfg.genesis}) - len(used)
             if count > free:
                 raise AllocationStall(f"a run of {count} blocks needs more than the {free} free codes")
         tail = None  # the tail block, as the session's first mutation fetched it
@@ -357,19 +351,28 @@ class Disc:
                     cursor.resolve(tail[0])  # no hash: the lookup left the cursor at the tail
                     self.document.sampler = cursor.state
             self._tail = tail[:2]
-        limit = 2 ** cfg.p - 1 if cfg.mode == "C" else None  # rank codes need no bound
+        # stream positions stop at 2^p - 1; rank codes have no bound, and
+        # rank 0 (the identity) is the NULL pointer
+        limit, null = (2 ** cfg.p - 1, None) if encoding.positions else (None, tuple(range(cfg.n)))
         base = self.document.sampler.iteration
         while True:
-            pending_addrs: set[Perm] = set()
+            pending: set[Perm] = set()  # the run's addresses so far
             run: list[tuple[int, Perm]] = []  # (pointer code, address)
+
+            def occupied(perm: Perm) -> bool:
+                if perm in pending or perm == null:
+                    return True
+                if used is not None:
+                    return perm == cfg.genesis or rank(perm) in used
+                return self.backend.exists(self._tags(perm))
+
             state = self.document.sampler
-            occupied = self._occupied_predicate(pending_addrs)
             for _ in range(count):
                 # the ladder keeps what a rolled-back write walked: the stream
                 # is a pure function of the seed
                 addr, counter, state = allocate_address(state, occupied, ladder=self._ladder, limit=limit)
-                run.append((counter if cfg.mode == "C" else rank(addr), addr))
-                pending_addrs.add(addr)
+                run.append((counter if encoding.positions else rank(addr), addr))
+                pending.add(addr)
             posted = 0
             try:
                 for idx, (code, addr) in enumerate(run):
@@ -381,7 +384,7 @@ class Disc:
                 break
             except BaseException as exc:
                 self._remove(run[:posted])
-                if cfg.mode != "A" or not isinstance(exc, DuplicateAddress):
+                if used is None or not isinstance(exc, DuplicateAddress):
                     raise
                 self.document.mark((run[posted][0],))
         self.document.sampler = state

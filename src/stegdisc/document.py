@@ -1,6 +1,12 @@
 """The superblock document: a disc's config, catalog, mode A's used codes
 and allocation position, with one reader and one writer.
 
+Each mode's choices live in one record, its `Encoding` in `ENCODINGS`
+(`MODES` is its keys), which `DiscConfig` looks up from the mode letter:
+whether pointers are stream positions (C) or rank codes (A, B), and
+whether freedom is checked in a local used set (A) or with the backend
+(B, C).  The disc and this document read the record, never the letter.
+
 Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.  Opening a disc checks
 all of it; the catalog is held as its lines, parsed each time a command
@@ -10,12 +16,13 @@ codes as their differences after a `~` (`used=~22,1,9` is {22, 23, 32});
 each gap, like each code a journal record names, is at least 1 and has
 no leading zero (rank 0 is the NULL pointer).  The line an earlier
 version wrote, the codes themselves with no `~`, still reads, and the
-next snapshot writes gaps; an earlier version rejects the `~` line.  In
-modes A and B a `stream=` line records the allocation sampler's
-position, and a fresh session resumes allocation from it.  Their
-pointers are rank codes and freedom is checked against the used set or
-the network, so a stale position costs hashes, never correctness.  Mode
-C writes no such line.
+next snapshot writes gaps; an earlier version rejects the `~` line.
+With rank-code pointers (modes A and B) a `stream=` line records the
+allocation sampler's position, and a fresh session resumes allocation
+from it; freedom is checked against the used set or the network, so a
+stale position costs hashes, never correctness.  Stream-position
+pointers (mode C) write no such line: the tail's pointer is its
+position.
 
 These lines are a snapshot, and a journal follows: a put, edit or rm
 appends one group of records with one write(), its catalog record last:
@@ -44,7 +51,20 @@ from .carrier import header_size
 from .errors import ConfigInvalid, FileNotFound, NotAPermutation
 from .steghash import HashtagAlphabet, Perm, SamplerState, validate_permutation
 
-MODES = ("A", "B", "C")
+
+class Encoding(NamedTuple):
+    """How a mode encodes the one address stream the three modes share:
+    the two choices its letter makes, read from here and nowhere else.
+    Rank-code pointers reserve rank 0 (the identity) for NULL and need a
+    stream= line to resume allocation; stream positions reserve no
+    address, end at 2^p - 1 and resume from the chain tail's position."""
+
+    positions: bool  # pointers are stream positions (C), not rank codes (A, B)
+    used_set: bool  # freedom is checked in a local used set (A), not with the backend (B, C)
+
+
+ENCODINGS = {"A": Encoding(False, True), "B": Encoding(False, False), "C": Encoding(True, False)}
+MODES = tuple(ENCODINGS)
 
 # characters that would break the one-line superblock header fields
 _FIELD_FORBIDDEN = set(",;=\t\n\r ")
@@ -76,6 +96,7 @@ class DiscConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigInvalid(f"mode must be one of {MODES}, got {self.mode!r}")
+        self.encoding = ENCODINGS[self.mode]  # derived from mode alone, never set on its own
         if self.n < 1 or self.p < 1 or self.m < 1:
             raise ConfigInvalid(f"n, p, m must be >= 1 (n={self.n} p={self.p} m={self.m})")
         if len(self.alphabet) != self.n:
@@ -87,7 +108,7 @@ class DiscConfig:
         if len(genesis) != self.n:
             raise ConfigInvalid(f"genesis has {len(genesis)} elements, expected n={self.n}")
         self.genesis = genesis
-        if self.mode in ("A", "B") and 2 ** self.p <= factorial(self.n):
+        if not self.encoding.positions and 2 ** self.p <= factorial(self.n):
             raise ConfigInvalid(f"rank codes need 2^p > n! (p={self.p}, n={self.n})")
         _check_field(self.disc_id, "disc_id")
         for tag in self.alphabet.tags:
@@ -153,8 +174,8 @@ def write_superblock(path, text: str, append: bool = False) -> None:
 
 def _parse_stream(value: str, config: DiscConfig) -> SamplerState:
     """The allocation sampler state a stream= value names."""
-    if config.mode == "C":
-        raise ConfigInvalid("mode C keeps no stream position")
+    if config.encoding.positions:
+        raise ConfigInvalid(f"mode {config.mode} keeps no stream position")
     iteration, sep, perm = value.partition(":")
     iteration = int(iteration)
     if not sep or iteration < 0:
@@ -244,8 +265,10 @@ def _read_document(text: str):
 
 class Document:
     """A disc's config, catalog (name -> line, in chain order), mode A's
-    used codes and allocation sampler.  Mode A writes a used= line, modes
-    A and B a stream= line; mode C's sampler lives for the session alone."""
+    used codes and allocation sampler.  The mode's `Encoding` decides the
+    lines: a local used set (A) writes used=, rank-code pointers (A, B)
+    write stream=, and stream positions (C) keep the sampler for the
+    session alone."""
 
     def __init__(self, config: DiscConfig, entries=None, used=None, sampler=None, written=None):
         self.config = config
@@ -275,8 +298,9 @@ class Document:
         return used
 
     def mark(self, codes, used: bool = True) -> None:
-        """Mode A: mark `codes` used, or free them, for the next journal group."""
-        if self.config.mode == "A":
+        """With a local used set (mode A): mark `codes` used, or free them,
+        for the next journal group; otherwise nothing."""
+        if self.config.encoding.used_set:
             changed = [code for code in codes if (code in self.used) != used]
             (self.used.update if used else self.used.difference_update)(changed)
             self._marks.update(dict.fromkeys(changed, used))
@@ -290,7 +314,7 @@ class Document:
 
     def _mode_header(self) -> list[str]:
         """The header: the config lines, then a stream= line (the sampler's
-        position) in modes A and B and a used= line in mode A."""
+        position) for rank-code pointers and a used= line for a local used set."""
         config = self.config
         header = [
             f"disc_id={config.disc_id}",
@@ -301,9 +325,9 @@ class Document:
             "genesis=" + ",".join(map(str, config.genesis)),
             "alphabet=" + ",".join(config.alphabet.tags),
         ]
-        if config.mode != "C":
+        if not config.encoding.positions:
             header.append("stream=" + _position(self.sampler))
-        if config.mode == "A":
+        if config.encoding.used_set:
             codes = sorted(self.used)
             header.append("used=~" + ",".join(map(str, map(sub, codes, [0, *codes]))))
         return header
@@ -317,7 +341,7 @@ class Document:
         marks = self._marks
         records = [sign + ",".join(str(code) for code in marks if marks[code] is used)
                    for sign, used in (("*", True), ("^", False)) if used in marks.values()]
-        if self.config.mode != "C" and self.sampler != self._saved:
+        if not self.config.encoding.positions and self.sampler != self._saved:
             records.append("@" + _position(self.sampler))
         line = self.entries.get(name)
         records.append("\t" + line if line is not None else "!" + quote(name, safe=""))

@@ -20,7 +20,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
-from .disc import Disc, DiscConfig, compute_chain_length
+from .disc import Disc, compute_chain_length
+from .document import MODES, DiscConfig
 from .errors import (
     BackendUnavailable,
     ChainBroken,
@@ -69,7 +70,7 @@ def _build_command_parsers() -> dict[str, _Parser]:
         return parser
 
     fmt = make("format", description="create a new disc")
-    fmt.add_argument("mode", choices=("A", "B", "C"))
+    fmt.add_argument("mode", choices=MODES)
     fmt.add_argument("n", type=int, help="hashtag alphabet size")
     fmt.add_argument("p", type=int, help="pointer bit width")
     fmt.add_argument("m", type=int, help="data bytes per block")
@@ -101,7 +102,7 @@ def _build_command_parsers() -> dict[str, _Parser]:
 
     bench = make("bench", description="space-time tradeoff benchmark")
     bench.add_argument("--counts", type=_int_list, default=[10, 100])
-    bench.add_argument("--modes", default="A,B,C")
+    bench.add_argument("--modes", default=",".join(MODES))
     bench.add_argument("--n", type=int, default=5)
     bench.add_argument("--p", type=int, default=24)
     bench.add_argument("--m", type=int, default=8)
