@@ -7,8 +7,8 @@ payload carries a pointer to the next block, so deletion is a splice:
 copy the run's tail pointer into the predecessor and drop the run.
 
 Three addressing modes trade local state for recomputation over one
-address stream.  They differ in two choices, which the disc reads from
-the config's `Encoding` record (document.py), never from the mode letter:
+address stream; the disc reads their choices from the config's
+`Encoding` record (document.py), never from the mode letter:
 
   A  dual dictionaries: a used-address set is kept locally and codes
      are translated through rank/unrank; pointers are rank codes.
@@ -20,13 +20,6 @@ the config's `Encoding` record (document.py), never from the mode letter:
      passes, so a counter the session has walked past costs no hash and
      any other replays from the nearest state below it; the ladder is
      never persisted, so a fresh session replays from the seed.
-
-All three allocate from the same stream in the same order, so they post
-at the same addresses but in two places, both owned by the pointer
-encoding: rank codes reserve the identity (rank 0, NULL) and stream
-positions do not; and rank-code modes resume a fresh session from the
-persisted stream position, stream positions from the chain tail, which
-is earlier once the tail file was removed.
 
 Each block operation has one helper: `Disc._fetch` fetches and decodes
 a post, `Disc._post` embeds and posts a payload, and `Disc._remove`

@@ -1,11 +1,9 @@
 """The superblock document: a disc's config, catalog, mode A's used codes
 and allocation position, with one reader and one writer.
 
-Each mode's choices live in one record, its `Encoding` in `ENCODINGS`
-(`MODES` is its keys), which `DiscConfig` looks up from the mode letter:
-whether pointers are stream positions (C) or rank codes (A, B), and
-whether freedom is checked in a local used set (A) or with the backend
-(B, C).  The disc and this document read the record, never the letter.
+A mode's two choices are one `Encoding` record in `ENCODINGS` (`MODES`
+is its keys), which `DiscConfig` looks up from the mode letter; the disc
+and this document read the record, never the letter.
 
 Local persistence is a small superblock+catalog text document; the
 chain itself lives only in the posted objects.  Opening a disc checks
