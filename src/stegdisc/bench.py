@@ -2,9 +2,10 @@
 
 Runs the same scripted workload (write a batch of one-block files, read
 them all back in order, delete a few) against a fresh in-memory backend
-for each addressing mode and batch size, and reports what each mode
-pays for it: bytes of local persistent state, hash iterations spent
-allocating, replay iterations per read, and wall time.
+and the default bitmap covers for each addressing mode and batch size,
+and reports what each mode pays for it: bytes of local persistent
+state, hash iterations spent allocating, replay iterations per read,
+and wall time.
 
 Replay per read is measured twice.  The paper's column reads each file
 on a fresh session, as every one-shot CLI `get` does: mode C then
@@ -19,7 +20,6 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 
-from .carrier import CarrierPool, header_size
 from .disc import Disc
 from .document import MODES, DiscConfig, Document
 from .errors import SpecInvalid
@@ -74,8 +74,7 @@ def _run_one(mode: str, count: int, n: int, p: int, m: int, seed: int) -> Benchm
     rng = random.Random(seed)
     backend = MemoryBackend()
     config = DiscConfig.create(n=n, p=p, m=m, mode=mode, disc_id=f"bench-{mode}-{count}")
-    pool = CarrierPool(synth="opaque", opaque_size=header_size(p) + max(m, 64))
-    disc = Disc.format(config, backend, pool)
+    disc = Disc.format(config, backend)
 
     names = [f"blk{i:05d}" for i in range(count)]
     payloads = {name: rng.randbytes(m) for name in names}
@@ -100,7 +99,7 @@ def _run_one(mode: str, count: int, n: int, p: int, m: int, seed: int) -> Benchm
     cold = []
     catalog = dict(disc.document.entries)
     for name in names:
-        session = Disc(Document(config, catalog), backend, pool)
+        session = Disc(Document(config, catalog), backend)
         if session.read_file(name) != payloads[name]:
             raise AssertionError(f"benchmark cold read mismatch for {name}")
         cold.append(session.replay_iterations)

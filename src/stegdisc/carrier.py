@@ -6,11 +6,11 @@ A block payload is laid out bit-exactly as
     | data_len (4, big-endian) | data
 
 and embedded one bit per color channel into the least significant bits of
-an uncompressed 24-bit BMP, or copied verbatim into an "opaque" blob
-carrier (fast path for tests and benchmarks).  Embedding writes, and
-extraction reads, only the channel bytes the payload spans, never the
-whole image.  Carriers come from a pool of deterministic synthetic covers
-derived from (disc id, block counter), each with just the rows its
+an uncompressed 24-bit BMP, the one carrier kind: bytes that do not parse
+as one raise UnsupportedCarrier.  Embedding writes, and extraction reads,
+only the channel bytes the payload spans, never the whole image.  Covers
+come from a pool of deterministic pseudo-random bitmaps derived from
+(disc id, block counter), each 16 pixels wide with just the rows its
 payload needs.
 """
 
@@ -75,12 +75,6 @@ def encode_payload(payload: BlockPayload, p: int, m: Optional[int] = None) -> by
         + struct.pack(">I", len(payload.data))
         + payload.data
     )
-
-
-def decode_payload(raw: bytes, p: int) -> BlockPayload:
-    """Inverse of encode_payload, by the one payload parser, read_payload;
-    trailing bytes beyond data_len are ignored."""
-    return read_payload(CarrierObject.opaque(raw), p)
 
 
 # -- BMP container -------------------------------------------------------------
@@ -165,13 +159,12 @@ def _spans(geometry: tuple[int, int, int, int], nbits: int) -> list[tuple[int, i
 
 @dataclass(frozen=True)
 class CarrierObject:
-    """A multimedia object: kind "bitmap" (24-bit BMP bytes) or "opaque" blob.
+    """A multimedia object: the bytes of a 24-bit BMP.
 
     Embedding does not change an object's shape, so a stego object is a
     carrier too, with payload bits in its LSBs.
     """
 
-    kind: str
     data: bytes
 
     @cached_property
@@ -181,48 +174,30 @@ class CarrierObject:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CarrierObject":
-        """Classify raw bytes; a bitmap keeps the geometry this one parse found."""
+        """Parse raw bytes as a bitmap, keeping the geometry this one parse
+        found; UnsupportedCarrier if they are not one."""
         data = bytes(data)
-        try:
-            geometry = _parse_bmp(data)
-        except UnsupportedCarrier:
-            return cls("opaque", data)
-        carrier = cls("bitmap", data)
-        carrier.__dict__["geometry"] = geometry
+        carrier = cls(data)
+        carrier.__dict__["geometry"] = _parse_bmp(data)
         return carrier
 
     @classmethod
     def bitmap(cls, width: int, height: int, channel_bytes: Optional[bytes] = None) -> "CarrierObject":
-        return cls("bitmap", make_bitmap(width, height, channel_bytes))
-
-    @classmethod
-    def opaque(cls, data: bytes) -> "CarrierObject":
-        return cls("opaque", bytes(data))
+        return cls(make_bitmap(width, height, channel_bytes))
 
 
 def capacity(carrier: CarrierObject) -> int:
     """Bytes of hidden payload the carrier can hold."""
-    if carrier.kind == "bitmap":
-        width, height, _, _ = carrier.geometry
-        return width * height * 3 // 8
-    if carrier.kind == "opaque":
-        return len(carrier.data)
-    raise UnsupportedCarrier(f"unknown carrier kind {carrier.kind!r}")
+    width, height, _, _ = carrier.geometry
+    return width * height * 3 // 8
 
 
 def embed(carrier: CarrierObject, payload: bytes) -> CarrierObject:
-    """Hide payload bytes in the carrier.
-
-    Bitmap: payload bits, most significant first, go into the LSB of
-    successive channel bytes; everything else is untouched.  Opaque:
-    payload replaces the leading bytes verbatim.
-    """
+    """Hide payload bytes in the carrier: their bits, most significant
+    first, go into the LSB of successive channel bytes; everything else
+    is untouched."""
     if len(payload) > capacity(carrier):
         raise CapacityExceeded(f"{len(payload)} bytes > capacity {capacity(carrier)}")
-    if carrier.kind == "opaque":
-        out = bytearray(carrier.data)
-        out[:len(payload)] = payload
-        return CarrierObject("opaque", bytes(out))
     nbits = len(payload) * 8
     digits = format(int.from_bytes(payload, "big"), f"0{nbits}b").encode()
     bits = digits.translate(_DIGIT_BITS)
@@ -233,7 +208,7 @@ def embed(carrier: CarrierObject, payload: bytes) -> CarrierObject:
         value = cleared | int.from_bytes(bits[done:done + length], "big")
         out[start:start + length] = value.to_bytes(length, "big")
         done += length
-    return CarrierObject("bitmap", bytes(out))
+    return CarrierObject(bytes(out))
 
 
 def _hidden(stego: CarrierObject, start: int, nbytes: int) -> bytes:
@@ -241,8 +216,6 @@ def _hidden(stego: CarrierObject, start: int, nbytes: int) -> bytes:
     if nbytes <= 0:
         return b""
     data = stego.data
-    if stego.kind == "opaque":
-        return bytes(data[start:start + nbytes])
     width, _, offset, stride = geometry = stego.geometry
     if stride == width * 3:  # no row padding: the bits' channel bytes are one slice
         chan = data[offset + start * 8:offset + (start + nbytes) * 8]
@@ -278,44 +251,31 @@ def read_payload(stego: CarrierObject, p: int) -> BlockPayload:
 
 # -- carrier pool --------------------------------------------------------------
 
-def synthetic_bitmap(disc_id: str, counter: int, width: int, height: int) -> CarrierObject:
+def cover_bitmap(disc_id: str, counter: int, width: int, height: int) -> CarrierObject:
     """Pseudo-random cover bitmap, deterministic in (disc_id, counter)."""
     pixels = hashlib.shake_256(f"{disc_id}/{counter}".encode("utf-8")).digest(width * height * 3)
     return CarrierObject.bitmap(width, height, pixels)
 
 
 class CarrierPool:
-    """Source of cover objects for new posts: deterministic synthetic bitmaps
-    `width` pixels wide with the fewest rows, up to `height`, that hold a
-    post's payload, or opaque blobs of opaque_size when synth="opaque"."""
+    """Source of cover objects for new posts: deterministic bitmaps `width`
+    pixels wide (48 channel bytes a row, no row padding) with the fewest
+    rows that hold a post's payload, up to the `height` that holds
+    `largest_payload` bytes."""
 
-    def __init__(
-        self,
-        synth: str = "bitmap",
-        width: int = 64,
-        height: int = 64,
-        opaque_size: int = 4096,
-        disc_id: str = "",
-    ):
-        if synth not in ("bitmap", "opaque"):
-            raise UnsupportedCarrier(f"unknown synthetic kind {synth!r}")
-        self.synth = synth
-        self.width = width
-        self.height = height
-        self.opaque_size = opaque_size
+    width = 16
+
+    def __init__(self, largest_payload: int, disc_id: str):
+        self.height = -(-largest_payload * 8 // (self.width * 3))
         self.disc_id = disc_id
 
     def max_capacity(self) -> int:
         """The largest payload this pool's carriers can hold."""
-        if self.synth == "opaque":
-            return self.opaque_size
         return self.width * self.height * 3 // 8
 
     def next_carrier(self, counter: int, nbytes: int) -> CarrierObject:
         """The cover for block `counter` that holds an `nbytes` payload; a
         payload over max_capacity() gets the tallest cover, which embed
         rejects."""
-        if self.synth == "opaque":
-            return CarrierObject.opaque(bytes(self.opaque_size))
         rows = -(-nbytes * 8 // (self.width * 3))
-        return synthetic_bitmap(self.disc_id, counter, self.width, min(max(rows, 1), self.height))
+        return cover_bitmap(self.disc_id, counter, self.width, min(max(rows, 1), self.height))

@@ -59,6 +59,7 @@ from .carrier import (
     CarrierPool,
     embed,
     encode_payload,
+    header_size,
     read_payload,
 )
 from .document import DiscConfig, Document, FileEntry, write_superblock
@@ -133,11 +134,16 @@ class TradeoffStats:
     checkpoints: int  # mode C session ladder length, 0 otherwise
 
 
+def carrier_bytes(config: DiscConfig) -> int:
+    """The largest payload a block posts: a full data block or the genesis
+    echo.  Each post's cover holds its own payload, so this bounds the
+    pool's tallest cover, not every cover's size."""
+    return header_size(config.p) + max(config.m, len(config.echo_bytes()))
+
+
 def default_pool(config: DiscConfig) -> CarrierPool:
-    """Synthetic bitmaps 16 pixels wide (48 channel bytes a row, no row
-    padding), as tall as this disc's largest payload needs."""
-    return CarrierPool(synth="bitmap", width=16, height=-(-config.carrier_bytes() * 8 // 48),
-                       disc_id=config.disc_id)
+    """Covers as tall as this disc's largest payload needs."""
+    return CarrierPool(carrier_bytes(config), config.disc_id)
 
 
 class Disc:
@@ -156,7 +162,7 @@ class Disc:
         self._ladder = CheckpointLadder(config.n) if config.encoding.positions else None
         self.hash_iterations = 0  # stream hashes spent allocating
         self.replay_iterations = 0  # stream hashes spent resolving pointers
-        need, offer = config.carrier_bytes(), self.pool.max_capacity()
+        need, offer = carrier_bytes(config), self.pool.max_capacity()
         if need > offer:
             raise ConfigInvalid(f"blocks need {need} carrier bytes, the pool offers {offer}")
 

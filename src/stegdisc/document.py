@@ -45,7 +45,6 @@ from operator import not_, sub
 from typing import NamedTuple, Optional
 from urllib.parse import quote, unquote
 
-from .carrier import header_size
 from .errors import ConfigInvalid, FileNotFound, NotAPermutation
 from .steghash import HashtagAlphabet, Perm, SamplerState, validate_permutation
 
@@ -115,12 +114,6 @@ class DiscConfig:
     def echo_bytes(self) -> bytes:
         """Config summary embedded in the genesis block for cross-checking."""
         return f"n={self.n};p={self.p};m={self.m};mode={self.mode};id={self.disc_id}".encode("utf-8")
-
-    def carrier_bytes(self) -> int:
-        """The largest payload a block posts: a full data block or the
-        genesis echo.  Each post's cover holds its own payload, so this
-        bounds the pool's tallest cover, not every cover's size."""
-        return header_size(self.p) + max(self.m, len(self.echo_bytes()))
 
 
 class FileEntry(NamedTuple):

@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 import stegdisc
+from stegdisc.carrier import CarrierObject, capacity, embed
 
 # Directory that holds the imported ``stegdisc`` package: ``src`` in a
 # checkout, ``site-packages`` when installed.
@@ -22,3 +23,11 @@ def child_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + rest if rest else "")
     return env
+
+
+def hide(raw):
+    """A bitmap whose capacity is exactly len(raw), holding raw: one padded
+    row, so read_payload decodes raw bytes as they stand."""
+    cover = CarrierObject.bitmap(-(-8 * len(raw) // 3), 1)
+    assert capacity(cover) == len(raw)
+    return embed(cover, raw)

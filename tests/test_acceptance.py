@@ -15,17 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import child_env
+from conftest import child_env, hide
 from stegdisc.bench import run_benchmark
 from stegdisc.carrier import (
     BlockPayload,
     CarrierObject,
-    CarrierPool,
-    decode_payload,
     embed,
     encode_payload,
     extract,
-    header_size,
     read_payload,
 )
 from stegdisc.disc import Disc, DiscConfig, compute_chain_length
@@ -36,14 +33,10 @@ from stegdisc.steghash import perm_to_hashtags, rank, sampler_replay, unrank
 MODES = ("A", "B", "C")
 
 
-def opaque_pool(p, m):
-    return CarrierPool(synth="opaque", opaque_size=header_size(p) + m + 64)
-
-
 def fresh_disc(mode, n, p, m, backend=None, doc_path=None, disc_id=None):
     backend = backend if backend is not None else MemoryBackend()
     config = DiscConfig.create(n=n, p=p, m=m, mode=mode, disc_id=disc_id or f"acc-{mode}")
-    return Disc.format(config, backend, opaque_pool(p, m), doc_path=doc_path), backend
+    return Disc.format(config, backend, doc_path=doc_path), backend
 
 
 def make_script(rng, file_count, max_size):
@@ -286,7 +279,7 @@ def test_criterion_8_carrier_fidelity():
             flags=rng.choice((0, 1)),
         )
         raw = encode_payload(payload, p)
-        assert decode_payload(raw, p) == payload
+        assert read_payload(hide(raw), p) == payload
 
         width = rng.randrange(2, 25)
         height = rng.randrange(1, 25)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hide
 from stegdisc.carrier import (
     FLAG_SUPERBLOCK,
     PAYLOAD_VERSION,
@@ -15,14 +16,13 @@ from stegdisc.carrier import (
     CarrierPool,
     capacity,
     counter_bytes,
-    decode_payload,
+    cover_bitmap,
     embed,
     encode_payload,
     extract,
     header_size,
     make_bitmap,
     read_payload,
-    synthetic_bitmap,
 )
 from stegdisc.errors import (
     BadVersion,
@@ -96,26 +96,26 @@ class TestPayloadCodec:
         raw = bytearray(encode_payload(BlockPayload(next_counter=0), 8))
         raw[0] = 2
         with pytest.raises(BadVersion):
-            decode_payload(bytes(raw), 8)
+            read_payload(hide(raw), 8)
 
     def test_truncated_declared_length(self):
         raw = bytearray(encode_payload(BlockPayload(next_counter=0, data=b"x" * 10), 8))
         raw[2 + 1: 2 + 1 + 4] = (100).to_bytes(4, "big")
         with pytest.raises(TruncatedPayload):
-            decode_payload(bytes(raw), 8)
+            read_payload(hide(raw), 8)
 
     def test_truncated_header(self):
         with pytest.raises(TruncatedPayload):
-            decode_payload(b"\x01\x00\x00", 8)
+            read_payload(hide(b"\x01\x00\x00"), 8)
 
     def test_trailing_bytes_ignored(self):
         payload = BlockPayload(next_counter=5, data=b"hi")
         raw = encode_payload(payload, 8) + b"\xffJUNK"
-        assert decode_payload(raw, 8) == payload
+        assert read_payload(hide(raw), 8) == payload
 
     def test_superblock_flag(self):
         payload = BlockPayload(next_counter=0, data=b"cfg", flags=FLAG_SUPERBLOCK)
-        assert decode_payload(encode_payload(payload, 8), 8).is_superblock
+        assert read_payload(hide(encode_payload(payload, 8)), 8).is_superblock
 
     @given(
         st.integers(1, 40),
@@ -127,7 +127,7 @@ class TestPayloadCodec:
     def test_round_trip(self, p, counter, data, flags):
         counter %= 2 ** p
         payload = BlockPayload(next_counter=counter, data=data, flags=flags)
-        assert decode_payload(encode_payload(payload, p), p) == payload
+        assert read_payload(hide(encode_payload(payload, p)), p) == payload
 
 
 class TestBitmap:
@@ -141,18 +141,19 @@ class TestBitmap:
         assert capacity(CarrierObject.bitmap(2, 2)) == 1
 
     def test_sniffing(self):
-        assert CarrierObject.from_bytes(make_bitmap(4, 4)).kind == "bitmap"
-        assert CarrierObject.from_bytes(b"plain bytes").kind == "opaque"
+        assert CarrierObject.from_bytes(make_bitmap(4, 3)).geometry[:2] == (4, 3)
+        with pytest.raises(UnsupportedCarrier):
+            CarrierObject.from_bytes(b"plain bytes")
 
     def test_rejects_garbage_with_magic(self):
         with pytest.raises(UnsupportedCarrier):
-            capacity(CarrierObject(kind="bitmap", data=b"BMnot-a-real-bitmap"))
+            capacity(CarrierObject(b"BMnot-a-real-bitmap"))
 
     def test_synthetic_deterministic(self):
-        a = synthetic_bitmap("d1", 7, 16, 16)
-        b = synthetic_bitmap("d1", 7, 16, 16)
-        c = synthetic_bitmap("d1", 8, 16, 16)
-        d = synthetic_bitmap("d2", 7, 16, 16)
+        a = cover_bitmap("d1", 7, 16, 16)
+        b = cover_bitmap("d1", 7, 16, 16)
+        c = cover_bitmap("d1", 8, 16, 16)
+        d = cover_bitmap("d2", 7, 16, 16)
         assert a.data == b.data
         assert a.data != c.data
         assert a.data != d.data
@@ -166,10 +167,6 @@ class TestEmbed:
         carrier = CarrierObject.bitmap(20, 10)
         payload = bytes(range(60))
         assert extract(embed(carrier, payload), 60) == payload
-
-    def test_round_trip_opaque(self):
-        carrier = CarrierObject.opaque(bytes(100))
-        assert extract(embed(carrier, b"hello"), 5) == b"hello"
 
     def test_lsb_only_modification(self):
         rng = random.Random(3)
@@ -211,7 +208,7 @@ class TestEmbed:
             carrier = CarrierObject.bitmap(16, 16)
             stego = embed(carrier, raw)
             assert read_payload(stego, p) == payload
-            assert decode_payload(extract(stego, len(raw)), p) == payload
+            assert read_payload(hide(extract(stego, len(raw))), p) == payload
 
     def test_read_payload_truncated_capacity(self):
         # carrier too small to even hold a header
@@ -243,7 +240,7 @@ class TestEmbed:
 
     @pytest.mark.parametrize("p", [8, 24])
     def test_read_payload_on_a_large_padded_cover(self, p):
-        cover = synthetic_bitmap("big", 1, 301, 201)  # 903-byte rows, stride 904
+        cover = cover_bitmap("big", 1, 301, 201)  # 903-byte rows, stride 904
         room = capacity(cover) - header_size(p)
         for size in (0, 1, 777, room):
             payload = BlockPayload(next_counter=2 ** p - 1, data=random.Random(size).randbytes(size))
@@ -271,57 +268,40 @@ class TestReadPayload:
             assert lsb_oracle_extract(stego.data, len(raw)) == raw
             assert read_payload(stego, p) == payload
 
-    @staticmethod
-    def hide(raw, kind):
-        """A carrier whose capacity is exactly len(raw), holding raw."""
-        if kind == "opaque":
-            return CarrierObject.opaque(raw)
-        cover = CarrierObject.bitmap(-(-8 * len(raw) // 3), 1)  # one padded row
-        assert capacity(cover) == len(raw)
-        return embed(cover, raw)
-
-    @pytest.mark.parametrize("kind", ["opaque", "bitmap"])
-    def test_errors_come_in_order(self, kind):
+    def test_errors_come_in_order(self):
         p = 16
         hsize = header_size(p)
         good = encode_payload(BlockPayload(next_counter=3, data=b"abc"), p)
-        assert read_payload(self.hide(good, kind), p) == BlockPayload(next_counter=3, data=b"abc")
+        assert read_payload(hide(good), p) == BlockPayload(next_counter=3, data=b"abc")
         bad_version = bytes([PAYLOAD_VERSION + 1]) + good[1:]
         # capacity below the header size, whatever the version byte says
         with pytest.raises(TruncatedPayload, match="below header size"):
-            read_payload(self.hide(bad_version[:hsize - 1], kind), p)
+            read_payload(hide(bad_version[:hsize - 1]), p)
         # a declared length past capacity before the version byte
         too_long = bad_version[:hsize - 4] + (4).to_bytes(4, "big") + b"abc"
         with pytest.raises(TruncatedPayload, match="exceed capacity"):
-            read_payload(self.hide(too_long, kind), p)
+            read_payload(hide(too_long), p)
         with pytest.raises(BadVersion):
-            read_payload(self.hide(bad_version, kind), p)
+            read_payload(hide(bad_version), p)
 
 
 class TestPool:
     def test_synthetic_bitmap_pool(self):
-        pool = CarrierPool(synth="bitmap", width=16, height=16, disc_id="x")
+        pool = CarrierPool(96, "x")
+        assert (pool.width, pool.height) == (16, 16)
         assert pool.max_capacity() == 16 * 16 * 3 // 8
         carrier = pool.next_carrier(1, 40)
-        assert carrier.kind == "bitmap"
         assert carrier.data == pool.next_carrier(1, 40).data  # same counter, same carrier
 
-    def test_opaque_pool(self):
-        pool = CarrierPool(synth="opaque", opaque_size=64)
-        assert pool.max_capacity() == 64
-        carrier = pool.next_carrier(3, 10)
-        assert carrier.kind == "opaque"
-        assert capacity(carrier) == 64  # an opaque blob is never sized
-
     def test_cover_has_the_fewest_rows_that_hold_the_payload(self):
-        pool = CarrierPool(synth="bitmap", width=16, height=16, disc_id="x")
+        pool = CarrierPool(96, "x")
         for nbytes in range(1, pool.max_capacity() + 1):
             carrier = pool.next_carrier(5, nbytes)
             assert carrier.geometry[:2] == (16, -(-nbytes // 6))  # a 16-pixel row: 48 bits, 6 bytes
             assert capacity(carrier) >= nbytes
 
     def test_never_more_rows_than_the_pool_height(self):
-        pool = CarrierPool(synth="bitmap", width=16, height=12, disc_id="x")
+        pool = CarrierPool(72, "x")
         for nbytes in (72, 73, 500, 10 ** 6):
             assert pool.next_carrier(2, nbytes).geometry[:2] == (16, 12)
         with pytest.raises(CapacityExceeded):
@@ -329,7 +309,7 @@ class TestPool:
 
     def test_a_short_cover_is_the_first_rows_of_a_tall_one(self):
         # SHAKE-256 output is prefix-stable, and 16-pixel rows have no padding
-        pool = CarrierPool(synth="bitmap", width=16, height=16, disc_id="x")
+        pool = CarrierPool(96, "x")
         short, tall = pool.next_carrier(9, 9), pool.next_carrier(9, 96)
         offset = short.geometry[2]
         assert short.geometry[1] == 2 and tall.geometry[1] == 16

@@ -24,6 +24,7 @@ from stegdisc.disc import (
     Disc,
     DiscConfig,
     FileEntry,
+    carrier_bytes,
     compute_chain_length,
     default_pool,
 )
@@ -52,14 +53,10 @@ from stegdisc.steghash import (
 MODES = ("A", "B", "C")
 
 
-def small_pool(p=16, m=64):
-    return CarrierPool(synth="opaque", opaque_size=512)
-
-
 def make_disc(mode, n=4, p=16, m=8, backend=None, **kwargs):
     backend = backend if backend is not None else MemoryBackend()
     config = DiscConfig.create(n=n, p=p, m=m, mode=mode, disc_id=f"t-{mode}", **kwargs)
-    return Disc.format(config, backend, small_pool()), backend
+    return Disc.format(config, backend), backend
 
 
 class TestChainLength:
@@ -101,7 +98,7 @@ class TestConfig:
             disc.write_file(name, blob)
         disc.delete_file("f07")
         del files["f07"]
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         assert {entry.name for entry in fresh.list_files()} == set(files)
         for name, blob in files.items():
             assert fresh.read_file(name) == blob
@@ -122,10 +119,19 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             DiscConfig.create(n=3, p=16, m=4, mode="C", genesis=(0, 1, 1))
 
-    def test_block_must_fit_pool(self):
-        config = DiscConfig.create(n=3, p=16, m=10 ** 6, mode="C")
-        with pytest.raises(ConfigInvalid):
-            Disc.format(config, MemoryBackend(), small_pool())
+    def test_block_must_fit_pool(self, tmp_path):
+        # a full block needs 8 + 64 bytes; 11 rows of a 16-pixel cover hold 66
+        config = DiscConfig.create(n=3, p=16, m=64, mode="C")
+        short = CarrierPool(66, config.disc_id)
+        assert (short.height, short.max_capacity()) == (11, 66) and carrier_bytes(config) == 72
+        backend, doc = MemoryBackend(), tmp_path / "sb.txt"
+        with pytest.raises(ConfigInvalid, match="the pool offers 66"):
+            Disc.format(config, backend, short, doc_path=doc)
+        assert backend.live_addresses() == [] and not doc.exists()
+        Disc.format(config, backend, doc_path=doc)
+        with pytest.raises(ConfigInvalid, match="the pool offers 66"):
+            Disc.open(doc, backend, short)
+        assert Disc.open(doc, backend, CarrierPool(72, config.disc_id)).fsck().ok
 
 
 class TestFormat:
@@ -138,7 +144,7 @@ class TestFormat:
     def test_genesis_occupied(self):
         disc, backend = make_disc("C")
         with pytest.raises(DuplicateAddress):
-            Disc.format(disc.config, backend, small_pool())
+            Disc.format(disc.config, backend)
 
     def test_genesis_block_shape(self):
         disc, backend = make_disc("C", n=4, p=16, m=8)
@@ -197,7 +203,7 @@ class TestWrite:
 
         config = DiscConfig.create(n=4, p=16, m=1, mode="A", disc_id="full", genesis=genesis)
         doc = tmp_path / "sb.txt"
-        disc = Disc.format(config, MemoryBackend(), small_pool(), doc_path=doc)
+        disc = Disc.format(config, MemoryBackend(), doc_path=doc)
         for i in range(fit):
             disc.write_file(f"f{i}", b"x")
         text = doc.read_text(encoding="utf-8")
@@ -472,6 +478,13 @@ def _bad_version(disc, backend, code):
     return [("bad-block", code["a2"])], 3
 
 
+def _not_a_bitmap(disc, backend, code):
+    tags = perm_to_hashtags(code.addr["a2"], disc.config.alphabet)
+    payload = read_payload(CarrierObject.from_bytes(backend.fetch(tags)), disc.config.p)
+    backend.replace(tags, encode_payload(payload, disc.config.p))  # the payload, with no cover
+    return [("bad-block", code["a2"])], 3
+
+
 def _out_of_range(disc, backend, code):
     bad = factorial(disc.config.n) + 5
     _rewrite_block(disc, backend, code.addr["a0"], next_counter=bad)
@@ -517,6 +530,7 @@ FSCK_FAULTS = [
     ("B", _cycle, None),
     ("A", _missing_post, "a"),
     ("C", _bad_version, "a"),
+    ("B", _not_a_bitmap, "a"),
     ("B", _out_of_range, "a"),
     ("A", _file_missing, None),
     ("C", _file_truncated, "b"),
@@ -524,9 +538,10 @@ FSCK_FAULTS = [
     ("A", _block_count, None),
 ]
 CHAIN_FAULTS = [
-    row for row in FSCK_FAULTS if row[1] in (_order, _cycle, _missing_post, _bad_version, _out_of_range)
+    row for row in FSCK_FAULTS
+    if row[1] in (_order, _cycle, _missing_post, _bad_version, _not_a_bitmap, _out_of_range)
 ]
-RM_FAULTS = (_file_missing, _file_truncated, _missing_post, _bad_version, _order, _out_of_range)
+RM_FAULTS = (_file_missing, _file_truncated, _missing_post, _bad_version, _not_a_bitmap, _order, _out_of_range)
 
 
 def _fault_params(rows):
@@ -666,7 +681,7 @@ class TestNumpyCovers:
         backend = DirectoryBackend(tmp_path / "osn")
         config = DiscConfig.create(n=5, p=16, m=8, mode=mode, disc_id=f"np-{mode}")
         new_pool = default_pool(config)
-        old_pool = NumpyCoverPool(width=16, height=16, disc_id=config.disc_id)
+        old_pool = NumpyCoverPool(96, config.disc_id)
         doc = tmp_path / "sb.txt"
         old = Disc.format(config, backend, old_pool, doc_path=doc)
         files = {f"f{i}": random.Random(i).randbytes(5 + 9 * i) for i in range(4)}
@@ -703,8 +718,7 @@ class TestSquareCovers:
         backend = MemoryBackend()
         config = DiscConfig.create(n=5, p=16, m=64, mode=mode, disc_id=f"sq-{mode}")
         doc = tmp_path / "sb.txt"
-        old = Disc.format(config, backend, SquareCoverPool(width=16, height=16, disc_id=config.disc_id),
-                          doc_path=doc)
+        old = Disc.format(config, backend, SquareCoverPool(96, config.disc_id), doc_path=doc)
         files = {f"f{i}": random.Random(i).randbytes(30 + 50 * i) for i in range(4)}
         for name, data in files.items():
             old.write_file(name, data)
@@ -978,18 +992,18 @@ class TestPersistence:
         doc = tmp_path / "sb.txt"
         backend = MemoryBackend()
         config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id="ro")
-        disc = Disc.format(config, backend, small_pool(), doc_path=doc)
+        disc = Disc.format(config, backend, doc_path=doc)
         disc.write_file("first", b"written before reopen")
         disc.write_file("second", b"x" * 50)
         disc.delete_file("second")
 
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         assert fresh.read_file("first") == b"written before reopen"
         fresh.write_file("third", b"written after reopen")
         assert fresh.read_file("third") == b"written after reopen"
         assert fresh.fsck().ok
 
-        again = Disc.open(doc, backend, small_pool())
+        again = Disc.open(doc, backend)
         assert {e.name for e in again.list_files()} == {"first", "third"}
         assert again.read_file("third") == b"written after reopen"
 
@@ -1064,7 +1078,7 @@ class TestStats:
     def test_byte_counts_match_the_document(self, mode, tmp_path):
         doc = tmp_path / "sb.txt"
         config = DiscConfig.create(n=5, p=16, m=8, mode=mode, disc_id="bytes")
-        disc = Disc.format(config, MemoryBackend(), small_pool(), doc_path=doc)
+        disc = Disc.format(config, MemoryBackend(), doc_path=doc)
         for i in range(12):
             disc.write_file(f"file {i}", bytes(range(i * 3)))
         disc.delete_file("file 5")
@@ -1080,10 +1094,10 @@ class TestStats:
                 assert not used and stats.dictionary_bytes == 0
 
         check(disc.stats())
-        check(Disc.open(doc, disc.backend, small_pool()).stats())
+        check(Disc.open(doc, disc.backend).stats())
         with doc.open("a", encoding="utf-8") as out:
             out.write("火é\t0\t0\n")  # a hand-written name is read and kept unquoted
-        check(Disc.open(doc, disc.backend, small_pool()).stats())
+        check(Disc.open(doc, disc.backend).stats())
 
     def test_mode_a_dictionary_tracks_blocks(self):
         disc, _ = make_disc("A", n=5, m=1)
@@ -1139,7 +1153,7 @@ class TestCheckpointLadder:
     def test_reads_leave_the_superblock_untouched(self, mode, tmp_path):
         doc = tmp_path / "sb.txt"
         config = DiscConfig.create(n=5, p=24, m=8, mode=mode, disc_id="ro")
-        disc = Disc.format(config, MemoryBackend(), small_pool(), doc_path=doc)
+        disc = Disc.format(config, MemoryBackend(), doc_path=doc)
         rng = random.Random(9)
         files = {f"h{i}": rng.randbytes(rng.randrange(1, 40)) for i in range(30)}
         for name, blob in files.items():
@@ -1187,7 +1201,7 @@ def make_doc_disc(mode, tmp_path, n=7, p=24, m=8):
     backend = ProxyBackend(MemoryBackend())
     config = DiscConfig.create(n=n, p=p, m=m, mode=mode, disc_id=f"nb-{mode}")
     doc = tmp_path / "sb.txt"
-    return Disc.format(config, backend, small_pool(), doc_path=doc), backend, doc
+    return Disc.format(config, backend, doc_path=doc), backend, doc
 
 
 def _reorder_catalog(doc, names):
@@ -1230,7 +1244,7 @@ class TestCatalogNeighbours:
             assert backend.counts["fetch"] - before <= prev + blocks(names[idx]) + 2
             del files[names[idx]]
         last = list(files)[-1]
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         before = backend.counts["fetch"]
         fresh.write_file("new", b"appended after reopen")
         assert backend.counts["fetch"] - before <= blocks(last) + 2
@@ -1245,7 +1259,7 @@ class TestCatalogNeighbours:
         for i in range(20):
             disc.write_file(f"f{i:02d}", bytes([i]) * 24)  # 3 blocks each
         disc.write_file("empty", b"")
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         before = backend.counts["fetch"]
         fresh.write_file("new", b"n" * 20)
         # the tail lookup walks f19's run, and the link rewrites its last block
@@ -1274,7 +1288,7 @@ class TestCatalogNeighbours:
                 disc.delete_file(name)
                 del reference[name]
             if step % 40 == 39:
-                disc = Disc.open(doc, backend, small_pool())
+                disc = Disc.open(doc, backend)
             read = Document.read(doc.read_text(encoding="utf-8"))
             assert [e.start_counter for e in map(read.entry, read.entries) if e.length] == run_starts(disc)
         assert disc.fsck().ok
@@ -1289,7 +1303,7 @@ class TestCatalogNeighbours:
         disc.modify_file("b", b"B" * 7)  # chain order is now a c d b
         # the catalog order an in-place edit used to leave behind
         _reorder_catalog(doc, "abcd")
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         fresh.write_file("e", b"after the real tail")
         assert fresh.read_file("e") == b"after the real tail"
         fresh.delete_file("c")
@@ -1297,7 +1311,7 @@ class TestCatalogNeighbours:
         assert fresh.fsck().ok
         assert fresh.read_file("a") == b"a" * 9
         assert fresh.read_file("d") == b"d" * 9
-        again = Disc.open(doc, backend, small_pool())
+        again = Disc.open(doc, backend)
         again.write_file("f", b"tail after fallback deletes")
         assert again.fsck().ok
         assert again.read_file("f") == b"tail after fallback deletes"
@@ -1310,7 +1324,7 @@ class TestCatalogNeighbours:
         for name, blob in files.items():
             disc.write_file(name, blob)
         _reorder_catalog(doc, reversed(files))
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         before = backend.counts["fetch"]
         fresh.delete_file("f000")  # the genesis block points at its run
         # the guess walks f001's run (at most 2 blocks), then the genesis
@@ -1328,7 +1342,7 @@ class TestCatalogNeighbours:
             disc.write_file(name, blob)
         disc.delete_file("b")  # frees counters below the tail
         del files["b"]
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         fresh.delete_file("d")
         del files["d"]
         files["e"] = b"appended at the tail the rm left"
@@ -1349,7 +1363,7 @@ class TestCatalogNeighbours:
             disc.modify_file("a", b"new content for a")
         # the new run is linked after b, and no entry names it
         assert len(disc.chain_blocks()) == 3 + 3 + 5
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         fresh.write_file("c", b"c" * 9)
         runs = [code for code, _, _ in fresh.chain_blocks()]
         assert fresh.list_files()[2].start_counter == runs[-3]
@@ -1379,7 +1393,7 @@ class TestDeleteFaults:
         for name, blob in files.items():
             assert disc.read_file(name) == blob
         # a leaked post must stay occupied: fill every free address
-        fresh = Disc.open(doc, backend.inner, small_pool())
+        fresh = Disc.open(doc, backend.inner)
         free = factorial(4) - len(backend.inner.live_addresses())
         fresh.write_file("fill", bytes(range(4 * free)))
         assert fresh.fsck().ok
@@ -1405,7 +1419,7 @@ class TestDeleteFaults:
             patch.setattr(disc_mod, "write_superblock", crash)
             with pytest.raises(SystemExit):
                 disc.delete_file("b")  # spliced out; its posts and its entry stay
-        fresh = Disc.open(doc, backend.inner, small_pool())
+        fresh = Disc.open(doc, backend.inner)
         fresh.delete_file("c")
         assert [(v.kind, v.counter) for v in fresh.fsck().violations] == []
 
@@ -1440,7 +1454,7 @@ class TestWriteFaults:
                 assert disc.read_file(name) == blob
             # a missing rollback leaves a post the chain does not hold
             assert len(backend.inner.live_addresses()) == len(disc.chain_blocks()) + 1
-            fresh = Disc.open(doc, backend.inner, small_pool())
+            fresh = Disc.open(doc, backend.inner)
             free = factorial(4) - len(backend.inner.live_addresses())
             fresh.write_file("fill", bytes(range(4 * free)))
             assert fresh.fsck().ok
@@ -1481,7 +1495,7 @@ class TestUnrecordedPosts:
             patch.setattr(disc_mod, "write_superblock", crash)
             with pytest.raises(SystemExit):
                 disc.write_file("c", b"c" * 10)  # linked, but not in the document
-        fresh = Disc.open(doc, backend.inner, small_pool())
+        fresh = Disc.open(doc, backend.inner)
         files["d"] = b"d" * 10
         fresh.write_file("d", files["d"])
         for name, blob in files.items():
@@ -1499,7 +1513,7 @@ class TestUnrecordedPosts:
             disc.write_file("c", b"c" * 10)
         assert backend._due == {}
         if reopen:
-            disc = Disc.open(doc, backend.inner, small_pool())
+            disc = Disc.open(doc, backend.inner)
         files["c"] = b"c" * 10
         disc.write_file("c", files["c"])
         assert disc.fsck().ok
@@ -1529,7 +1543,7 @@ class TestCatalog:
         disc.write_file("one more", b"y")
         disc.stats()
         # an opened catalog keeps the lines it was read from
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         fresh.write_file("after reopen", b"z")
         fresh.stats()
         assert calls == [("one more",), ("after reopen",)]
@@ -1544,7 +1558,7 @@ class TestCatalog:
         disc, backend, doc = make_doc_disc(mode, tmp_path, n=5, p=16)
         with doc.open("a", encoding="utf-8") as out:
             out.write("huge\t1000000\t5\n")
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         fetches = backend.counts["fetch"]
         with pytest.raises(ChainBroken) as fault:
             fresh.read_file("huge")
@@ -1589,7 +1603,7 @@ class TestStreamPosition:
         rng = random.Random(17)
         for i in range(300):
             disc.write_file(f"f{i:03d}", rng.randbytes(rng.randrange(1, 17)))
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         probes = backend.counts["exists"]
         fresh.write_file("three blocks", b"z" * 20)
         # a fresh sampler at counter 0 spends thousands of hashes (and in
@@ -1609,7 +1623,7 @@ class TestStreamPosition:
         rng = random.Random(23)
         for i in range(40):
             blob = rng.randbytes(rng.randrange(1, 25))
-            two = Disc.open(doc, backend, small_pool())
+            two = Disc.open(doc, backend)
             for disc in (one, two):
                 disc.write_file(f"f{i}", blob)
                 if i % 7 == 6:  # freed addresses must not come back early
@@ -1634,7 +1648,7 @@ class TestStreamPosition:
         assert disc.fsck().ok
         for name, blob in files.items():
             assert disc.read_file(name) == blob
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         fresh.write_file("late", b"z" * 8)
         after = Document.read(doc.read_text(encoding="utf-8")).sampler
         # the reopened sampler started at the persisted position
@@ -1646,7 +1660,7 @@ class TestStreamPosition:
         disc, backend, doc, files = _two_files(mode, tmp_path)
         _rewrite_stream(doc, None)
         assert "stream=" not in doc.read_text(encoding="utf-8")
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         files["c"] = b"c" * 10
         fresh.write_file("c", files["c"])
         assert fresh.fsck().ok
@@ -1684,7 +1698,7 @@ class TestStreamPosition:
         else:
             stream = SamplerState(3, genesis[::-1])
         _rewrite_stream(doc, stream)
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         for name in ("g1", "g2"):
             files[name] = name.encode() * 9
             fresh.write_file(name, files[name])
@@ -1697,14 +1711,14 @@ class TestStreamPosition:
         for name in ("a", "b", "c"):
             disc.write_file(name, name.encode() * 12)
         disc.delete_file("b")
-        fresh = Disc.open(doc, backend, small_pool())
+        fresh = Disc.open(doc, backend)
         fresh.write_file("d", b"d" * 12)
         text = doc.read_text(encoding="utf-8")
         assert "stream=" not in text
         assert "\n+@" not in text  # nor a journal record that moves the position
         doc.write_text(text + "stream=0:" + ",".join(map(str, range(7))) + "\n", encoding="utf-8")
         with pytest.raises(ConfigInvalid, match="mode C"):
-            Disc.open(doc, backend, small_pool())
+            Disc.open(doc, backend)
 
 
 def _reopen_and_put(disc, backend, doc, files):
@@ -1713,7 +1727,7 @@ def _reopen_and_put(disc, backend, doc, files):
     run lies past it and replays."""
     blocks = disc.chain_blocks()
     tail = blocks[-1][0] if blocks else 0
-    fresh = Disc.open(doc, backend, small_pool())
+    fresh = Disc.open(doc, backend)
     files["new"] = b"n" * (2 * disc.config.m + 1)
     fresh.write_file("new", files["new"])
     spent = fresh.stats().hash_iterations

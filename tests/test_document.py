@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stegdisc.carrier import CarrierPool
 from stegdisc.disc import Disc
 from stegdisc.document import DiscConfig, Document, FileEntry, write_superblock
 from stegdisc.errors import ConfigInvalid
@@ -30,8 +29,7 @@ MODES = ("A", "B", "C")
 
 def make_disc(mode, directory):
     config = DiscConfig.create(n=5, p=16, m=8, mode=mode, disc_id=f"doc-{mode}")
-    pool = CarrierPool(synth="opaque", opaque_size=512)
-    return Disc.format(config, MemoryBackend(), pool, doc_path=Path(directory) / "sb.txt")
+    return Disc.format(config, MemoryBackend(), doc_path=Path(directory) / "sb.txt")
 
 
 def fill(disc, count):
@@ -199,7 +197,7 @@ def opened(text):
     with tempfile.TemporaryDirectory() as directory:
         doc = Path(directory) / "sb.txt"
         doc.write_text(text, encoding="utf-8")
-        disc = Disc.open(doc, MemoryBackend(), CarrierPool(synth="opaque", opaque_size=512))
+        disc = Disc.open(doc, MemoryBackend())
     used = disc.document.used if disc.config.mode == "A" else None
     return list(map(disc.document.entry, disc.document.entries)), used
 
@@ -444,8 +442,7 @@ class TestHeaderRule:
 def big_disc(mode, directory, count=300, **options):
     """A disc of `count` files of 1-3 blocks, n=7, large enough for a journal."""
     config = DiscConfig.create(n=7, p=24, m=8, mode=mode, disc_id=f"journal-{mode}", **options)
-    pool = CarrierPool(synth="opaque", opaque_size=512)
-    disc = Disc.format(config, MemoryBackend(), pool, doc_path=Path(directory) / "sb.txt")
+    disc = Disc.format(config, MemoryBackend(), doc_path=Path(directory) / "sb.txt")
     for i in range(count):
         disc.write_file(f"file {i:04d}", bytes([i % 251]) * (1 + i % 20))
     return disc
