@@ -7,8 +7,10 @@ A block payload is laid out bit-exactly as
 
 and embedded one bit per color channel into the least significant bits of
 an uncompressed 24-bit BMP, the one carrier kind: bytes that do not parse
-as one raise UnsupportedCarrier.  Embedding writes, and extraction reads,
-only the channel bytes the payload spans, never the whole image.  Covers
+as one raise UnsupportedCarrier.  A CarrierObject parses its geometry
+once, when built.  Embedding writes only the channel bytes the payload
+spans, and a read extracts the hidden bytes once, at most the caller's
+bound on a payload, and parses header and data from them.  Covers
 come from a pool of deterministic pseudo-random bitmaps derived from
 (disc id, block counter), each 16 pixels wide with just the rows its
 payload needs.
@@ -19,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -108,13 +109,10 @@ def make_bitmap(width: int, height: int, channel_bytes: Optional[bytes] = None) 
         raise UnsupportedCarrier(
             f"{len(channel_bytes)} channel bytes for {width}x{height} (need {n_chan})"
         )
-    stride = _row_stride(width)
-    pad = b"\x00" * (stride - width * 3)
-    rows = []
-    for y in range(height):
-        rows.append(channel_bytes[y * width * 3:(y + 1) * width * 3])
-        rows.append(pad)
-    pixel_data = b"".join(rows)
+    row, pad = width * 3, bytes(_row_stride(width) - width * 3)
+    if pad:  # padded rows; unpadded, the channel bytes already are the pixel data
+        channel_bytes = pad.join([channel_bytes[at:at + row] for at in range(0, n_chan, row)]) + pad
+    pixel_data = bytes(channel_bytes)
     offset = _BMP_FILE_HEADER.size + _BMP_INFO_HEADER.size
     file_header = _BMP_FILE_HEADER.pack(b"BM", offset + len(pixel_data), 0, 0, offset)
     info_header = _BMP_INFO_HEADER.pack(
@@ -157,29 +155,24 @@ def _spans(geometry: tuple[int, int, int, int], nbits: int) -> list[tuple[int, i
 
 # -- carrier objects -----------------------------------------------------------
 
-@dataclass(frozen=True)
 class CarrierObject:
-    """A multimedia object: the bytes of a 24-bit BMP.
+    """A multimedia object: the bytes of a 24-bit BMP and its (width,
+    height, pixel_offset, stride), parsed when it is built unless given.
 
     Embedding does not change an object's shape, so a stego object is a
     carrier too, with payload bits in its LSBs.
     """
 
-    data: bytes
+    __slots__ = ("data", "geometry")
 
-    @cached_property
-    def geometry(self) -> tuple[int, int, int, int]:
-        """A bitmap's (width, height, pixel_offset, stride), parsed once."""
-        return _parse_bmp(self.data)
+    def __init__(self, data: bytes, geometry: Optional[tuple[int, int, int, int]] = None):
+        self.data = data
+        self.geometry = geometry or _parse_bmp(data)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CarrierObject":
-        """Parse raw bytes as a bitmap, keeping the geometry this one parse
-        found; UnsupportedCarrier if they are not one."""
-        data = bytes(data)
-        carrier = cls(data)
-        carrier.__dict__["geometry"] = _parse_bmp(data)
-        return carrier
+        """Parse raw bytes as a bitmap; UnsupportedCarrier if they are not one."""
+        return cls(bytes(data))
 
     @classmethod
     def bitmap(cls, width: int, height: int, channel_bytes: Optional[bytes] = None) -> "CarrierObject":
@@ -208,7 +201,7 @@ def embed(carrier: CarrierObject, payload: bytes) -> CarrierObject:
         value = cleared | int.from_bytes(bits[done:done + length], "big")
         out[start:start + length] = value.to_bytes(length, "big")
         done += length
-    return CarrierObject(bytes(out))
+    return CarrierObject(bytes(out), carrier.geometry)
 
 
 def _hidden(stego: CarrierObject, start: int, nbytes: int) -> bytes:
@@ -232,21 +225,22 @@ def extract(stego: CarrierObject, expected_len: int) -> bytes:
     return _hidden(stego, 0, expected_len)
 
 
-def read_payload(stego: CarrierObject, p: int) -> BlockPayload:
-    """Two-phase payload read: extract and parse the header once, then
-    extract exactly the data bytes its data_len declares."""
-    hsize = header_size(p)
-    cap = capacity(stego)
+def read_payload(stego: CarrierObject, p: int, bound: Optional[int] = None) -> BlockPayload:
+    """Extract the hidden bytes once, up to the capacity or `bound` (the
+    largest payload the caller posts), and parse header and data from
+    them; only a declared length past `bound` extracts the rest."""
+    hsize, cap = header_size(p), capacity(stego)
     if hsize > cap:
         raise TruncatedPayload(f"capacity {cap} below header size {hsize}")
-    head = _hidden(stego, 0, hsize)
-    data_len = int.from_bytes(head[hsize - 4:], "big")
-    if hsize + data_len > cap:
-        raise TruncatedPayload(f"declared {data_len} data bytes exceed capacity {cap}")
-    if head[0] != PAYLOAD_VERSION:
-        raise BadVersion(f"unknown payload version {head[0]}")
-    counter = int.from_bytes(head[2:hsize - 4], "big")
-    return BlockPayload(counter, _hidden(stego, hsize, data_len), head[1], head[0])
+    hidden = _hidden(stego, 0, cap if bound is None else min(cap, bound))
+    end = hsize + int.from_bytes(hidden[hsize - 4:hsize], "big")
+    if end > cap:
+        raise TruncatedPayload(f"declared {end - hsize} data bytes exceed capacity {cap}")
+    if hidden[0] != PAYLOAD_VERSION:
+        raise BadVersion(f"unknown payload version {hidden[0]}")
+    if end > len(hidden):
+        hidden += _hidden(stego, len(hidden), end - len(hidden))
+    return BlockPayload(int.from_bytes(hidden[2:hsize - 4], "big"), hidden[hsize:end], hidden[1], hidden[0])
 
 
 # -- carrier pool --------------------------------------------------------------

@@ -46,7 +46,7 @@ lookup's cursor.  fsck and chain_blocks always walk the whole chain.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import factorial
 from pathlib import Path
@@ -81,6 +81,7 @@ from .steghash import (
     CheckpointLadder,
     Perm,
     ReplayCursor,
+    SamplerState,
     allocate_address,
     rank,
     sampler_advance,  # unused here; perfbench/tracing.py rebinds it
@@ -158,13 +159,14 @@ class Disc:
         # (pointer code, address) of the chain tail, looked up by the first
         # mutation; mode C's sampler takes the lookup cursor's tail state
         self._tail: Optional[tuple[int, Perm]] = None
-        # mode C: session-local resume points in the stream, never persisted
+        # mode C: the session's resume points in the stream (never persisted) and every cursor's seed
         self._ladder = CheckpointLadder(config.n) if config.encoding.positions else None
+        self._seed = SamplerState.fresh(config.genesis) if config.encoding.positions else None
         self.hash_iterations = 0  # stream hashes spent allocating
-        self.replay_iterations = 0  # stream hashes spent resolving pointers
-        need, offer = carrier_bytes(config), self.pool.max_capacity()
-        if need > offer:
-            raise ConfigInvalid(f"blocks need {need} carrier bytes, the pool offers {offer}")
+        self._replayed, self._cursor = 0, None  # replay hashes of earlier cursors, the newest cursor
+        self._largest, offer = carrier_bytes(config), self.pool.max_capacity()  # a read extracts no more
+        if self._largest > offer:
+            raise ConfigInvalid(f"blocks need {self._largest} carrier bytes, the pool offers {offer}")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -197,7 +199,7 @@ class Disc:
         tags = self._tags(addr)
         try:
             carrier = CarrierObject.from_bytes(self.backend.fetch(tags))
-            return code, addr, carrier, read_payload(carrier, self.config.p)
+            return code, addr, carrier, read_payload(carrier, self.config.p, self._largest)
         except NotFound as exc:
             raise ChainBroken(f"no object at {' '.join(tags)}", "bad-block", code) from exc
         except (TruncatedPayload, BadVersion, UnsupportedCarrier) as exc:
@@ -226,16 +228,17 @@ class Disc:
                 continue
             self.document.mark((code,), used=False)
 
-    @contextmanager
-    def _replay(self):
-        """A replay cursor in mode C, None otherwise; the hashes it spent
-        count as replay iterations when the scope ends."""
-        cursor = ReplayCursor(self.config.genesis, self._ladder) if self.config.encoding.positions else None
-        try:
-            yield cursor
-        finally:
-            if cursor is not None:
-                self.replay_iterations += cursor.iterations
+    def _replay(self) -> Optional[ReplayCursor]:
+        """A replay cursor from the session's seed state in mode C, else None."""
+        if self._seed is None:
+            return None
+        self._replayed, self._cursor = self.replay_iterations, ReplayCursor(self._seed, self._ladder)
+        return self._cursor
+
+    @property
+    def replay_iterations(self) -> int:
+        """Stream hashes spent resolving pointers, by every cursor so far."""
+        return self._replayed + (self._cursor.iterations if self._cursor is not None else 0)
 
     def _blocks_of(self, entry: FileEntry) -> int:
         return compute_chain_length(entry.length, self.config.m)
@@ -246,6 +249,7 @@ class Disc:
         `count` is None.  Every chain fault raises ChainBroken with its kind
         and the offending code."""
         start, prev, seen = code, 0, set()
+        positions, p, n, fetch = self.config.encoding.positions, self.config.p, self.config.n, self._fetch
         while count is None or len(seen) < count:
             if code == 0:
                 if count is None:
@@ -256,18 +260,18 @@ class Disc:
                 )
             # order first: a stream position that does not increase is an
             # order fault whether or not it also closes a cycle
-            if self.config.encoding.positions and code <= prev:
+            if positions and code <= prev:
                 raise ChainBroken(f"counter {code} does not increase past {prev}", "order", code)
             if code in seen:
                 raise ChainBroken(f"pointer {code} repeats along the chain", "cycle", code)
-            if code >> self.config.p:  # only a catalog line can hold so wide a code
+            if code >> p:  # only a catalog line can hold so wide a code
                 raise ChainBroken(f"pointer {code} is wider than p bits", "bad-block", code)
             seen.add(code)
             try:  # mode C replays the stream through `cursor`
-                addr = cursor.resolve(code) if cursor is not None else unrank(code, self.config.n)
+                addr = cursor.resolve(code) if cursor is not None else unrank(code, n)
             except (InvalidCounter, CodeOutOfRange) as exc:
                 raise ChainBroken(f"bad pointer {code}: {exc}", "bad-block", code) from exc
-            block = self._fetch(code, addr)
+            block = fetch(code, addr)
             yield block
             prev, code = code, block[3].next_counter
 
@@ -344,11 +348,11 @@ class Disc:
                 raise AllocationStall(f"a run of {count} blocks needs more than the {free} free codes")
         tail = None  # the tail block, as the session's first mutation fetched it
         if self._tail is None:  # the session's first mutation looks up the tail
-            with self._replay() as cursor:
-                tail = self._before(None, cursor)
-                if tail[0] and cursor is not None:
-                    cursor.resolve(tail[0])  # no hash: the lookup left the cursor at the tail
-                    self.document.sampler = cursor.state
+            cursor = self._replay()
+            tail = self._before(None, cursor)
+            if tail[0] and cursor is not None:
+                cursor.resolve(tail[0])  # no hash: the lookup left the cursor at the tail
+                self.document.sampler = cursor.state
             self._tail = tail[:2]
         # stream positions stop at 2^p - 1; rank codes have no bound, and
         # rank 0 (the identity) is the NULL pointer
@@ -399,9 +403,9 @@ class Disc:
         The predecessor rewrite is the point where the run leaves the
         chain.  Removal after it is best effort (`_remove`): raising there
         would leave a catalog entry naming a spliced-out run."""
-        with self._replay() as cursor:
-            before = self._before(entry, cursor)
-            run = list(self._walk(entry.start_counter, cursor, self._blocks_of(entry)))
+        cursor = self._replay()
+        before = self._before(entry, cursor)
+        run = list(self._walk(entry.start_counter, cursor, self._blocks_of(entry)))
         tail_ptr = run[-1][3].next_counter
         self._rewrite_next(before, tail_ptr)
         self._remove(block[:2] for block in run)
@@ -422,9 +426,8 @@ class Disc:
 
     def read_file(self, name: str) -> bytes:
         entry = self.document.entry(name)
-        with self._replay() as cursor:
-            walk = self._walk(entry.start_counter, cursor, self._blocks_of(entry))
-            data = b"".join(payload.data for _, _, _, payload in walk)
+        walk = self._walk(entry.start_counter, self._replay(), self._blocks_of(entry))
+        data = b"".join(payload.data for _, _, _, payload in walk)
         if len(data) != entry.length:
             raise ChainBroken(
                 f"file {name!r} yielded {len(data)} bytes, expected {entry.length}",
@@ -462,8 +465,7 @@ class Disc:
     def chain_blocks(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Read-only traversal from the genesis block: one
         (pointer code, address, payload) triple per data block, in chain order."""
-        with self._replay() as cursor:
-            return [(code, addr, payload) for code, addr, _, payload in self._chain(cursor)][1:]
+        return [(code, addr, payload) for code, addr, _, payload in self._chain(self._replay())][1:]
 
     # -- inspection ------------------------------------------------------------
 
@@ -471,59 +473,57 @@ class Disc:
         """Read-only chain check: traversal stops at the first fault the
         walker raises; catalog coverage is only judged on a fully
         traversed chain."""
-        with self._replay() as cursor:
-            report = ChainReport()
-            chain = self._chain(cursor)
+        report, chain = ChainReport(), self._chain(self._replay())
+        try:
+            genesis_payload = next(chain)[3]
+        except ChainBroken as exc:
+            report.violations.append(Violation("genesis-missing", 0, str(exc)))
+            return report
+        report.block_count = 1
+        if not genesis_payload.is_superblock:
+            report.violations.append(
+                Violation("genesis-flags", 0, "genesis block lacks the superblock flag")
+            )
+        expect = self.config.echo_bytes()
+        if genesis_payload.data != expect:
+            report.violations.append(
+                Violation("genesis-echo", 0, f"genesis echo {genesis_payload.data!r} != {expect!r}")
+            )
+        blocks: list[tuple[int, Perm, BlockPayload]] = []
+        try:
+            for code, addr, _, payload in chain:
+                report.block_count += 1
+                blocks.append((code, addr, payload))
+        except ChainBroken as fault:
+            report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
+            return report
+        position = {code: idx for idx, (code, _, _) in enumerate(blocks)}
+        total_expected = 0
+        for entry in map(self.document.entry, self.document.entries):
+            total_expected += self._blocks_of(entry)
+            if not entry.length:
+                continue
             try:
-                genesis_payload = next(chain)[3]
-            except ChainBroken as exc:
-                report.violations.append(Violation("genesis-missing", 0, str(exc)))
-                return report
-            report.block_count = 1
-            if not genesis_payload.is_superblock:
-                report.violations.append(
-                    Violation("genesis-flags", 0, "genesis block lacks the superblock flag")
-                )
-            expect = self.config.echo_bytes()
-            if genesis_payload.data != expect:
-                report.violations.append(
-                    Violation("genesis-echo", 0, f"genesis echo {genesis_payload.data!r} != {expect!r}")
-                )
-            blocks: list[tuple[int, Perm, BlockPayload]] = []
-            try:
-                for code, addr, _, payload in chain:
-                    report.block_count += 1
-                    blocks.append((code, addr, payload))
+                run = self._locate(blocks, position, entry)
             except ChainBroken as fault:
                 report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
-                return report
-            position = {code: idx for idx, (code, _, _) in enumerate(blocks)}
-            total_expected = 0
-            for entry in map(self.document.entry, self.document.entries):
-                total_expected += self._blocks_of(entry)
-                if not entry.length:
-                    continue
-                try:
-                    run = self._locate(blocks, position, entry)
-                except ChainBroken as fault:
-                    report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
-                    continue
-                got = sum(len(payload.data) for _, _, payload in run)
-                if got != entry.length:
-                    report.violations.append(
-                        Violation(
-                            "file-bytes", entry.start_counter,
-                            f"file {entry.name!r} spans {got} bytes, catalog says {entry.length}",
-                        )
-                    )
-            if len(blocks) != total_expected:
+                continue
+            got = sum(len(payload.data) for _, _, payload in run)
+            if got != entry.length:
                 report.violations.append(
                     Violation(
-                        "block-count", 0,
-                        f"chain holds {len(blocks)} blocks, catalog accounts for {total_expected}",
+                        "file-bytes", entry.start_counter,
+                        f"file {entry.name!r} spans {got} bytes, catalog says {entry.length}",
                     )
                 )
-            return report
+        if len(blocks) != total_expected:
+            report.violations.append(
+                Violation(
+                    "block-count", 0,
+                    f"chain holds {len(blocks)} blocks, catalog accounts for {total_expected}",
+                )
+            )
+        return report
 
     def stats(self) -> TradeoffStats:
         doc = self.document

@@ -61,7 +61,7 @@ def _write_file(path: str, data: bytes) -> None:
 
 class _BackendBase:
     """Shared plumbing: admission and failure injection.  Subclasses define
-    `_key` (a post's key) and `_has`, `_put`, `_get`, `_rewrite`, `_drop`, `_all`."""
+    `_key` (a post's key), `_has`, `_put`, `_get` (None if absent), `_rewrite`, `_drop`, `_all`."""
 
     def __init__(self, failure_rate: float = 0.0, failure_seed: int = 0):
         if not 0.0 <= failure_rate <= 1.0:
@@ -92,7 +92,10 @@ class _BackendBase:
         return self._has(self._query(hashtags)[1])
 
     def fetch(self, hashtags) -> bytes:
-        return self._get(self._query(hashtags, present=True)[1])
+        tags, key = self._query(hashtags)
+        if (data := self._get(key)) is None:  # one presence lookup
+            raise NotFound(f"no post at {' '.join(tags)}")
+        return data
 
     def replace(self, hashtags, data: bytes) -> None:
         self._rewrite(self._query(hashtags, present=True)[1], bytes(data))
@@ -127,7 +130,7 @@ class MemoryBackend(_BackendBase):
     _rewrite = _put
 
     def _get(self, key):
-        return self._posts[key]
+        return self._posts.get(key)
 
     def _drop(self, key):
         del self._posts[key]
@@ -186,6 +189,8 @@ class DirectoryBackend(_BackendBase):
         _write_file(f"{post_dir}/{self.META}", ("\n".join(tags) + "\n").encode("utf-8"))
 
     def _get(self, post_dir):
+        if not self._has(post_dir):  # a post exists while its meta.txt does
+            return None
         fd, chunks = os.open(f"{post_dir}/{self.OBJECT}", os.O_RDONLY), []
         try:  # a short read is not the end of the file; an empty one is
             while chunk := os.read(fd, 1 << 16):

@@ -15,9 +15,8 @@ from __future__ import annotations
 import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AllocationStall,
@@ -127,11 +126,10 @@ def unrank(code: int, n: int) -> Perm:
 # (fewer than n iterations) never denotes a real address.  The stream has no
 # bound of its own: mode C's 2^p - 1 is checked by allocate_address.
 
-@dataclass(frozen=True)
-class SamplerState:
+class SamplerState(NamedTuple):
     """Position in the global address stream, a pure function of (seed,
     iteration): a completion counter and the permutation completed there,
-    or (0, seed) before the first completion."""
+    or (0, seed) before the first completion; a plain tuple, cheap to build."""
 
     iteration: int
     perm: Perm
@@ -219,12 +217,14 @@ class ReplayCursor:
     the seed.  Every completion the walk passes is offered to the
     ladder.  Chain traversals resolve counters in increasing order, so one
     traversal costs one pass over the stream.  The result always equals
-    sampler_replay(seed, counter).
+    sampler_replay(seed, counter).  `seed` is the seed permutation or its
+    SamplerState.fresh(seed), which a caller making a cursor per walk
+    builds once; `state` is the completion state last resolved.
     """
 
-    def __init__(self, seed: Sequence[int], ladder: Optional[CheckpointLadder] = None):
+    def __init__(self, seed: SamplerState | Sequence[int], ladder: Optional[CheckpointLadder] = None):
         self._ladder = ladder
-        self._fresh = self.state = SamplerState.fresh(seed)  # the completion state last resolved
+        self._fresh = self.state = seed if isinstance(seed, SamplerState) else SamplerState.fresh(seed)
         self.iterations = 0  # total hash evaluations consumed by this cursor
 
     def resolve(self, counter: int) -> Perm:

@@ -1,6 +1,7 @@
 """Payload codec, bitmap container, and LSB embedding."""
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -149,6 +150,25 @@ class TestBitmap:
         with pytest.raises(UnsupportedCarrier):
             capacity(CarrierObject(b"BMnot-a-real-bitmap"))
 
+    @staticmethod
+    def row_loop_bitmap(width, height, chan):
+        """A BMP built as make_bitmap once built every one: pixel data row
+        by row, each row followed by its padding."""
+        row, stride = width * 3, (width * 3 + 3) & ~3
+        pixels = b"".join(chan[y * row:(y + 1) * row] + bytes(stride - row) for y in range(height))
+        return (struct.pack("<2sIHHI", b"BM", 54 + len(pixels), 0, 0, 54)
+                + struct.pack("<IiiHHIIiiII", 40, width, height, 1, 24, 0, len(pixels), 2835, 2835, 0, 0)
+                + pixels)
+
+    def test_pixel_data_matches_the_row_loop(self):
+        # widths 1-17 are padded and unpadded rows; 16x2700 is a pool cover
+        # as tall as a 16 KB block needs
+        rng = random.Random(12)
+        for width, height in [(w, h) for w in range(1, 18) for h in range(1, 6)] + [(16, 2700)]:
+            chan = rng.randbytes(width * height * 3)
+            assert make_bitmap(width, height, chan) == self.row_loop_bitmap(width, height, chan)
+            assert make_bitmap(width, height) == self.row_loop_bitmap(width, height, bytes(len(chan)))
+
     def test_synthetic_deterministic(self):
         a = cover_bitmap("d1", 7, 16, 16)
         b = cover_bitmap("d1", 7, 16, 16)
@@ -248,8 +268,9 @@ class TestEmbed:
 
 
 class TestReadPayload:
-    """read_payload parses the header once, then extracts only the data
-    bytes it declares, from bit 8 * header_size(p) on."""
+    """read_payload extracts the hidden bytes once, up to the capacity or
+    its bound, and parses header and data from them; only a declared
+    length past the bound extracts the rest."""
 
     # 16 and 32 pixels: 48- and 96-byte rows, no padding; 5 and 17: padded rows
     @pytest.mark.parametrize("width", [5, 16, 17, 32])
@@ -267,6 +288,56 @@ class TestReadPayload:
             stego = embed(cover, raw)
             assert lsb_oracle_extract(stego.data, len(raw)) == raw
             assert read_payload(stego, p) == payload
+
+    @staticmethod
+    def two_phase(stego, p):
+        """The two-phase reader, on the pure-python oracle: extract and parse
+        the header; check capacity, declared length and version, in that
+        order; then extract the header and the declared data."""
+        width, height = (int.from_bytes(stego.data[at:at + 4], "little") for at in (18, 22))
+        hsize, cap = header_size(p), width * height * 3 // 8
+        if hsize > cap:
+            raise TruncatedPayload(f"capacity {cap} below header size {hsize}")
+        head = lsb_oracle_extract(stego.data, hsize)
+        data_len = int.from_bytes(head[hsize - 4:], "big")
+        if hsize + data_len > cap:
+            raise TruncatedPayload(f"declared {data_len} data bytes exceed capacity {cap}")
+        if head[0] != PAYLOAD_VERSION:
+            raise BadVersion(f"unknown payload version {head[0]}")
+        data = lsb_oracle_extract(stego.data, hsize + data_len)[hsize:]
+        return BlockPayload(int.from_bytes(head[2:hsize - 4], "big"), data, head[1], head[0])
+
+    @given(st.integers(1, 40), st.integers(1, 33), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_extraction_equals_two_phases(self, p, width, data):
+        hsize = header_size(p)
+        size = data.draw(st.integers(0, 60), label="data length")
+        fewest = -(-(hsize + size) * 8 // (width * 3))
+        # fewer rows cut the payload short; more are covers of older versions
+        height = data.draw(st.integers(max(1, fewest - 2), fewest + 6), label="height")
+        size = data.draw(st.integers(size, max(size, width * height * 3 // 8 - hsize)), label="up to capacity")
+        body = data.draw(st.binary(min_size=size, max_size=size))
+        payload = BlockPayload(data.draw(st.integers(0, 2 ** p - 1)), body, data.draw(st.integers(0, 255)))
+        raw = bytearray(encode_payload(payload, p))
+        fault = data.draw(st.sampled_from([None, "version", "length"]), label="corrupted")
+        if fault == "version":
+            raw[0] = data.draw(st.integers(0, 255))
+        elif fault == "length":
+            raw[hsize - 4:hsize] = data.draw(st.integers(0, 2 ** 32 - 1)).to_bytes(4, "big")
+        chan = data.draw(st.binary(min_size=width * height * 3, max_size=width * height * 3))
+        cover = CarrierObject.bitmap(width, height, chan)
+        stego = embed(cover, bytes(raw[:capacity(cover)]))
+        # a bound below the declared payload makes the read extract twice
+        bound = data.draw(st.none() | st.integers(hsize, len(raw) + 8), label="bound")
+        outcomes = []
+        for read in (lambda: read_payload(stego, p, bound), lambda: self.two_phase(stego, p)):
+            try:
+                outcomes.append(read())
+            except (TruncatedPayload, BadVersion) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        if fault is None and len(raw) <= capacity(cover):
+            assert outcomes[0] == payload
 
     def test_errors_come_in_order(self):
         p = 16

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from stegdisc.carrier import (
     CarrierObject,
     CarrierPool,
+    capacity,
+    cover_bitmap,
     embed,
     encode_payload,
     header_size,
@@ -256,19 +258,42 @@ class TestRead:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_bitmap_parse_per_fetched_block(self, mode, monkeypatch):
+        """A warm read of a k-block file makes k fetches, k bitmap parses and
+        k LSB extractions, and validates no permutation; a tall cover of
+        an older version extracts no more than the disc's largest payload."""
         import stegdisc.carrier as carrier_mod
+        import stegdisc.steghash as steghash_mod
 
         backend = ProxyBackend(MemoryBackend())
         config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id=f"parse-{mode}")
         disc = Disc.format(config, backend)  # default pool: bitmap carriers
-        disc.write_file("f", b"12345")
-        parses = []
-        real_parse = carrier_mod._parse_bmp
-        monkeypatch.setattr(carrier_mod, "_parse_bmp", lambda data: parses.append(1) or real_parse(data))
-        fetches = backend.counts["fetch"]
-        assert disc.read_file("f") == b"12345"
-        assert backend.counts["fetch"] - fetches == 1
-        assert len(parses) == 1
+        files = {"f": b"12345", "g": bytes(range(20))}  # one block and three
+        for name, data in files.items():
+            disc.write_file(name, data)
+            assert disc.read_file(name) == data  # the reads below are warm
+        parses, extracted, validations = [], [], []
+
+        def spy(module, name, log, record=lambda *args: 1):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: log.append(record(*args)) or real(*args))
+
+        spy(carrier_mod, "_parse_bmp", parses)
+        spy(carrier_mod, "_hidden", extracted, lambda stego, start, nbytes: nbytes)
+        spy(steghash_mod, "validate_permutation", validations)
+        for name, data in files.items():
+            k = compute_chain_length(len(data), config.m)
+            fetches, parses[:], extracted[:] = backend.counts["fetch"], [], []
+            assert disc.read_file(name) == data
+            assert backend.counts["fetch"] - fetches == k
+            assert (len(parses), len(extracted), len(validations)) == (k, k, 0)
+        # covers were 16x16 before each was sized to its payload; a taller
+        # one still costs a block's extraction, not the cover's capacity
+        (code, addr, payload), = [block for block in disc.chain_blocks() if block[2].data == files["f"]]
+        tall = embed(cover_bitmap(config.disc_id, code, 16, 256), encode_payload(payload, config.p))
+        backend.replace(perm_to_hashtags(addr, config.alphabet), tall.data)
+        extracted[:] = []
+        assert disc.read_file("f") == files["f"]
+        assert len(extracted) == 1 and extracted[0] <= carrier_bytes(config) < capacity(tall)
 
     def test_missing_block_breaks_chain(self):
         disc, backend = make_disc("C", m=4)
@@ -609,9 +634,9 @@ class TestWalkCost:
         blocks = {name: compute_chain_length(len(data), m) for name, data in self.FILES.items()}
         decodes = []
 
-        def counted(carrier, p):
-            decodes.append(p)
-            return read_payload(carrier, p)
+        def counted(carrier, *args):
+            decodes.append(args)
+            return read_payload(carrier, *args)
 
         monkeypatch.setattr("stegdisc.disc.read_payload", counted)
         backend.counts["fetch"] = 0
