@@ -6,14 +6,15 @@ A block payload is laid out bit-exactly as
     | data_len (4, big-endian) | data
 
 and embedded one bit per color channel into the least significant bits of
-an uncompressed 24-bit BMP, the one carrier kind: bytes that do not parse
+an uncompressed 24-bit BMP, the one carrier kind, whose width is a
+multiple of 4 so that its rows need no padding: bytes that do not parse
 as one raise UnsupportedCarrier.  A CarrierObject parses its geometry
-once, when built.  Embedding writes only the channel bytes the payload
-spans, and a read extracts the hidden bytes once, at most the caller's
-bound on a payload, and parses header and data from them.  Covers
-come from a pool of deterministic pseudo-random bitmaps derived from
-(disc id, block counter), each 16 pixels wide with just the rows its
-payload needs.
+once, when built.  The payload's channel bytes are one contiguous slice
+of the pixel data: embedding writes only that slice, and a read
+extracts the hidden bytes once, at most the caller's bound on a
+payload, and parses header and data from them.  Covers come from a pool
+of deterministic pseudo-random bitmaps derived from (disc id, block
+counter), each 16 pixels wide with just the rows its payload needs.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def encode_payload(payload: BlockPayload, p: int, m: Optional[int] = None) -> by
 
 # -- BMP container -------------------------------------------------------------
 # Plain BITMAPINFOHEADER, 24 bits per pixel, no compression, bottom-up rows
-# padded to 4 bytes.  Channel bytes (pixel data minus padding) are the hidden
-# capacity, one LSB each.
+# whose width is a multiple of 4 pixels, so a row is a multiple of 4 bytes and
+# needs no padding.  The pixel data's channel bytes are the hidden capacity,
+# one LSB each.
 
 _BMP_FILE_HEADER = struct.Struct("<2sIHHI")
 _BMP_INFO_HEADER = struct.Struct("<IiiHHIIiiII")
@@ -89,41 +91,38 @@ _BMP_HEADERS = struct.Struct(_BMP_FILE_HEADER.format + _BMP_INFO_HEADER.format[1
 # a channel byte's LSB as an ASCII digit, so extracted bits parse as one int
 _LSB_DIGITS = bytes(b"01"[value & 1] for value in range(256))
 # a channel byte with its LSB cleared, and an ASCII digit as the byte 0 or 1,
-# so a span's payload bits OR into its cleared channel bytes as one int
+# so the payload bits OR into their cleared channel bytes as one int
 _CLEAR_LSB = bytes(value & 0xFE for value in range(256))
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _row_stride(width: int) -> int:
-    return (width * 3 + 3) & ~3
+def _check_dimensions(width: int, height: int) -> None:
+    """UnsupportedCarrier unless both dimensions are positive and the width
+    is a multiple of 4, so that rows need no padding."""
+    if width < 1 or height < 1 or width % 4:
+        raise UnsupportedCarrier(f"bad dimensions {width}x{height} (width must be a multiple of 4)")
 
 
 def make_bitmap(width: int, height: int, channel_bytes: Optional[bytes] = None) -> bytes:
-    """Build a 24-bit BMP file from raw channel bytes (len = width*height*3)."""
-    if width < 1 or height < 1:
-        raise UnsupportedCarrier("bitmap dimensions must be positive")
+    """Build a 24-bit BMP file from raw channel bytes (len = width*height*3),
+    which are its pixel data; UnsupportedCarrier for a shape _parse_bmp
+    would refuse."""
+    _check_dimensions(width, height)
     n_chan = width * height * 3
-    if channel_bytes is None:
-        channel_bytes = bytes(n_chan)
-    if len(channel_bytes) != n_chan:
-        raise UnsupportedCarrier(
-            f"{len(channel_bytes)} channel bytes for {width}x{height} (need {n_chan})"
-        )
-    row, pad = width * 3, bytes(_row_stride(width) - width * 3)
-    if pad:  # padded rows; unpadded, the channel bytes already are the pixel data
-        channel_bytes = pad.join([channel_bytes[at:at + row] for at in range(0, n_chan, row)]) + pad
-    pixel_data = bytes(channel_bytes)
-    offset = _BMP_FILE_HEADER.size + _BMP_INFO_HEADER.size
-    file_header = _BMP_FILE_HEADER.pack(b"BM", offset + len(pixel_data), 0, 0, offset)
-    info_header = _BMP_INFO_HEADER.pack(
-        _BMP_INFO_HEADER.size, width, height, 1, 24, 0, len(pixel_data), 2835, 2835, 0, 0
-    )
-    return file_header + info_header + pixel_data
+    pixel_data = bytes(n_chan) if channel_bytes is None else bytes(channel_bytes)
+    if len(pixel_data) != n_chan:
+        raise UnsupportedCarrier(f"{len(pixel_data)} channel bytes for {width}x{height} (need {n_chan})")
+    offset = _BMP_HEADERS.size
+    return _BMP_HEADERS.pack(
+        b"BM", offset + n_chan, 0, 0, offset,
+        _BMP_INFO_HEADER.size, width, height, 1, 24, 0, n_chan, 2835, 2835, 0, 0,
+    ) + pixel_data
 
 
-def _parse_bmp(data: bytes) -> tuple[int, int, int, int]:
-    """Return (width, height, pixel_offset, stride); UnsupportedCarrier if not
-    a plain bottom-up 24-bit uncompressed BMP."""
+def _parse_bmp(data: bytes) -> tuple[int, int, int]:
+    """Return (width, height, pixel_offset); UnsupportedCarrier if not a
+    plain bottom-up 24-bit uncompressed BMP whose rows need no padding and
+    whose pixel data starts past its headers."""
     if len(data) < _BMP_HEADERS.size:
         raise UnsupportedCarrier("too short for a BMP header")
     (magic, _size, _r1, _r2, offset, hdr_size, width, height, planes, bpp, compression,
@@ -134,30 +133,20 @@ def _parse_bmp(data: bytes) -> tuple[int, int, int, int]:
         raise UnsupportedCarrier(f"unsupported BMP header (size {hdr_size})")
     if bpp != 24 or compression != 0:
         raise UnsupportedCarrier(f"only uncompressed 24bpp supported (bpp={bpp})")
-    if width < 1 or height < 1:
-        raise UnsupportedCarrier(f"bad dimensions {width}x{height}")
-    stride = _row_stride(width)
-    if offset + stride * height > len(data):
+    _check_dimensions(width, height)
+    if offset < _BMP_FILE_HEADER.size + hdr_size:
+        raise UnsupportedCarrier(f"pixel offset {offset} inside the headers")
+    if offset + width * height * 3 > len(data):
         raise UnsupportedCarrier("pixel data shorter than declared dimensions")
-    return width, height, offset, stride
-
-
-def _spans(geometry: tuple[int, int, int, int], nbits: int) -> list[tuple[int, int]]:
-    """(start, length) of each run of channel bytes holding the first nbits
-    hidden bits, in order: one run when rows have no padding, else one per
-    row, without its padding."""
-    width, _, offset, stride = geometry
-    row = width * 3
-    if stride == row:
-        return [(offset, nbits)] if nbits else []
-    return [(offset + k * stride, min(row, nbits - k * row)) for k in range(-(-nbits // row))]
+    return width, height, offset
 
 
 # -- carrier objects -----------------------------------------------------------
 
 class CarrierObject:
-    """A multimedia object: the bytes of a 24-bit BMP and its (width,
-    height, pixel_offset, stride), parsed when it is built unless given.
+    """A multimedia object: the bytes of a 24-bit BMP whose rows need no
+    padding, and its (width, height, pixel_offset), parsed when it is
+    built unless given.
 
     Embedding does not change an object's shape, so a stego object is a
     carrier too, with payload bits in its LSBs.
@@ -165,7 +154,7 @@ class CarrierObject:
 
     __slots__ = ("data", "geometry")
 
-    def __init__(self, data: bytes, geometry: Optional[tuple[int, int, int, int]] = None):
+    def __init__(self, data: bytes, geometry: Optional[tuple[int, int, int]] = None):
         self.data = data
         self.geometry = geometry or _parse_bmp(data)
 
@@ -181,41 +170,30 @@ class CarrierObject:
 
 def capacity(carrier: CarrierObject) -> int:
     """Bytes of hidden payload the carrier can hold."""
-    width, height, _, _ = carrier.geometry
+    width, height, _ = carrier.geometry
     return width * height * 3 // 8
 
 
 def embed(carrier: CarrierObject, payload: bytes) -> CarrierObject:
     """Hide payload bytes in the carrier: their bits, most significant
-    first, go into the LSB of successive channel bytes; everything else
+    first, go into the LSB of the first channel bytes; everything else
     is untouched."""
     if len(payload) > capacity(carrier):
         raise CapacityExceeded(f"{len(payload)} bytes > capacity {capacity(carrier)}")
-    nbits = len(payload) * 8
-    digits = format(int.from_bytes(payload, "big"), f"0{nbits}b").encode()
-    bits = digits.translate(_DIGIT_BITS)
-    out = bytearray(carrier.data)
-    done = 0
-    for start, length in _spans(carrier.geometry, nbits):
-        cleared = int.from_bytes(out[start:start + length].translate(_CLEAR_LSB), "big")
-        value = cleared | int.from_bytes(bits[done:done + length], "big")
-        out[start:start + length] = value.to_bytes(length, "big")
-        done += length
-    return CarrierObject(bytes(out), carrier.geometry)
+    data, start, nbits = carrier.data, carrier.geometry[2], len(payload) * 8
+    bits = format(int.from_bytes(payload, "big"), f"0{nbits}b").encode().translate(_DIGIT_BITS)
+    cleared = int.from_bytes(data[start:start + nbits].translate(_CLEAR_LSB), "big")
+    chan = (cleared | int.from_bytes(bits, "big")).to_bytes(nbits, "big")
+    return CarrierObject(data[:start] + chan + data[start + nbits:], carrier.geometry)
 
 
 def _hidden(stego: CarrierObject, start: int, nbytes: int) -> bytes:
-    """Hidden bytes start..start+nbytes-1, read from the channel bytes they span."""
+    """Hidden bytes start..start+nbytes-1, read from the one slice of
+    channel bytes they span."""
     if nbytes <= 0:
         return b""
-    data = stego.data
-    width, _, offset, stride = geometry = stego.geometry
-    if stride == width * 3:  # no row padding: the bits' channel bytes are one slice
-        chan = data[offset + start * 8:offset + (start + nbytes) * 8]
-    else:  # the channel bytes of every row the bits reach, less those of earlier bytes
-        spans = _spans(geometry, (start + nbytes) * 8)
-        chan = b"".join([data[at:at + length] for at, length in spans])[start * 8:]
-    return int(chan.translate(_LSB_DIGITS), 2).to_bytes(nbytes, "big")
+    at = stego.geometry[2] + start * 8
+    return int(stego.data[at:at + nbytes * 8].translate(_LSB_DIGITS), 2).to_bytes(nbytes, "big")
 
 
 def extract(stego: CarrierObject, expected_len: int) -> bytes:

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import os
+import struct
 from pathlib import Path
 
 import stegdisc
@@ -26,8 +27,29 @@ def child_env():
 
 
 def hide(raw):
-    """A bitmap whose capacity is exactly len(raw), holding raw: one padded
-    row, so read_payload decodes raw bytes as they stand."""
-    cover = CarrierObject.bitmap(-(-8 * len(raw) // 3), 1)
-    assert capacity(cover) == len(raw)
+    """A one-row bitmap holding raw, so read_payload decodes raw bytes as
+    they stand: the narrowest whose capacity is at least len(raw).  Its
+    width is a multiple of 4 pixels (12 channel bytes, 1.5 hidden bytes),
+    so the capacity is len(raw) or one byte more, a zero byte."""
+    cover = CarrierObject.bitmap(4 * max(1, -(-2 * len(raw) // 3)), 1)
+    assert capacity(cover) - len(raw) in (0, 1)
     return embed(cover, raw)
+
+
+def row_loop_bitmap(width, height, chan):
+    """A 24-bit BMP built row by row, as any writer lays one out: each row of
+    channel bytes followed by the zero padding that takes it to a multiple
+    of 4 bytes.  A width that is not a multiple of 4 gives padded rows,
+    which the package's bitmaps never have."""
+    row, stride = width * 3, (width * 3 + 3) & ~3
+    pixels = b"".join(chan[y * row:(y + 1) * row] + bytes(stride - row) for y in range(height))
+    return (struct.pack("<2sIHHI", b"BM", 54 + len(pixels), 0, 0, 54)
+            + struct.pack("<IiiHHIIiiII", 40, width, height, 1, 24, 0, len(pixels), 2835, 2835, 0, 0)
+            + pixels)
+
+
+def lsb_channel_bytes(raw, size):
+    """size channel bytes, each 0 or 1, whose LSBs spell raw most
+    significant bit first: raw hidden in a blank bitmap's pixel data."""
+    bits = bytes(int(bit) for byte in raw for bit in format(byte, "08b"))
+    return bits + bytes(size - len(bits))

@@ -1,14 +1,13 @@
 """Payload codec, bitmap container, and LSB embedding."""
 
 import random
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hide
+from conftest import hide, lsb_channel_bytes, row_loop_bitmap
 from stegdisc.carrier import (
     FLAG_SUPERBLOCK,
     PAYLOAD_VERSION,
@@ -37,7 +36,7 @@ from stegdisc.errors import (
 
 def lsb_oracle_extract(bitmap_bytes, nbytes):
     """Pure-python reference: payload bits sit MSB-first in channel LSBs,
-    walking pixel rows and skipping the 4-byte row padding."""
+    walking pixel rows and skipping any 4-byte row padding."""
     width = int.from_bytes(bitmap_bytes[18:22], "little")
     height = int.from_bytes(bitmap_bytes[22:26], "little")
     offset = int.from_bytes(bitmap_bytes[10:14], "little")
@@ -59,7 +58,8 @@ def lsb_oracle_extract(bitmap_bytes, nbytes):
 def numpy_reference_embed(carrier, payload):
     """The numpy LSB embedding the package used before it dropped numpy:
     the stego bytes the standard-library embed must reproduce exactly."""
-    width, height, offset, stride = carrier.geometry
+    width, height, offset = carrier.geometry
+    stride = (width * 3 + 3) & ~3
     buf = np.frombuffer(carrier.data, dtype=np.uint8).copy()
     rows = buf[offset:offset + stride * height].reshape(height, stride)
     chan = rows[:, :width * 3].copy().reshape(-1)
@@ -135,11 +135,18 @@ class TestBitmap:
     def test_capacity_100x100(self):
         assert capacity(CarrierObject.bitmap(100, 100)) == 3750
 
-    def test_capacity_1x1(self):
-        assert capacity(CarrierObject.bitmap(1, 1)) == 0
-
-    def test_capacity_2x2(self):
-        assert capacity(CarrierObject.bitmap(2, 2)) == 1
+    def test_pixel_offset_inside_the_headers_is_refused(self):
+        # an embed into such a bitmap would overwrite its headers
+        good = make_bitmap(16, 13)
+        assert CarrierObject.from_bytes(good).geometry[2] == 54  # where the headers end
+        for offset in (0, 14, 53):
+            bad = good[:10] + offset.to_bytes(4, "little") + good[14:]
+            with pytest.raises(UnsupportedCarrier, match="inside the headers"):
+                CarrierObject.from_bytes(bad)
+        # a larger info header moves the headers' end with it
+        v5 = good[:14] + (124).to_bytes(4, "little") + good[18:]
+        with pytest.raises(UnsupportedCarrier, match="inside the headers"):
+            CarrierObject.from_bytes(v5)
 
     def test_sniffing(self):
         assert CarrierObject.from_bytes(make_bitmap(4, 3)).geometry[:2] == (4, 3)
@@ -150,24 +157,22 @@ class TestBitmap:
         with pytest.raises(UnsupportedCarrier):
             capacity(CarrierObject(b"BMnot-a-real-bitmap"))
 
-    @staticmethod
-    def row_loop_bitmap(width, height, chan):
-        """A BMP built as make_bitmap once built every one: pixel data row
-        by row, each row followed by its padding."""
-        row, stride = width * 3, (width * 3 + 3) & ~3
-        pixels = b"".join(chan[y * row:(y + 1) * row] + bytes(stride - row) for y in range(height))
-        return (struct.pack("<2sIHHI", b"BM", 54 + len(pixels), 0, 0, 54)
-                + struct.pack("<IiiHHIIiiII", 40, width, height, 1, 24, 0, len(pixels), 2835, 2835, 0, 0)
-                + pixels)
-
     def test_pixel_data_matches_the_row_loop(self):
-        # widths 1-17 are padded and unpadded rows; 16x2700 is a pool cover
-        # as tall as a 16 KB block needs
+        # widths 1-17: rows that need no padding match the row loop, and
+        # padded ones (1x1 and 2x2 among them, which once held 0 and 1
+        # hidden bytes) are refused, built or parsed; 16x2700 is a pool
+        # cover as tall as a 16 KB block needs
         rng = random.Random(12)
         for width, height in [(w, h) for w in range(1, 18) for h in range(1, 6)] + [(16, 2700)]:
             chan = rng.randbytes(width * height * 3)
-            assert make_bitmap(width, height, chan) == self.row_loop_bitmap(width, height, chan)
-            assert make_bitmap(width, height) == self.row_loop_bitmap(width, height, bytes(len(chan)))
+            if width % 4:
+                with pytest.raises(UnsupportedCarrier, match="multiple of 4"):
+                    make_bitmap(width, height, chan)
+                with pytest.raises(UnsupportedCarrier, match="multiple of 4"):
+                    CarrierObject.from_bytes(row_loop_bitmap(width, height, chan))
+                continue
+            assert make_bitmap(width, height, chan) == row_loop_bitmap(width, height, chan)
+            assert make_bitmap(width, height) == row_loop_bitmap(width, height, bytes(len(chan)))
 
     def test_synthetic_deterministic(self):
         a = cover_bitmap("d1", 7, 16, 16)
@@ -177,8 +182,8 @@ class TestBitmap:
         assert a.data == b.data
         assert a.data != c.data
         assert a.data != d.data
-        width, height, offset, stride = a.geometry
-        assert (width, height, stride) == (16, 16, 16 * 3)
+        width, height, offset = a.geometry
+        assert (width, height) == (16, 16)
         assert len(a.data) - offset == 16 * 16 * 3
 
 
@@ -190,8 +195,8 @@ class TestEmbed:
 
     def test_lsb_only_modification(self):
         rng = random.Random(3)
-        chan = bytes(rng.randrange(256) for _ in range(21 * 7 * 3))
-        carrier = CarrierObject.bitmap(21, 7, channel_bytes=chan)
+        chan = bytes(rng.randrange(256) for _ in range(20 * 7 * 3))
+        carrier = CarrierObject.bitmap(20, 7, channel_bytes=chan)
         stego = embed(carrier, bytes(rng.randrange(256) for _ in range(50)))
         assert len(stego.data) == len(carrier.data)
         diffs = [(a, b) for a, b in zip(carrier.data, stego.data) if a != b]
@@ -209,7 +214,7 @@ class TestEmbed:
 
     def test_matches_pure_python_oracle(self):
         rng = random.Random(9)
-        for width, height in [(3, 5), (8, 1), (17, 9), (32, 32)]:
+        for width, height in [(4, 5), (8, 1), (20, 9), (32, 32)]:
             chan = bytes(rng.randrange(256) for _ in range(width * height * 3))
             carrier = CarrierObject.bitmap(width, height, channel_bytes=chan)
             room = capacity(carrier)
@@ -232,15 +237,14 @@ class TestEmbed:
 
     def test_read_payload_truncated_capacity(self):
         # carrier too small to even hold a header
-        tiny = CarrierObject.bitmap(2, 2)
+        tiny = CarrierObject.bitmap(4, 1)
         with pytest.raises(TruncatedPayload):
             read_payload(tiny, 8)
 
-    @given(st.integers(1, 40), st.integers(1, 12), st.data())
+    @given(st.integers(1, 10).map(lambda k: 4 * k), st.integers(1, 12), st.data())
     @settings(max_examples=150)
     def test_every_prefix_matches_the_oracle(self, width, height, data):
-        # widths whose rows are and are not a multiple of 4 bytes; every
-        # prefix length, as read_payload reads the header before the rest
+        # widths 4-40, and every prefix length of the payload
         chan = data.draw(st.binary(min_size=width * height * 3, max_size=width * height * 3))
         carrier = CarrierObject.bitmap(width, height, channel_bytes=chan)
         payload = data.draw(st.binary(max_size=capacity(carrier)))
@@ -248,11 +252,11 @@ class TestEmbed:
         for k in range(len(payload) + 1):
             assert extract(stego, k) == lsb_oracle_extract(stego.data, k) == payload[:k]
 
-    @given(st.integers(1, 40), st.integers(1, 12), st.data())
+    @given(st.integers(1, 10).map(lambda k: 4 * k), st.integers(1, 12), st.data())
     @settings(max_examples=150)
     def test_matches_the_numpy_reference(self, width, height, data):
-        # padded and unpadded strides; headers, padding and every channel
-        # byte past the payload must come out as numpy left them
+        # widths 4-40; headers and every channel byte past the payload must
+        # come out as numpy left them
         chan = data.draw(st.binary(min_size=width * height * 3, max_size=width * height * 3))
         carrier = CarrierObject.bitmap(width, height, channel_bytes=chan)
         payload = data.draw(st.binary(max_size=capacity(carrier)))
@@ -260,11 +264,14 @@ class TestEmbed:
 
     @pytest.mark.parametrize("p", [8, 24])
     def test_read_payload_on_a_large_padded_cover(self, p):
-        cover = cover_bitmap("big", 1, 301, 201)  # 903-byte rows, stride 904
-        room = capacity(cover) - header_size(p)
-        for size in (0, 1, 777, room):
-            payload = BlockPayload(next_counter=2 ** p - 1, data=random.Random(size).randbytes(size))
-            assert read_payload(embed(cover, encode_payload(payload, p)), p) == payload
+        # 301 pixels: 903-byte rows, padded to 904; the payload sits in the
+        # LSBs any BMP reader finds, and the bitmap is still refused
+        with pytest.raises(UnsupportedCarrier):
+            cover_bitmap("big", 1, 301, 201)
+        payload = BlockPayload(next_counter=2 ** p - 1, data=b"in a padded row")
+        chan = lsb_channel_bytes(encode_payload(payload, p), 301 * 201 * 3)
+        with pytest.raises(UnsupportedCarrier, match="multiple of 4"):
+            read_payload(CarrierObject.from_bytes(row_loop_bitmap(301, 201, chan)), p)
 
 
 class TestReadPayload:
@@ -272,8 +279,8 @@ class TestReadPayload:
     its bound, and parses header and data from them; only a declared
     length past the bound extracts the rest."""
 
-    # 16 and 32 pixels: 48- and 96-byte rows, no padding; 5 and 17: padded rows
-    @pytest.mark.parametrize("width", [5, 16, 17, 32])
+    # 4-32 pixels: 12- to 96-byte rows, one hidden byte and a half to twelve
+    @pytest.mark.parametrize("width", [4, 16, 20, 32])
     @given(st.integers(1, 6), st.sampled_from([1, 8, 16, 24]), st.data())
     @settings(max_examples=30, deadline=None)
     def test_every_data_length_round_trips(self, width, height, p, data):
@@ -307,7 +314,7 @@ class TestReadPayload:
         data = lsb_oracle_extract(stego.data, hsize + data_len)[hsize:]
         return BlockPayload(int.from_bytes(head[2:hsize - 4], "big"), data, head[1], head[0])
 
-    @given(st.integers(1, 40), st.integers(1, 33), st.data())
+    @given(st.integers(1, 40), st.integers(1, 8).map(lambda k: 4 * k), st.data())
     @settings(max_examples=200, deadline=None)
     def test_one_extraction_equals_two_phases(self, p, width, data):
         hsize = header_size(p)
@@ -348,8 +355,9 @@ class TestReadPayload:
         # capacity below the header size, whatever the version byte says
         with pytest.raises(TruncatedPayload, match="below header size"):
             read_payload(hide(bad_version[:hsize - 1]), p)
-        # a declared length past capacity before the version byte
-        too_long = bad_version[:hsize - 4] + (4).to_bytes(4, "big") + b"abc"
+        # a declared length past capacity before the version byte; hide's
+        # capacity may be one byte over the 11 bytes it holds
+        too_long = bad_version[:hsize - 4] + (5).to_bytes(4, "big") + b"abc"
         with pytest.raises(TruncatedPayload, match="exceed capacity"):
             read_payload(hide(too_long), p)
         with pytest.raises(BadVersion):

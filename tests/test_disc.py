@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lsb_channel_bytes, row_loop_bitmap
 from stegdisc.carrier import (
     CarrierObject,
     CarrierPool,
@@ -510,6 +511,15 @@ def _not_a_bitmap(disc, backend, code):
     return [("bad-block", code["a2"])], 3
 
 
+def _padded_cover(disc, backend, code):
+    tags = perm_to_hashtags(code.addr["a2"], disc.config.alphabet)
+    payload = read_payload(CarrierObject.from_bytes(backend.fetch(tags)), disc.config.p)
+    raw = encode_payload(payload, disc.config.p)
+    rows = -(-len(raw) * 8 // 51)  # 17 pixels: 51 channel bytes, padded to 52
+    backend.replace(tags, row_loop_bitmap(17, rows, lsb_channel_bytes(raw, 51 * rows)))
+    return [("bad-block", code["a2"])], 3
+
+
 def _out_of_range(disc, backend, code):
     bad = factorial(disc.config.n) + 5
     _rewrite_block(disc, backend, code.addr["a0"], next_counter=bad)
@@ -556,6 +566,7 @@ FSCK_FAULTS = [
     ("A", _missing_post, "a"),
     ("C", _bad_version, "a"),
     ("B", _not_a_bitmap, "a"),
+    ("C", _padded_cover, "a"),
     ("B", _out_of_range, "a"),
     ("A", _file_missing, None),
     ("C", _file_truncated, "b"),
@@ -564,9 +575,10 @@ FSCK_FAULTS = [
 ]
 CHAIN_FAULTS = [
     row for row in FSCK_FAULTS
-    if row[1] in (_order, _cycle, _missing_post, _bad_version, _not_a_bitmap, _out_of_range)
+    if row[1] in (_order, _cycle, _missing_post, _bad_version, _not_a_bitmap, _padded_cover, _out_of_range)
 ]
-RM_FAULTS = (_file_missing, _file_truncated, _missing_post, _bad_version, _not_a_bitmap, _order, _out_of_range)
+RM_FAULTS = (_file_missing, _file_truncated, _missing_post, _bad_version, _not_a_bitmap, _padded_cover, _order,
+             _out_of_range)
 
 
 def _fault_params(rows):
@@ -681,10 +693,14 @@ class NumpyCoverPool(CarrierPool):
 
 class SquareCoverPool(CarrierPool):
     """The covers posted before covers were sized to their payload: every
-    post the pool's full width x height."""
+    post a side x side square, the first default pool's shape."""
+
+    def __init__(self, side, disc_id):
+        self.width = self.height = side
+        self.disc_id = disc_id
 
     def next_carrier(self, counter, nbytes):
-        return super().next_carrier(counter, self.max_capacity())
+        return cover_bitmap(self.disc_id, counter, self.width, self.height)
 
 
 def cover_size(nbytes):
@@ -735,15 +751,17 @@ class TestNumpyCovers:
 
 
 class TestSquareCovers:
-    """A disc posted with 16x16 covers for every block reopens with the
-    default pool, whose covers are sized to each payload."""
+    """A disc posted with square covers for every block reopens with the
+    default pool, whose covers are sized to each payload.  The first
+    default pool chose sides of 8 * 2**k pixels, all without row padding."""
 
+    @pytest.mark.parametrize("side", [16, 32, 64])
     @pytest.mark.parametrize("mode", MODES)
-    def test_old_disc_takes_put_edit_and_rm(self, mode, tmp_path):
+    def test_old_disc_takes_put_edit_and_rm(self, mode, side, tmp_path):
         backend = MemoryBackend()
         config = DiscConfig.create(n=5, p=16, m=64, mode=mode, disc_id=f"sq-{mode}")
         doc = tmp_path / "sb.txt"
-        old = Disc.format(config, backend, SquareCoverPool(96, config.disc_id), doc_path=doc)
+        old = Disc.format(config, backend, SquareCoverPool(side, config.disc_id), doc_path=doc)
         files = {f"f{i}": random.Random(i).randbytes(30 + 50 * i) for i in range(4)}
         for name, data in files.items():
             old.write_file(name, data)
@@ -766,7 +784,7 @@ class TestSquareCovers:
             assert {name: fresh.read_file(name) for name in files} == files
         chain = {code: (addr, payload) for code, addr, payload in disc.chain_blocks()}
         for code, (addr, payload) in chain.items():
-            size = 822 if code in old_codes else cover_size(header_size(16) + len(payload.data))
+            size = 54 + 3 * side * side if code in old_codes else cover_size(header_size(16) + len(payload.data))
             assert len(backend.fetch(disc._tags(addr))) == size
         for code, pointer in rewritten.items():  # still on the chain, pointing elsewhere
             assert chain[code][1].next_counter != pointer
