@@ -135,6 +135,22 @@ class TestBitmap:
     def test_capacity_100x100(self):
         assert capacity(CarrierObject.bitmap(100, 100)) == 3750
 
+    def test_capacity_1x1(self):
+        # a 1x1 bitmap's row needs padding, so it is no carrier at all
+        with pytest.raises(UnsupportedCarrier, match="multiple of 4"):
+            CarrierObject.bitmap(1, 1)
+        with pytest.raises(UnsupportedCarrier, match="multiple of 4"):
+            CarrierObject.from_bytes(row_loop_bitmap(1, 1, bytes(3)))
+
+    def test_capacity_2x2(self):
+        # a 2x2 bitmap is refused; its 12 channel bytes in a 4x1 bitmap
+        # hold the 1 hidden byte it once held
+        with pytest.raises(UnsupportedCarrier, match="multiple of 4"):
+            CarrierObject.bitmap(2, 2)
+        with pytest.raises(UnsupportedCarrier, match="multiple of 4"):
+            CarrierObject.from_bytes(row_loop_bitmap(2, 2, bytes(12)))
+        assert capacity(CarrierObject.bitmap(4, 1, bytes(12))) == 1
+
     def test_pixel_offset_inside_the_headers_is_refused(self):
         # an embed into such a bitmap would overwrite its headers
         good = make_bitmap(16, 13)
@@ -159,8 +175,7 @@ class TestBitmap:
 
     def test_pixel_data_matches_the_row_loop(self):
         # widths 1-17: rows that need no padding match the row loop, and
-        # padded ones (1x1 and 2x2 among them, which once held 0 and 1
-        # hidden bytes) are refused, built or parsed; 16x2700 is a pool
+        # padded ones are refused, built or parsed; 16x2700 is a pool
         # cover as tall as a 16 KB block needs
         rng = random.Random(12)
         for width, height in [(w, h) for w in range(1, 18) for h in range(1, 6)] + [(16, 2700)]:
