@@ -60,8 +60,6 @@ def run_benchmark(
         raise SpecInvalid(f"block counts must be positive integers: {block_counts!r}")
     if not modes or any(mode not in MODES for mode in modes):
         raise SpecInvalid(f"modes must come from {MODES}: {modes!r}")
-    if n < 1 or p < 1 or m < 1:
-        raise SpecInvalid(f"n, p, m must be >= 1 (n={n} p={p} m={m})")
 
     rows = []
     for mode in modes:

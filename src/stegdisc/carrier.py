@@ -230,24 +230,17 @@ def cover_bitmap(disc_id: str, counter: int, width: int, height: int) -> Carrier
 
 
 class CarrierPool:
-    """Source of cover objects for new posts: deterministic bitmaps `width`
-    pixels wide (48 channel bytes a row, no row padding) with the fewest
-    rows that hold a post's payload, up to the `height` that holds
-    `largest_payload` bytes."""
+    """Covers for a disc's new posts, which follow from its disc id alone:
+    bitmaps deterministic in (disc id, block counter), `width` pixels wide
+    (48 channel bytes a row, no row padding) with the fewest rows that
+    hold a post's payload."""
 
     width = 16
 
-    def __init__(self, largest_payload: int, disc_id: str):
-        self.height = -(-largest_payload * 8 // (self.width * 3))
+    def __init__(self, disc_id: str):
         self.disc_id = disc_id
 
-    def max_capacity(self) -> int:
-        """The largest payload this pool's carriers can hold."""
-        return self.width * self.height * 3 // 8
-
     def next_carrier(self, counter: int, nbytes: int) -> CarrierObject:
-        """The cover for block `counter` that holds an `nbytes` payload; a
-        payload over max_capacity() gets the tallest cover, which embed
-        rejects."""
+        """The cover for block `counter` that holds an `nbytes` payload."""
         rows = -(-nbytes * 8 // (self.width * 3))
-        return cover_bitmap(self.disc_id, counter, self.width, min(max(rows, 1), self.height))
+        return cover_bitmap(self.disc_id, counter, self.width, max(rows, 1))

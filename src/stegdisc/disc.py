@@ -67,7 +67,6 @@ from .errors import (
     AllocationStall,
     BadVersion,
     ChainBroken,
-    ConfigInvalid,
     DuplicateAddress,
     InvalidCounter,
     InvalidName,
@@ -138,23 +137,19 @@ class TradeoffStats:
 def carrier_bytes(config: DiscConfig) -> int:
     """The largest payload a block posts: a full data block or the genesis
     echo.  Each post's cover holds its own payload, so this bounds the
-    pool's tallest cover, not every cover's size."""
+    tallest cover, not every cover's size."""
     return header_size(config.p) + max(config.m, len(config.echo_bytes()))
 
 
-def default_pool(config: DiscConfig) -> CarrierPool:
-    """Covers as tall as this disc's largest payload needs."""
-    return CarrierPool(carrier_bytes(config), config.disc_id)
-
-
 class Disc:
-    """An open disc, single-writer: its document + backend + carrier pool."""
+    """An open disc, single-writer: its document and backend, and an
+    optional document path.  The covers it posts follow from its config."""
 
-    def __init__(self, document: Document, backend, pool: Optional[CarrierPool] = None, doc_path=None):
+    def __init__(self, document: Document, backend, *, doc_path=None):
         self.document = document
         self.config = config = document.config
         self.backend = backend
-        self.pool = pool if pool is not None else default_pool(config)
+        self.pool = CarrierPool(config.disc_id)
         self.doc_path = Path(doc_path) if doc_path is not None else None
         # (pointer code, address) of the chain tail, looked up by the first
         # mutation; mode C's sampler takes the lookup cursor's tail state
@@ -164,23 +159,21 @@ class Disc:
         self._seed = SamplerState.fresh(config.genesis) if config.encoding.positions else None
         self.hash_iterations = 0  # stream hashes spent allocating
         self._replayed, self._cursor = 0, None  # replay hashes of earlier cursors, the newest cursor
-        self._largest, offer = carrier_bytes(config), self.pool.max_capacity()  # a read extracts no more
-        if self._largest > offer:
-            raise ConfigInvalid(f"blocks need {self._largest} carrier bytes, the pool offers {offer}")
+        self._largest = carrier_bytes(config)  # a read extracts no more
 
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
-    def format(cls, config: DiscConfig, backend, pool=None, doc_path=None) -> "Disc":
-        disc = cls(Document(config), backend, pool, doc_path)
+    def format(cls, config: DiscConfig, backend, *, doc_path=None) -> "Disc":
+        disc = cls(Document(config), backend, doc_path=doc_path)
         disc._post(0, config.genesis, BlockPayload(0, config.echo_bytes(), FLAG_SUPERBLOCK))
         disc._tail = (0, config.genesis)
         disc._persist()
         return disc
 
     @classmethod
-    def open(cls, doc_path, backend, pool=None) -> "Disc":
-        return cls(Document.read(Path(doc_path).read_text(encoding="utf-8")), backend, pool, doc_path)
+    def open(cls, doc_path, backend) -> "Disc":
+        return cls(Document.read(Path(doc_path).read_text(encoding="utf-8")), backend, doc_path=doc_path)
 
     # -- helpers -------------------------------------------------------------
 

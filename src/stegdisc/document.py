@@ -63,8 +63,9 @@ class Encoding(NamedTuple):
 ENCODINGS = {"A": Encoding(False, True), "B": Encoding(False, False), "C": Encoding(True, False)}
 MODES = tuple(ENCODINGS)
 
-# characters that would break the one-line superblock header fields
-_FIELD_FORBIDDEN = set(",;=\t\n\r ")
+# characters that would break the one-line superblock header fields,
+# including the line breaks str.splitlines() sees past the C0 controls
+_FIELD_FORBIDDEN = set(",;=\t\n\r \x85\u2028\u2029")
 
 
 def _check_field(value: str, what: str) -> str:

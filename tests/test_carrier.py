@@ -381,29 +381,21 @@ class TestReadPayload:
 
 class TestPool:
     def test_synthetic_bitmap_pool(self):
-        pool = CarrierPool(96, "x")
-        assert (pool.width, pool.height) == (16, 16)
-        assert pool.max_capacity() == 16 * 16 * 3 // 8
+        pool = CarrierPool("x")
+        assert pool.width == 16
         carrier = pool.next_carrier(1, 40)
         assert carrier.data == pool.next_carrier(1, 40).data  # same counter, same carrier
 
     def test_cover_has_the_fewest_rows_that_hold_the_payload(self):
-        pool = CarrierPool(96, "x")
-        for nbytes in range(1, pool.max_capacity() + 1):
+        pool = CarrierPool("x")
+        for nbytes in range(1, 16 * 16 * 3 // 8 + 1):
             carrier = pool.next_carrier(5, nbytes)
             assert carrier.geometry[:2] == (16, -(-nbytes // 6))  # a 16-pixel row: 48 bits, 6 bytes
             assert capacity(carrier) >= nbytes
 
-    def test_never_more_rows_than_the_pool_height(self):
-        pool = CarrierPool(72, "x")
-        for nbytes in (72, 73, 500, 10 ** 6):
-            assert pool.next_carrier(2, nbytes).geometry[:2] == (16, 12)
-        with pytest.raises(CapacityExceeded):
-            embed(pool.next_carrier(2, 73), bytes(73))
-
     def test_a_short_cover_is_the_first_rows_of_a_tall_one(self):
         # SHAKE-256 output is prefix-stable, and 16-pixel rows have no padding
-        pool = CarrierPool(96, "x")
+        pool = CarrierPool("x")
         short, tall = pool.next_carrier(9, 9), pool.next_carrier(9, 96)
         offset = short.geometry[2]
         assert short.geometry[1] == 2 and tall.geometry[1] == 16

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stegdisc.disc
 from conftest import lsb_channel_bytes, row_loop_bitmap
 from stegdisc.carrier import (
     CarrierObject,
@@ -29,7 +30,6 @@ from stegdisc.disc import (
     FileEntry,
     carrier_bytes,
     compute_chain_length,
-    default_pool,
 )
 from stegdisc.document import Document
 from stegdisc.errors import (
@@ -122,19 +122,11 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             DiscConfig.create(n=3, p=16, m=4, mode="C", genesis=(0, 1, 1))
 
-    def test_block_must_fit_pool(self, tmp_path):
-        # a full block needs 8 + 64 bytes; 11 rows of a 16-pixel cover hold 66
-        config = DiscConfig.create(n=3, p=16, m=64, mode="C")
-        short = CarrierPool(66, config.disc_id)
-        assert (short.height, short.max_capacity()) == (11, 66) and carrier_bytes(config) == 72
-        backend, doc = MemoryBackend(), tmp_path / "sb.txt"
-        with pytest.raises(ConfigInvalid, match="the pool offers 66"):
-            Disc.format(config, backend, short, doc_path=doc)
-        assert backend.live_addresses() == [] and not doc.exists()
-        Disc.format(config, backend, doc_path=doc)
-        with pytest.raises(ConfigInvalid, match="the pool offers 66"):
-            Disc.open(doc, backend, short)
-        assert Disc.open(doc, backend, CarrierPool(72, config.disc_id)).fsck().ok
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+    def test_disc_id_must_not_hold_a_line_break(self, brk):
+        # str.splitlines() would cut the document's header line there
+        with pytest.raises(ConfigInvalid, match="reserved characters"):
+            DiscConfig.create(n=3, p=16, m=4, mode="C", disc_id=f"ab{brk}cd")
 
 
 class TestFormat:
@@ -267,7 +259,7 @@ class TestRead:
 
         backend = ProxyBackend(MemoryBackend())
         config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id=f"parse-{mode}")
-        disc = Disc.format(config, backend)  # default pool: bitmap carriers
+        disc = Disc.format(config, backend)  # bitmap carriers
         files = {"f": b"12345", "g": bytes(range(20))}  # one block and three
         for name, data in files.items():
             disc.write_file(name, data)
@@ -687,6 +679,8 @@ class NumpyCoverPool(CarrierPool):
     """The covers posted before numpy was dropped: every post the pool's
     full width x height, whatever its payload."""
 
+    height = 16
+
     def next_carrier(self, counter, nbytes):
         return numpy_reference_cover(self.disc_id, counter, self.width, self.height)
 
@@ -704,7 +698,7 @@ class SquareCoverPool(CarrierPool):
 
 
 def cover_size(nbytes):
-    """BMP bytes of a default-pool cover for an nbytes payload: the 54-byte
+    """BMP bytes of a disc's cover for an nbytes payload: the 54-byte
     headers, then 16-pixel rows of 48 bytes (6 hidden bytes) with no padding."""
     return 54 + 48 * -(-nbytes // 6)
 
@@ -718,16 +712,17 @@ class TestNumpyCovers:
     the new ones: only LSBs are read back, and a rewrite keeps its cover."""
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_old_disc_reopens_edits_and_checks_clean(self, mode, tmp_path):
+    def test_old_disc_reopens_edits_and_checks_clean(self, mode, tmp_path, monkeypatch):
         backend = DirectoryBackend(tmp_path / "osn")
         config = DiscConfig.create(n=5, p=16, m=8, mode=mode, disc_id=f"np-{mode}")
-        new_pool = default_pool(config)
-        old_pool = NumpyCoverPool(96, config.disc_id)
+        new_pool, old_pool = CarrierPool(config.disc_id), NumpyCoverPool(config.disc_id)
         doc = tmp_path / "sb.txt"
-        old = Disc.format(config, backend, old_pool, doc_path=doc)
         files = {f"f{i}": random.Random(i).randbytes(5 + 9 * i) for i in range(4)}
-        for name, data in files.items():
-            old.write_file(name, data)
+        with monkeypatch.context() as patch:  # the old disc's genesis and writes take the old covers
+            patch.setattr(stegdisc.disc, "CarrierPool", NumpyCoverPool)
+            old = Disc.format(config, backend, doc_path=doc)
+            for name, data in files.items():
+                old.write_file(name, data)
         old_codes = {code for code, _, _ in old.chain_blocks()}
 
         disc = Disc.open(doc, backend)
@@ -752,24 +747,25 @@ class TestNumpyCovers:
 
 class TestSquareCovers:
     """A disc posted with square covers for every block reopens with the
-    default pool, whose covers are sized to each payload.  The first
+    covers its config gives, sized to each payload.  The first
     default pool chose sides of 8 * 2**k pixels, all without row padding."""
 
     @pytest.mark.parametrize("side", [16, 32, 64])
     @pytest.mark.parametrize("mode", MODES)
-    def test_old_disc_takes_put_edit_and_rm(self, mode, side, tmp_path):
+    def test_old_disc_takes_put_edit_and_rm(self, mode, side, tmp_path, monkeypatch):
         backend = MemoryBackend()
         config = DiscConfig.create(n=5, p=16, m=64, mode=mode, disc_id=f"sq-{mode}")
         doc = tmp_path / "sb.txt"
-        old = Disc.format(config, backend, SquareCoverPool(side, config.disc_id), doc_path=doc)
         files = {f"f{i}": random.Random(i).randbytes(30 + 50 * i) for i in range(4)}
-        for name, data in files.items():
-            old.write_file(name, data)
+        with monkeypatch.context() as patch:  # the old disc's genesis and writes take square covers
+            patch.setattr(stegdisc.disc, "CarrierPool", lambda disc_id: SquareCoverPool(side, disc_id))
+            old = Disc.format(config, backend, doc_path=doc)
+            for name, data in files.items():
+                old.write_file(name, data)
         old_codes = [code for code, _, _ in old.chain_blocks()]
         rewritten = {old_codes[0]: old_codes[1], old_codes[-1]: 0}  # f0's and f3's last blocks
 
         disc = Disc.open(doc, backend)
-        assert (disc.pool.width, disc.pool.height) == (16, 12)
         assert disc.fsck().ok
         assert {name: disc.read_file(name) for name in files} == files
         files["new"] = b"posted with a sized cover"
@@ -798,7 +794,6 @@ class TestCoverSizes:
         backend = MemoryBackend()
         config = DiscConfig.create(n=7, p=16, m=64, mode=mode, disc_id=f"size-{mode}")
         disc = Disc.format(config, backend)
-        assert (disc.pool.width, disc.pool.height) == (16, 12)
         disc.write_file("full", bytes(64))
         disc.write_file("one", b"x")
         sizes = [len(backend.fetch(disc._tags(addr))) for _, addr, _ in disc.chain_blocks()]
@@ -809,10 +804,42 @@ class TestCoverSizes:
     def test_wider_pointers_take_a_taller_cover(self):
         config = DiscConfig.create(n=7, p=24, m=64, mode="C", disc_id="size-p24")
         disc = Disc.format(config, MemoryBackend())
-        assert (disc.pool.width, disc.pool.height) == (16, 13)
         disc.write_file("full", bytes(64))
         (_, addr, _), = disc.chain_blocks()
         assert len(disc.backend.fetch(disc._tags(addr))) == 678
+
+
+class TestCoverFit:
+    """Every payload a disc posts fits the cover its config gives it, from
+    the narrowest pointers and blocks to the widest, with short and long
+    disc ids (the genesis echo grows with the id)."""
+
+    @pytest.mark.parametrize("disc_id", ["i", "d" * 60])
+    @pytest.mark.parametrize("m", [1, 64, 300])
+    @pytest.mark.parametrize("p", [1, 8, 24, 40])
+    def test_every_payload_fits_its_cover(self, p, m, disc_id):
+        config = DiscConfig.create(n=4, p=p, m=m, mode="C", disc_id=disc_id)
+        pool = CarrierPool(disc_id)
+        for nbytes in range(1, carrier_bytes(config) + 1):
+            assert capacity(pool.next_carrier(3, nbytes)) >= nbytes
+
+    @pytest.mark.parametrize("disc_id", ["i", "d" * 60])
+    @pytest.mark.parametrize("m", [1, 300])
+    @pytest.mark.parametrize("p", [1, 40])
+    def test_a_full_block_checks_clean(self, p, m, disc_id, tmp_path):
+        config = DiscConfig.create(n=4, p=p, m=m, mode="C", disc_id=disc_id)
+        backend, doc = MemoryBackend(), tmp_path / "sb.txt"
+        disc = Disc.format(config, backend, doc_path=doc)
+        files = {"full": random.Random(p * m).randbytes(m)}
+        if p == 1:  # no completion counter is as low as 2^p - 1 = 1: only the genesis fits
+            with pytest.raises(CounterOverflow):
+                disc.write_file("full", files.pop("full"))
+        else:
+            disc.write_file("full", files["full"])
+        for fresh in (disc, Disc.open(doc, backend)):
+            report = fresh.fsck()
+            assert report.ok and report.block_count == 1 + len(files)
+            assert {name: fresh.read_file(name) for name in files} == files
 
 
 class TestReplaySoundness:
@@ -1165,7 +1192,7 @@ class TestCheckpointLadder:
         assert disc.stats().replay_iterations == 0
         # a fresh session has no ladder: it replays from the seed to the run's end
         for name in list(files)[::37]:
-            cold = Disc(Document(disc.config, {e.name: e.line for e in entries.values()}), backend, disc.pool)
+            cold = Disc(Document(disc.config, {e.name: e.line for e in entries.values()}), backend)
             assert cold.read_file(name) == files[name]
             start = codes.index(entries[name].start_counter)
             last = codes[start + compute_chain_length(len(files[name]), 8) - 1]

@@ -64,7 +64,7 @@ class TestLazyOpen:
         disc = make_disc(mode, tmp_path)
         files = fill(disc, 60)
         counts.clear()
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         assert fresh.read_file("f31") == files["f31"]
         assert fresh.read_file("f31") == files["f31"]  # each get parses its line
         assert counts == {"parse": 2}
@@ -99,14 +99,14 @@ class TestLazyOpen:
         disc = make_disc(mode, tmp_path)
         files = fill(disc, 60)
         counts.clear()
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         fresh.write_file("new", b"n" * 20)
         # the tail guess parses the empty files "empty two", "empty one" and
         # f57, then f56, the last file with blocks
         assert counts["parse"] == 4
         assert counts["used"] == (mode == "A")
         counts.clear()
-        again = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        again = Disc.open(disc.doc_path, disc.backend)
         again.write_file("newer", b"m" * 9)  # "new" is the last line and has blocks
         assert counts["parse"] == 1
         files.update(new=b"n" * 20, newer=b"m" * 9)
@@ -118,12 +118,12 @@ class TestLazyOpen:
         disc = make_disc(mode, tmp_path)
         fill(disc, 60)
         counts.clear()
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         fresh.delete_file("f29")  # f29, then f28, whose last block points at f29
         assert counts["parse"] == 2
         assert counts["used"] == (mode == "A")
         counts.clear()
-        again = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        again = Disc.open(disc.doc_path, disc.backend)
         again.delete_file("f28")  # f28, then f27, which is empty, and f26
         assert counts["parse"] == 3
         assert again.fsck().ok
@@ -133,7 +133,7 @@ class TestLazyOpen:
         disc = make_disc(mode, tmp_path)
         fill(disc, 20)
         header = [line for line in disc.doc_path.read_text(encoding="utf-8").split("\n") if "=" in line]
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         counts.clear()
         fresh.write_file("nothing", b"")
         fresh.delete_file("empty one")
@@ -147,7 +147,7 @@ class TestLazyOpen:
         disc = make_disc(mode, tmp_path)
         files = fill(disc, 40)
         counts.clear()
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         if command == "ls":
             assert [entry.name for entry in fresh.list_files()] == sorted(files)
         elif command == "fsck":
@@ -166,7 +166,7 @@ class TestLazyOpen:
         _, start, length = line.split("\t")
         as_read = f"%61b\t{start}\t00{length}"  # an escape and zeros the writer never writes
         disc.doc_path.write_text(text.replace(line + "\n", as_read + "\n"), encoding="utf-8")
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         assert fresh.list_files() == [FileEntry("ab", int(start), 5)]
         fresh.write_file("more", b"")  # a persist after every line was parsed
         assert as_read in fresh.doc_path.read_text(encoding="utf-8").split("\n")
@@ -303,7 +303,7 @@ class TestDocumentReader:
             text = edited.text()
             assert Document.read(text).text() == text
             disc.doc_path.write_text(text, encoding="utf-8")
-            fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+            fresh = Disc.open(disc.doc_path, disc.backend)
             names = list(edited.entries)
             with mock.patch("stegdisc.disc.write_superblock", recorded):
                 if op.startswith("put") or not names:
@@ -378,7 +378,7 @@ def reopened(mode, text, directory):
     text persisted, and the first code of the next put, after which fsck is clean."""
     disc = golden_disc(mode, directory)
     disc.doc_path.write_text(text, encoding="utf-8")
-    fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+    fresh = Disc.open(disc.doc_path, disc.backend)
     fresh._persist()
     persisted = fresh.doc_path.read_text(encoding="utf-8")
     code = fresh.write_file("next", b"n" * 12).start_counter
@@ -421,7 +421,7 @@ class TestHeaderRule:
         # a used= line outside mode A opens, is never read, and the next write drops it
         disc.doc_path.write_text(text + "used=1,2\n" * ("used" not in written), encoding="utf-8")
         counts.clear()
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         fresh.write_file("g", b"y" * 3)
         assert counts["used"] == (mode == "A")
         assert header_keys(fresh.doc_path.read_text(encoding="utf-8")) == CONFIG_KEYS + written
@@ -430,10 +430,10 @@ class TestHeaderRule:
         rest = [line for line in text.splitlines(keepends=True) if not line.startswith("stream=")]
         disc.doc_path.write_text("".join(rest) + "stream=0:0,1,2,3,4\n", encoding="utf-8")
         if "stream" in written:
-            assert Disc.open(disc.doc_path, disc.backend, disc.pool).document.sampler.iteration == 0
+            assert Disc.open(disc.doc_path, disc.backend).document.sampler.iteration == 0
         else:
             with pytest.raises(ConfigInvalid, match="mode C"):
-                Disc.open(disc.doc_path, disc.backend, disc.pool)
+                Disc.open(disc.doc_path, disc.backend)
 
 
 # -- the journal: a snapshot followed by appended record groups --------------
@@ -505,9 +505,9 @@ class TestJournal:
             # catalog record has three tabs, every other record no "="
             _, journal = split(text)
             assert all(line.count("\t") == 3 or "=" not in line for line in journal.splitlines())
-            same_state(Disc.open(disc.doc_path, disc.backend, disc.pool), disc)
+            same_state(Disc.open(disc.doc_path, disc.backend), disc)
         assert appended > 2 * compacted > 0
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         assert fresh.fsck().ok
         assert fresh.read_file("new 55") == bytes([55]) * (1 + 55 % 23)
 
@@ -523,7 +523,7 @@ class TestJournal:
             assert stats.persistent_bytes == disc.doc_path.stat().st_size
             assert stats.journal_bytes == len(journal.encode("utf-8"))
             # a fresh session learns the journal's size from the text
-            assert Disc.open(disc.doc_path, disc.backend, disc.pool).document.written == disc.document.written
+            assert Disc.open(disc.doc_path, disc.backend).document.written == disc.document.written
 
     @pytest.mark.parametrize("mode", MODES)
     def test_a_torn_last_record_is_ignored(self, mode, tmp_path):
@@ -534,7 +534,7 @@ class TestJournal:
         text = disc.doc_path.read_text(encoding="utf-8")
         assert text.endswith("\n+\t" + disc.document.entries["torn"] + "\n")
         disc.doc_path.write_text(text[:-1], encoding="utf-8")  # the last newline never landed
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         assert fresh.document.entries == entries
         stats = fresh.stats()  # the file as it is, torn line and all
         assert stats.persistent_bytes == disc.doc_path.stat().st_size
@@ -542,7 +542,7 @@ class TestJournal:
         fresh.write_file("after", b"a" * 5)  # the next write is a snapshot
         text = fresh.doc_path.read_text(encoding="utf-8")
         assert not split(text)[1]
-        again = Disc.open(fresh.doc_path, fresh.backend, fresh.pool)
+        again = Disc.open(fresh.doc_path, fresh.backend)
         assert "torn" not in again.document.entries and again.read_file("after") == b"a" * 5
 
     @pytest.mark.parametrize("mode", MODES)
@@ -553,14 +553,14 @@ class TestJournal:
         disc.delete_file("file 0001")
         snapshot, journal = split(disc.doc_path.read_text(encoding="utf-8"))
         assert journal.count("\n") >= 2
-        Disc.open(disc.doc_path, disc.backend, disc.pool)
+        Disc.open(disc.doc_path, disc.backend)
         first = journal.index("\n") + 1
         # an unknown kind, a drop of no entry, a catalog record with two
         # columns or a letter for a number, an empty code, no codes, no kind
         for record in ("+?what", "+!no%20such%20file", "+\tname\t12", "+\tname\tx\t3", "+*1,,2", "+^", "+"):
             disc.doc_path.write_text(snapshot + journal[:first] + record + "\n" + journal[first:], encoding="utf-8")
             with pytest.raises(ConfigInvalid):
-                Disc.open(disc.doc_path, disc.backend, disc.pool)
+                Disc.open(disc.doc_path, disc.backend)
 
     def test_a_put_on_a_thousand_file_mode_c_disc_appends_under_100_bytes(self, tmp_path):
         disc = big_disc("C", tmp_path, count=1000)
@@ -595,7 +595,7 @@ class TestJournal:
         assert calls == [True, False]
         text = disc.doc_path.read_text(encoding="utf-8")
         assert not split(text)[1]
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         same_state(fresh, disc)
         assert fresh.read_file("lost") == b"l" * 9 and fresh.fsck().ok
 
@@ -606,14 +606,14 @@ class TestJournal:
         # the document as the writer before the journal wrote it
         earlier = Document.read(disc.doc_path.read_text(encoding="utf-8")).text()
         disc.doc_path.write_text(earlier if newline else earlier[:-1], encoding="utf-8")
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         fresh.write_file("appended", b"a" * 20)
         text = fresh.doc_path.read_text(encoding="utf-8")
         if newline:
             assert text.startswith(earlier) and text[len(earlier):].startswith("+")
         else:  # a record appended there would join the last line
             assert not split(text)[1]
-        same_state(Disc.open(disc.doc_path, disc.backend, disc.pool), fresh)
+        same_state(Disc.open(disc.doc_path, disc.backend), fresh)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stat_prints_the_journal_bytes(self, mode, tmp_path, capsys):
@@ -635,10 +635,10 @@ class TestJournal:
         disc = big_disc(mode, tmp_path, alphabet=alphabet)
         compact(disc)
         assert "+" in disc.doc_path.read_text(encoding="utf-8")
-        assert Disc.open(disc.doc_path, disc.backend, disc.pool).document.written == disc.document.written
+        assert Disc.open(disc.doc_path, disc.backend).document.written == disc.document.written
         disc.write_file("appended", b"a" * 20)
         assert split(disc.doc_path.read_text(encoding="utf-8"))[1]
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         same_state(fresh, disc)
         assert fresh.document.written == disc.document.written
 
@@ -688,9 +688,9 @@ class TestUsedGaps:
         assert used_line(text).startswith("used=~")
         disc.doc_path.write_text(with_used(text, value), encoding="utf-8")
         with pytest.raises(ConfigInvalid, match="malformed"):
-            Disc.open(disc.doc_path, disc.backend, disc.pool)
+            Disc.open(disc.doc_path, disc.backend)
         disc.doc_path.write_text(with_used(text, "~5,7"), encoding="utf-8")
-        assert Disc.open(disc.doc_path, disc.backend, disc.pool).document.used == {5, 12}
+        assert Disc.open(disc.doc_path, disc.backend).document.used == {5, 12}
 
     def test_an_absolute_snapshot_and_its_journal_read_alike_and_resave_as_gaps(self, tmp_path):
         disc = big_disc("A", tmp_path)
@@ -702,12 +702,12 @@ class TestUsedGaps:
         # the snapshot as the writer before the gaps wrote it
         absolute = ",".join(map(str, sorted(Document.read(snapshot).used)))
         disc.doc_path.write_text(with_used(snapshot, absolute) + journal, encoding="utf-8")
-        fresh = Disc.open(disc.doc_path, disc.backend, disc.pool)
+        fresh = Disc.open(disc.doc_path, disc.backend)
         same_state(fresh, disc)
         fresh._persist()
         text = fresh.doc_path.read_text(encoding="utf-8")
         assert not split(text)[1] and used_line(text).startswith("used=~")
-        same_state(Disc.open(disc.doc_path, disc.backend, disc.pool), disc)
+        same_state(Disc.open(disc.doc_path, disc.backend), disc)
         assert fresh.fsck().ok
 
 

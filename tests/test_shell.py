@@ -103,6 +103,17 @@ class TestDispatch:
         assert sess.execute(["stat"]) == 0
         assert json.loads(capsys.readouterr().out)["stats"]["checkpoints"] >= 1
 
+    def test_format_refuses_a_line_break_in_the_disc_id(self, tmp_path, capsys):
+        doc, store = tmp_path / "sb.txt", tmp_path / "store"
+        base = ["--disc", str(doc), "--backend", f"dir:{store}", "format", "A", "5", "16", "8", "--id"]
+        for brk in "\x85\u2028\u2029":
+            assert main([*base, f"ab{brk}cd"]) == 1
+            assert "reserved characters" in capsys.readouterr().out
+            assert not doc.exists() and DirectoryBackend(store).live_addresses() == []
+        assert main([*base, "disc-é"]) == 0
+        assert Disc.open(doc, DirectoryBackend(store)).config.disc_id == "disc-é"
+        assert main(["--disc", str(doc), "--backend", f"dir:{store}", "fsck"]) == 0
+
 
 class TestDifferential:
     def test_shell_equals_library(self, tmp_path):
@@ -250,6 +261,11 @@ class TestBenchCommand:
         assert all(a < b for a, b in zip(cold, cold[1:]))  # fresh sessions replay from the seed
         assert set(warm) == {0}  # the writing session walked every counter
         assert sum(warm) < sum(cold)
+
+    def test_bench_bad_config_prints_no_table(self, tmp_path, capsys):
+        assert main(["--disc", str(tmp_path / "sb.txt"), "bench", "--n", "0"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and len(out.splitlines()) == 1
 
     def test_bench_bad_spec(self, tmp_path):
         sess = session(tmp_path)
