@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple, Sequence
 
 from .disc import Disc
 from .document import MODES, DiscConfig, Document
@@ -26,8 +26,7 @@ from .errors import SpecInvalid
 from .osn import MemoryBackend
 
 
-@dataclass
-class BenchmarkRow:
+class BenchmarkRow(NamedTuple):
     mode: str
     blocks: int
     persistent_bytes: int  # whole superblock+catalog document
@@ -36,8 +35,8 @@ class BenchmarkRow:
     hash_iterations: int  # allocation hashing for the write phase
     write_seconds: float
     read_seconds: float  # warm reads
-    per_read_iterations: list[int] = field(default_factory=list)  # fresh session per read
-    warm_per_read_iterations: list[int] = field(default_factory=list)  # the writing session
+    per_read_iterations: Sequence[int] = ()  # fresh session per read
+    warm_per_read_iterations: Sequence[int] = ()  # the writing session
 
 
 def run_benchmark(
@@ -121,7 +120,7 @@ def _run_one(mode: str, count: int, n: int, p: int, m: int, seed: int) -> Benchm
 
 
 def rows_as_dicts(rows) -> list[dict]:
-    return [asdict(row) for row in rows]
+    return [row._asdict() for row in rows]
 
 
 def _mean(values) -> float:

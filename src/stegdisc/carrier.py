@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadVersion,
@@ -46,8 +45,7 @@ def header_size(p: int) -> int:
     return 6 + counter_bytes(p)
 
 
-@dataclass(slots=True)
-class BlockPayload:
+class BlockPayload(NamedTuple):
     """Hidden content of one posted object."""
 
     next_counter: int

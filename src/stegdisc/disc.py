@@ -29,8 +29,9 @@ lookup, full traversals and fsck; `Disc._chain` is its one walk from the
 genesis block.  It is the one place chain faults are detected (a mode C
 counter that does not increase, a cycle, a block that cannot be resolved
 or fetched, a NULL pointer inside a file's run), and each raises
-ChainBroken naming its kind and pointer code; fsck reports the fault
-the walker raised instead of walking the chain again.
+ChainBroken naming its kind and pointer code; fsck reports the
+walker's ChainBroken itself instead of walking the chain again, and
+its own genesis and catalog faults are ChainBroken too.
 
 Catalog order is chain order: writes and edits put their run at the
 chain tail and their entry at the end of the catalog.  One lookup,
@@ -47,10 +48,9 @@ lookup's cursor.  fsck and chain_blocks always walk the whole chain.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
 from math import factorial
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .carrier import (
     FLAG_SUPERBLOCK,
@@ -103,16 +103,8 @@ def check_name(name: str) -> str:
     return name
 
 
-@dataclass
-class Violation:
-    kind: str
-    counter: int  # offending pointer code, 0 when the genesis or catalog is at fault
-    detail: str
-
-
-@dataclass
-class ChainReport:
-    violations: list[Violation] = field(default_factory=list)
+class ChainReport(NamedTuple):
+    violations: tuple[ChainBroken, ...] = ()  # as the walker raised them or fsck built them
     block_count: int = 0  # traversed blocks including the genesis block
 
     @property
@@ -120,8 +112,7 @@ class ChainReport:
         return not self.violations
 
 
-@dataclass
-class TradeoffStats:
+class TradeoffStats(NamedTuple):
     mode: str
     persistent_bytes: int  # full superblock+catalog document
     catalog_bytes: int  # the per-file lines alone
@@ -464,32 +455,25 @@ class Disc:
 
     def fsck(self) -> ChainReport:
         """Read-only chain check: traversal stops at the first fault the
-        walker raises; catalog coverage is only judged on a fully
-        traversed chain."""
-        report, chain = ChainReport(), self._chain(self._replay())
+        walker raises, which is reported as raised; catalog coverage is
+        only judged on a fully traversed chain."""
+        faults: list[ChainBroken] = []
+        chain = self._chain(self._replay())
         try:
             genesis_payload = next(chain)[3]
         except ChainBroken as exc:
-            report.violations.append(Violation("genesis-missing", 0, str(exc)))
-            return report
-        report.block_count = 1
+            return ChainReport((ChainBroken(str(exc), "genesis-missing", 0),))
         if not genesis_payload.is_superblock:
-            report.violations.append(
-                Violation("genesis-flags", 0, "genesis block lacks the superblock flag")
-            )
+            faults.append(ChainBroken("genesis block lacks the superblock flag", "genesis-flags", 0))
         expect = self.config.echo_bytes()
         if genesis_payload.data != expect:
-            report.violations.append(
-                Violation("genesis-echo", 0, f"genesis echo {genesis_payload.data!r} != {expect!r}")
-            )
+            faults.append(ChainBroken(f"genesis echo {genesis_payload.data!r} != {expect!r}", "genesis-echo", 0))
         blocks: list[tuple[int, Perm, BlockPayload]] = []
         try:
             for code, addr, _, payload in chain:
-                report.block_count += 1
                 blocks.append((code, addr, payload))
         except ChainBroken as fault:
-            report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
-            return report
+            return ChainReport((*faults, fault), 1 + len(blocks))
         position = {code: idx for idx, (code, _, _) in enumerate(blocks)}
         total_expected = 0
         for entry in map(self.document.entry, self.document.entries):
@@ -499,24 +483,19 @@ class Disc:
             try:
                 run = self._locate(blocks, position, entry)
             except ChainBroken as fault:
-                report.violations.append(Violation(fault.kind, fault.counter, str(fault)))
+                faults.append(fault)
                 continue
             got = sum(len(payload.data) for _, _, payload in run)
             if got != entry.length:
-                report.violations.append(
-                    Violation(
-                        "file-bytes", entry.start_counter,
-                        f"file {entry.name!r} spans {got} bytes, catalog says {entry.length}",
-                    )
-                )
+                faults.append(ChainBroken(
+                    f"file {entry.name!r} spans {got} bytes, catalog says {entry.length}",
+                    "file-bytes", entry.start_counter,
+                ))
         if len(blocks) != total_expected:
-            report.violations.append(
-                Violation(
-                    "block-count", 0,
-                    f"chain holds {len(blocks)} blocks, catalog accounts for {total_expected}",
-                )
-            )
-        return report
+            faults.append(ChainBroken(
+                f"chain holds {len(blocks)} blocks, catalog accounts for {total_expected}", "block-count", 0
+            ))
+        return ChainReport(tuple(faults), 1 + len(blocks))
 
     def stats(self) -> TradeoffStats:
         doc = self.document

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
 from math import factorial
@@ -74,43 +73,38 @@ def _check_field(value: str, what: str) -> str:
     return value
 
 
-@dataclass
 class DiscConfig:
-    n: int
-    p: int
-    m: int
-    mode: str
-    alphabet: HashtagAlphabet
-    genesis: Perm
-    disc_id: str
+    """A disc's parameters, checked when built; `encoding` follows from
+    `mode` alone, and no alphabet means the demo one of n hashtags."""
+
+    def __init__(self, n: int, p: int, m: int, mode: str, alphabet: Optional[HashtagAlphabet],
+                 genesis: Perm, disc_id: str):
+        if mode not in MODES:
+            raise ConfigInvalid(f"mode must be one of {MODES}, got {mode!r}")
+        self.n, self.p, self.m, self.mode, self.disc_id = n, p, m, mode, disc_id
+        self.encoding = ENCODINGS[mode]  # derived from mode alone, never set on its own
+        if n < 1 or p < 1 or m < 1:
+            raise ConfigInvalid(f"n, p, m must be >= 1 (n={n} p={p} m={m})")
+        self.alphabet = alphabet = alphabet or HashtagAlphabet.default(n)  # once n is checked
+        if len(alphabet) != n:
+            raise ConfigInvalid(f"alphabet has {len(alphabet)} tags, expected n={n}")
+        try:
+            self.genesis = validate_permutation(genesis)
+        except Exception as exc:
+            raise ConfigInvalid(f"bad genesis: {exc}") from exc
+        if len(self.genesis) != n:
+            raise ConfigInvalid(f"genesis has {len(self.genesis)} elements, expected n={n}")
+        if not self.encoding.positions and 2 ** p <= factorial(n):
+            raise ConfigInvalid(f"rank codes need 2^p > n! (p={p}, n={n})")
+        _check_field(disc_id, "disc_id")
+        for tag in alphabet.tags:
+            _check_field(tag, "hashtag")
 
     @classmethod
     def create(cls, n: int, p: int, m: int, mode: str, alphabet: Optional[HashtagAlphabet] = None,
                genesis=None, disc_id: Optional[str] = None) -> "DiscConfig":
         genesis = tuple(genesis) if genesis is not None else tuple(range(n))
-        alphabet = alphabet or HashtagAlphabet.default(n)
         return cls(n, p, m, mode, alphabet, genesis, disc_id or os.urandom(6).hex())
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigInvalid(f"mode must be one of {MODES}, got {self.mode!r}")
-        self.encoding = ENCODINGS[self.mode]  # derived from mode alone, never set on its own
-        if self.n < 1 or self.p < 1 or self.m < 1:
-            raise ConfigInvalid(f"n, p, m must be >= 1 (n={self.n} p={self.p} m={self.m})")
-        if len(self.alphabet) != self.n:
-            raise ConfigInvalid(f"alphabet has {len(self.alphabet)} tags, expected n={self.n}")
-        try:
-            genesis = validate_permutation(self.genesis)
-        except Exception as exc:
-            raise ConfigInvalid(f"bad genesis: {exc}") from exc
-        if len(genesis) != self.n:
-            raise ConfigInvalid(f"genesis has {len(genesis)} elements, expected n={self.n}")
-        self.genesis = genesis
-        if not self.encoding.positions and 2 ** self.p <= factorial(self.n):
-            raise ConfigInvalid(f"rank codes need 2^p > n! (p={self.p}, n={self.n})")
-        _check_field(self.disc_id, "disc_id")
-        for tag in self.alphabet.tags:
-            _check_field(tag, "hashtag")
 
     def echo_bytes(self) -> bytes:
         """Config summary embedded in the genesis block for cross-checking."""

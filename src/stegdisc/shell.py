@@ -16,7 +16,6 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -239,7 +238,7 @@ class ShellSession:
         return 0, text, {"name": entry.name, "length": entry.length}
 
     def _cmd_stat(self, opts) -> tuple[int, str, dict]:
-        stats = asdict(self._ensure_disc().stats())
+        stats = self._ensure_disc().stats()._asdict()
         text = "\n".join(f"{key}: {value}" for key, value in stats.items())
         return 0, text, {"stats": stats}
 
@@ -247,11 +246,11 @@ class ShellSession:
         report = self._ensure_disc().fsck()
         payload = {
             "block_count": report.block_count,
-            "violations": [asdict(v) for v in report.violations],
+            "violations": [{"kind": v.kind, "counter": v.counter, "detail": str(v)} for v in report.violations],
         }
         if report.ok:
             return 0, f"clean ({report.block_count} blocks)", payload
-        lines = [f"{v.kind} at {v.counter}: {v.detail}" for v in report.violations]
+        lines = [f"{v.kind} at {v.counter}: {v}" for v in report.violations]
         return 2, "\n".join(lines), payload
 
     def _cmd_bench(self, opts) -> tuple[int, str, dict]:

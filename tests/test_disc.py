@@ -1,6 +1,5 @@
 """Filesystem core: chains, catalog, splice, fsck, and the three modes."""
 
-import dataclasses
 import hashlib
 import random
 import tempfile
@@ -449,7 +448,7 @@ def _rewrite_block(disc, backend, addr, **changes):
     """Re-embed one posted block with some payload fields changed."""
     tags = perm_to_hashtags(addr, disc.config.alphabet)
     carrier = CarrierObject.from_bytes(backend.fetch(tags))
-    payload = dataclasses.replace(read_payload(carrier, disc.config.p), **changes)
+    payload = read_payload(carrier, disc.config.p)._replace(**changes)
     backend.replace(tags, embed(carrier, encode_payload(payload, disc.config.p)).data)
 
 

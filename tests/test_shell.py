@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from conftest import child_env
+from stegdisc.carrier import BlockPayload, CarrierObject, embed, encode_payload, read_payload
 from stegdisc.disc import Disc, DiscConfig
 from stegdisc.errors import UsageError
 from stegdisc.osn import DirectoryBackend, MemoryBackend
@@ -114,6 +115,41 @@ class TestDispatch:
         assert Disc.open(doc, DirectoryBackend(store)).config.disc_id == "disc-é"
         assert main(["--disc", str(doc), "--backend", f"dir:{store}", "fsck"]) == 0
 
+    @pytest.mark.parametrize("command", [["format", "A", "0", "16", "8"], ["bench", "--n", "0"]])
+    def test_a_zero_alphabet_size_is_named(self, tmp_path, capsys, command):
+        # n is checked before the demo alphabet of n hashtags is built
+        assert main(["--disc", str(tmp_path / "sb.txt"), *command]) == 1
+        assert capsys.readouterr().out.startswith("error: n, p, m must be >= 1 (n=0 ")
+
+    def test_fsck_reports_a_lost_post_and_a_bad_echo(self, tmp_path, capsys):
+        doc, store = tmp_path / "sb.txt", tmp_path / "store"
+        base = ["--disc", str(doc), "--backend", f"dir:{store}"]
+        (tmp_path / "f.bin").write_bytes(bytes(range(20)))
+        assert main([*base, "format", "A", "4", "16", "8", "--id", "pin"]) == 0
+        assert main([*base, "put", str(tmp_path / "f.bin"), "doc"]) == 0
+        backend = DirectoryBackend(store)
+        disc = Disc.open(doc, backend)
+        # remove the file's second post, and echo another mode in the genesis block
+        _, lost, _ = disc.chain_blocks()[1]
+        backend.remove(perm_to_hashtags(lost, disc.config.alphabet))
+        tags = perm_to_hashtags(disc.config.genesis, disc.config.alphabet)
+        carrier = CarrierObject.from_bytes(backend.fetch(tags))
+        echo = read_payload(carrier, 16)
+        forged = BlockPayload(echo.next_counter, echo.data.replace(b"mode=A", b"mode=B"), echo.flags)
+        backend.replace(tags, embed(carrier, encode_payload(forged, 16)).data)
+        capsys.readouterr()
+        assert main([*base, "fsck"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "genesis-echo at 0: genesis echo b'n=4;p=16;m=8;mode=B;id=pin' != b'n=4;p=16;m=8;mode=A;id=pin'",
+            "bad-block at 7: no object at #tag1 #tag0 #tag3 #tag2",
+        ]
+        assert main([*base, "--json", "fsck"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"status": 2, "block_count": 2, "violations": [
+            {"kind": "genesis-echo", "counter": 0,
+             "detail": "genesis echo b'n=4;p=16;m=8;mode=B;id=pin' != b'n=4;p=16;m=8;mode=A;id=pin'"},
+            {"kind": "bad-block", "counter": 7, "detail": "no object at #tag1 #tag0 #tag3 #tag2"},
+        ]}
+
 
 class TestDifferential:
     def test_shell_equals_library(self, tmp_path):
@@ -189,6 +225,26 @@ class TestSubprocess:
             capture_output=True, text=True, cwd=tmp_path, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_one_shot_get_imports_neither_dataclasses_nor_inspect(self, tmp_path):
+        # records are NamedTuples or plain classes, so a one-shot get loads
+        # neither dataclasses nor the inspect module it pulls in; -S keeps
+        # site's .pth files out of the list
+        (tmp_path / "f.bin").write_bytes(b"import probe" * 25)
+        base = ["--disc", "sb.txt", "--backend", "dir:store"]
+        for args in (["format", "A", "5", "16", "32"], ["put", "f.bin", "doc"]):
+            setup = run_cli([*base, *args], tmp_path)
+            assert setup.returncode == 0, setup.stderr
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "stegdisc", *base, "get", "doc", "out.bin"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out.bin").read_bytes() == b"import probe" * 25
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "stegdisc.shell" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_repl_matches_one_shot(self, tmp_path):
         (tmp_path / "f.bin").write_bytes(b"repl payload")
