@@ -285,6 +285,23 @@ class TestSubprocess:
         assert payload == {"status": 0, "block_count": 1, "violations": []}
 
 
+class TestUsageErrors:
+    """A bad command line exits 1 with one error line, as text or as the --json object."""
+
+    @pytest.mark.parametrize("command, message", [
+        (["frobnicate"], "unknown command 'frobnicate'"),
+        (["bench", "--modes", "Q"], "modes must come from ('A', 'B', 'C'): ('Q',)"),
+        (["bench", "--counts", "0"], "block counts must be positive integers: (0,)"),
+    ])
+    def test_one_shot_text_and_json(self, tmp_path, capsys, command, message):
+        base = ["--disc", str(tmp_path / "sb.txt")]
+        assert main([*base, *command]) == 1
+        assert capsys.readouterr() == (f"error: {message}\n", "")
+        assert main([*base, "--json", *command]) == 1
+        assert json.loads(capsys.readouterr().out) == {"status": 1, "error": message}
+        assert not (tmp_path / "sb.txt").exists()
+
+
 class TestEnvironment:
     def test_home_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("STEGDISC_HOME", str(tmp_path / "homedir"))
