@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .disc import Disc
 from .document import MODES, DiscConfig, Document
-from .errors import SpecInvalid
+from .errors import UsageError
 from .osn import MemoryBackend
 
 
@@ -56,9 +56,9 @@ def run_benchmark(
     block_counts = tuple(block_counts)
     modes = tuple(modes)
     if not block_counts or any(not isinstance(c, int) or c < 1 for c in block_counts):
-        raise SpecInvalid(f"block counts must be positive integers: {block_counts!r}")
+        raise UsageError(f"block counts must be positive integers: {block_counts!r}")
     if not modes or any(mode not in MODES for mode in modes):
-        raise SpecInvalid(f"modes must come from {MODES}: {modes!r}")
+        raise UsageError(f"modes must come from {MODES}: {modes!r}")
 
     rows = []
     for mode in modes:

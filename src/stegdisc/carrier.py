@@ -5,7 +5,9 @@ A block payload is laid out bit-exactly as
     version (1) | flags (1) | next_counter (ceil(p/8), big-endian)
     | data_len (4, big-endian) | data
 
-and embedded one bit per color channel into the least significant bits of
+where the version byte is the constant PAYLOAD_VERSION: every payload is
+written with it, and the reader refuses any other.  The payload is
+embedded one bit per color channel into the least significant bits of
 an uncompressed 24-bit BMP, the one carrier kind, whose width is a
 multiple of 4 so that its rows need no padding: bytes that do not parse
 as one raise UnsupportedCarrier.  A CarrierObject parses its geometry
@@ -27,7 +29,6 @@ from .errors import (
     BadVersion,
     CapacityExceeded,
     CounterTooWide,
-    DataTooLong,
     TruncatedPayload,
     UnsupportedCarrier,
 )
@@ -46,31 +47,25 @@ def header_size(p: int) -> int:
 
 
 class BlockPayload(NamedTuple):
-    """Hidden content of one posted object."""
+    """Hidden content of one posted object; its version byte is not a
+    field, since every payload is written with PAYLOAD_VERSION."""
 
     next_counter: int
     data: bytes = b""
     flags: int = 0
-    version: int = PAYLOAD_VERSION
 
     @property
     def is_superblock(self) -> bool:
         return bool(self.flags & FLAG_SUPERBLOCK)
 
 
-def encode_payload(payload: BlockPayload, p: int, m: Optional[int] = None) -> bytes:
-    """Serialize a payload for a disc with p-bit counters.
-
-    When m is given the data length is checked against it; the genesis
-    superblock is encoded with m=None since its data is the config echo,
-    not file content.
-    """
+def encode_payload(payload: BlockPayload, p: int) -> bytes:
+    """Serialize a payload for a disc with p-bit counters, behind the
+    constant version byte that read_payload checks."""
     if not 0 <= payload.next_counter < (1 << p):
         raise CounterTooWide(f"counter {payload.next_counter} needs more than {p} bits")
-    if m is not None and len(payload.data) > m:
-        raise DataTooLong(f"{len(payload.data)} data bytes > block size {m}")
     return (
-        bytes((payload.version, payload.flags))
+        bytes((PAYLOAD_VERSION, payload.flags))
         + payload.next_counter.to_bytes(counter_bytes(p), "big")
         + struct.pack(">I", len(payload.data))
         + payload.data
@@ -194,13 +189,6 @@ def _hidden(stego: CarrierObject, start: int, nbytes: int) -> bytes:
     return int(stego.data[at:at + nbytes * 8].translate(_LSB_DIGITS), 2).to_bytes(nbytes, "big")
 
 
-def extract(stego: CarrierObject, expected_len: int) -> bytes:
-    """Recover the first expected_len hidden bytes (inverse of embed) from the bytes they span."""
-    if expected_len > capacity(stego):
-        raise CapacityExceeded(f"{expected_len} bytes > capacity {capacity(stego)}")
-    return _hidden(stego, 0, expected_len)
-
-
 def read_payload(stego: CarrierObject, p: int, bound: Optional[int] = None) -> BlockPayload:
     """Extract the hidden bytes once, up to the capacity or `bound` (the
     largest payload the caller posts), and parse header and data from
@@ -216,7 +204,7 @@ def read_payload(stego: CarrierObject, p: int, bound: Optional[int] = None) -> B
         raise BadVersion(f"unknown payload version {hidden[0]}")
     if end > len(hidden):
         hidden += _hidden(stego, len(hidden), end - len(hidden))
-    return BlockPayload(int.from_bytes(hidden[2:hsize - 4], "big"), hidden[hsize:end], hidden[1], hidden[0])
+    return BlockPayload(int.from_bytes(hidden[2:hsize - 4], "big"), hidden[hsize:end], hidden[1])
 
 
 # -- carrier pool --------------------------------------------------------------

@@ -189,10 +189,10 @@ class Disc:
         except (TruncatedPayload, BadVersion, UnsupportedCarrier) as exc:
             raise ChainBroken(f"undecodable block at {' '.join(tags)}", "bad-block", code) from exc
 
-    def _post(self, code: int, addr: Perm, payload: BlockPayload, m: Optional[int] = None) -> None:
+    def _post(self, code: int, addr: Perm, payload: BlockPayload) -> None:
         """Embed `payload` in the pool's carrier for `code`, sized to the
         encoded payload, and post it at `addr`."""
-        raw = encode_payload(payload, self.config.p, m)
+        raw = encode_payload(payload, self.config.p)
         stego = embed(self.pool.next_carrier(code, len(raw)), raw)
         self.backend.post(stego.data, self._tags(addr))
 
@@ -365,7 +365,7 @@ class Disc:
                 for idx, (code, addr) in enumerate(run):
                     chunk = data[idx * cfg.m: (idx + 1) * cfg.m]
                     nxt = run[idx + 1][0] if idx + 1 < count else 0
-                    self._post(code, addr, BlockPayload(nxt, chunk), cfg.m)
+                    self._post(code, addr, BlockPayload(nxt, chunk))
                     posted += 1
                 self._rewrite_next(tail or self._fetch(*self._tail), run[0][0])
                 break

@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 from urllib.parse import quote, unquote
 
 from .errors import ConfigInvalid, FileNotFound, NotAPermutation
-from .steghash import HashtagAlphabet, Perm, SamplerState, validate_permutation
+from .steghash import HashtagAlphabet, Perm, SamplerState, sampler_advance, validate_permutation
 
 
 class Encoding(NamedTuple):
@@ -96,6 +96,10 @@ class DiscConfig:
             raise ConfigInvalid(f"genesis has {len(self.genesis)} elements, expected n={n}")
         if not self.encoding.positions and 2 ** p <= factorial(n):
             raise ConfigInvalid(f"rank codes need 2^p > n! (p={p}, n={n})")
+        if self.encoding.positions:  # a disc that cannot hold one block is refused
+            first = sampler_advance(SamplerState.fresh(self.genesis))[1]
+            if first > 2 ** p - 1:
+                raise ConfigInvalid(f"the stream's first completion {first} passes 2^p - 1 (p={p})")
         _check_field(disc_id, "disc_id")
         for tag in alphabet.tags:
             _check_field(tag, "hashtag")

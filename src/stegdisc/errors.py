@@ -5,11 +5,7 @@ class StegDiscError(Exception):
     """Base class for every error raised by stegdisc."""
 
 
-# -- addressing --------------------------------------------------------------
-
-class SizeMismatch(StegDiscError):
-    """Permutation length does not match the alphabet size."""
-
+# -- addressing: permutations, rank codes and the address stream --------------
 
 class NotAPermutation(StegDiscError):
     """Sequence is not a permutation (duplicate, missing or out-of-range element)."""
@@ -31,18 +27,14 @@ class AllocationStall(StegDiscError):
     """Too many consecutive occupied addresses; address space exhausted or hostile."""
 
 
-# -- carrier / payload -------------------------------------------------------
+# -- carrier / payload: encoding, the reader's checks, bitmaps ---------------
 
 class CounterTooWide(StegDiscError):
     """next_counter does not fit in the configured p bits."""
 
 
-class DataTooLong(StegDiscError):
-    """Payload data exceeds the disc's block data size m."""
-
-
 class BadVersion(StegDiscError):
-    """Payload header carries an unknown version tag."""
+    """Payload header carries a version byte other than PAYLOAD_VERSION."""
 
 
 class TruncatedPayload(StegDiscError):
@@ -99,15 +91,8 @@ class ChainBroken(StegDiscError):
         self.counter = counter
 
 
-# -- shell / benchmark -------------------------------------------------------
+# -- command line: the shell's and the benchmark's one usage error ----------
 
 class UsageError(StegDiscError):
-    """Malformed command line."""
-
-
-class UnknownCommand(StegDiscError):
-    """Command not recognized by the shell."""
-
-
-class SpecInvalid(StegDiscError):
-    """Benchmark specification is empty or out of range."""
+    """Malformed command line: an unknown command, bad arguments, or a
+    benchmark specification that is empty or out of range."""

@@ -25,7 +25,6 @@ from .errors import (
     BackendUnavailable,
     ChainBroken,
     StegDiscError,
-    UnknownCommand,
     UsageError,
 )
 from .osn import open_backend
@@ -155,7 +154,7 @@ class ShellSession:
         name, *args = argv
         parser = _COMMAND_PARSERS.get(name)
         if parser is None:
-            raise UnknownCommand(f"unknown command {name!r}")
+            raise UsageError(f"unknown command {name!r}")
         try:
             opts = parser.parse_args(args)
         except _ParserDone:

@@ -25,7 +25,6 @@ from .errors import (
     CounterOverflow,
     InvalidCounter,
     NotAPermutation,
-    SizeMismatch,
 )
 
 Perm = tuple[int, ...]
@@ -64,24 +63,10 @@ class HashtagAlphabet:
     def __len__(self) -> int:
         return len(self.tags)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HashtagAlphabet) and self.tags == other.tags
-
-    def __repr__(self) -> str:
-        return f"HashtagAlphabet({list(self.tags)!r})"
-
     @classmethod
     def default(cls, n: int) -> "HashtagAlphabet":
         """Demo alphabet #tag0..#tag{n-1}; real deployments supply their own."""
         return cls(tuple(f"#tag{i}" for i in range(n)))
-
-
-def perm_to_hashtags(perm: Sequence[int], alphabet: HashtagAlphabet) -> tuple[str, ...]:
-    """Render a permutation as the ordered hashtag sequence it addresses."""
-    perm, tags = validate_permutation(perm), alphabet.tags
-    if len(perm) != len(tags):
-        raise SizeMismatch(f"permutation of {len(perm)} vs alphabet of {len(tags)}")
-    return tuple([tags[i] for i in perm])
 
 
 # -- lexicographic rank / unrank ---------------------------------------------

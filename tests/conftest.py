@@ -5,7 +5,8 @@ import struct
 from pathlib import Path
 
 import stegdisc
-from stegdisc.carrier import CarrierObject, capacity, embed
+from stegdisc.carrier import CarrierObject, _hidden, capacity, embed
+from stegdisc.errors import CapacityExceeded
 
 # Directory that holds the imported ``stegdisc`` package: ``src`` in a
 # checkout, ``site-packages`` when installed.
@@ -24,6 +25,18 @@ def child_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + rest if rest else "")
     return env
+
+
+def perm_to_hashtags(perm, alphabet):
+    """The hashtags of an address, as the disc renders them for the backend."""
+    return tuple(alphabet.tags[i] for i in perm)
+
+
+def extract(stego, expected_len):
+    """Recover the first expected_len hidden bytes (inverse of embed) from the bytes they span."""
+    if expected_len > capacity(stego):
+        raise CapacityExceeded(f"{expected_len} bytes > capacity {capacity(stego)}")
+    return _hidden(stego, 0, expected_len)
 
 
 def hide(raw):

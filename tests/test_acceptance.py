@@ -15,20 +15,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import child_env, hide
+from conftest import child_env, extract, hide, perm_to_hashtags
 from stegdisc.bench import run_benchmark
 from stegdisc.carrier import (
     BlockPayload,
     CarrierObject,
     embed,
     encode_payload,
-    extract,
     read_payload,
 )
 from stegdisc.disc import Disc, DiscConfig, compute_chain_length
 from stegdisc.errors import CounterOverflow
 from stegdisc.osn import DirectoryBackend, MemoryBackend
-from stegdisc.steghash import perm_to_hashtags, rank, sampler_replay, unrank
+from stegdisc.steghash import rank, sampler_replay, unrank
 
 MODES = ("A", "B", "C")
 

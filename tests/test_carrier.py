@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hide, lsb_channel_bytes, row_loop_bitmap
+from conftest import extract, hide, lsb_channel_bytes, row_loop_bitmap
 from stegdisc.carrier import (
     FLAG_SUPERBLOCK,
     PAYLOAD_VERSION,
@@ -19,7 +19,6 @@ from stegdisc.carrier import (
     cover_bitmap,
     embed,
     encode_payload,
-    extract,
     header_size,
     make_bitmap,
     read_payload,
@@ -28,7 +27,6 @@ from stegdisc.errors import (
     BadVersion,
     CapacityExceeded,
     CounterTooWide,
-    DataTooLong,
     TruncatedPayload,
     UnsupportedCarrier,
 )
@@ -88,10 +86,6 @@ class TestPayloadCodec:
     def test_counter_too_wide(self):
         with pytest.raises(CounterTooWide):
             encode_payload(BlockPayload(next_counter=256), 8)
-
-    def test_data_too_long(self):
-        with pytest.raises(DataTooLong):
-            encode_payload(BlockPayload(next_counter=0, data=b"xyz"), 8, m=2)
 
     def test_bad_version(self):
         raw = bytearray(encode_payload(BlockPayload(next_counter=0), 8))
@@ -327,7 +321,7 @@ class TestReadPayload:
         if head[0] != PAYLOAD_VERSION:
             raise BadVersion(f"unknown payload version {head[0]}")
         data = lsb_oracle_extract(stego.data, hsize + data_len)[hsize:]
-        return BlockPayload(int.from_bytes(head[2:hsize - 4], "big"), data, head[1], head[0])
+        return BlockPayload(int.from_bytes(head[2:hsize - 4], "big"), data, head[1])
 
     @given(st.integers(1, 40), st.integers(1, 8).map(lambda k: 4 * k), st.data())
     @settings(max_examples=200, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stegdisc.disc
-from conftest import lsb_channel_bytes, row_loop_bitmap
+from conftest import lsb_channel_bytes, perm_to_hashtags, row_loop_bitmap
 from stegdisc.carrier import (
     CarrierObject,
     CarrierPool,
@@ -46,7 +46,6 @@ from stegdisc.osn import DirectoryBackend, MemoryBackend
 from stegdisc.steghash import (
     HashtagAlphabet,
     SamplerState,
-    perm_to_hashtags,
     rank,
     sampler_advance,
     sampler_replay,
@@ -112,6 +111,14 @@ class TestConfig:
             DiscConfig.create(n=5, p=6, m=4, mode="B")
         DiscConfig.create(n=5, p=7, m=4, mode="B")
         DiscConfig.create(n=5, p=6, m=4, mode="C")
+
+    def test_mode_c_positions_must_reach_the_first_completion(self):
+        # at n=4 the identity seed's stream first completes at 11 > 2^3 - 1;
+        # at n=1 it completes at once, so p=1 holds a block
+        with pytest.raises(ConfigInvalid, match=r"\(p=3\)"):
+            DiscConfig.create(n=4, p=3, m=4, mode="C")
+        DiscConfig.create(n=4, p=4, m=4, mode="C")
+        DiscConfig.create(n=1, p=1, m=4, mode="C")
 
     def test_alphabet_must_match_n(self):
         with pytest.raises(ConfigInvalid):
@@ -491,7 +498,11 @@ def _missing_post(disc, backend, code):
 
 
 def _bad_version(disc, backend, code):
-    _rewrite_block(disc, backend, code.addr["a2"], version=2)
+    tags = perm_to_hashtags(code.addr["a2"], disc.config.alphabet)
+    carrier = CarrierObject.from_bytes(backend.fetch(tags))
+    raw = bytearray(encode_payload(read_payload(carrier, disc.config.p), disc.config.p))
+    raw[0] = 2
+    backend.replace(tags, embed(carrier, bytes(raw)).data)
     return [("bad-block", code["a2"])], 3
 
 
@@ -811,30 +822,41 @@ class TestCoverSizes:
 class TestCoverFit:
     """Every payload a disc posts fits the cover its config gives it, from
     the narrowest pointers and blocks to the widest, with short and long
-    disc ids (the genesis echo grows with the id)."""
+    disc ids (the genesis echo grows with the id).  At n=4 the stream's
+    first completion is 11, so p=4 is the narrowest pointer that holds a
+    block, and a p=1 config is refused."""
+
+    @staticmethod
+    def config(p, m, disc_id):
+        """The n=4 mode C config, or None at p=1, whose refusal it checks."""
+        if p > 1:
+            return DiscConfig.create(n=4, p=p, m=m, mode="C", disc_id=disc_id)
+        with pytest.raises(ConfigInvalid, match=r"first completion 11 passes 2\^p - 1 \(p=1\)"):
+            DiscConfig.create(n=4, p=p, m=m, mode="C", disc_id=disc_id)
+        return None
 
     @pytest.mark.parametrize("disc_id", ["i", "d" * 60])
     @pytest.mark.parametrize("m", [1, 64, 300])
-    @pytest.mark.parametrize("p", [1, 8, 24, 40])
+    @pytest.mark.parametrize("p", [1, 4, 8, 24, 40])
     def test_every_payload_fits_its_cover(self, p, m, disc_id):
-        config = DiscConfig.create(n=4, p=p, m=m, mode="C", disc_id=disc_id)
+        config = self.config(p, m, disc_id)
+        if config is None:
+            return
         pool = CarrierPool(disc_id)
         for nbytes in range(1, carrier_bytes(config) + 1):
             assert capacity(pool.next_carrier(3, nbytes)) >= nbytes
 
     @pytest.mark.parametrize("disc_id", ["i", "d" * 60])
     @pytest.mark.parametrize("m", [1, 300])
-    @pytest.mark.parametrize("p", [1, 40])
+    @pytest.mark.parametrize("p", [1, 4, 40])
     def test_a_full_block_checks_clean(self, p, m, disc_id, tmp_path):
-        config = DiscConfig.create(n=4, p=p, m=m, mode="C", disc_id=disc_id)
+        config = self.config(p, m, disc_id)
+        if config is None:
+            return
         backend, doc = MemoryBackend(), tmp_path / "sb.txt"
         disc = Disc.format(config, backend, doc_path=doc)
         files = {"full": random.Random(p * m).randbytes(m)}
-        if p == 1:  # no completion counter is as low as 2^p - 1 = 1: only the genesis fits
-            with pytest.raises(CounterOverflow):
-                disc.write_file("full", files.pop("full"))
-        else:
-            disc.write_file("full", files["full"])
+        disc.write_file("full", files["full"])
         for fresh in (disc, Disc.open(doc, backend)):
             report = fresh.fsck()
             assert report.ok and report.block_count == 1 + len(files)

@@ -7,13 +7,12 @@ import sys
 
 import pytest
 
-from conftest import child_env
+from conftest import child_env, perm_to_hashtags
 from stegdisc.carrier import BlockPayload, CarrierObject, embed, encode_payload, read_payload
 from stegdisc.disc import Disc, DiscConfig
 from stegdisc.errors import UsageError
 from stegdisc.osn import DirectoryBackend, MemoryBackend
 from stegdisc.shell import ShellSession, default_disc_path, main
-from stegdisc.steghash import perm_to_hashtags
 
 
 def session(tmp_path, backend_spec="memory", **kwargs):
@@ -120,6 +119,12 @@ class TestDispatch:
         # n is checked before the demo alphabet of n hashtags is built
         assert main(["--disc", str(tmp_path / "sb.txt"), *command]) == 1
         assert capsys.readouterr().out.startswith("error: n, p, m must be >= 1 (n=0 ")
+
+    def test_format_refuses_a_mode_c_disc_that_holds_no_block(self, tmp_path, capsys):
+        doc, store = tmp_path / "sb.txt", tmp_path / "store"
+        assert main(["--disc", str(doc), "--backend", f"dir:{store}", "format", "C", "4", "1", "8"]) == 1
+        assert capsys.readouterr().out == "error: the stream's first completion 11 passes 2^p - 1 (p=1)\n"
+        assert not doc.exists() and DirectoryBackend(store).live_addresses() == []
 
     def test_fsck_reports_a_lost_post_and_a_bad_echo(self, tmp_path, capsys):
         doc, store = tmp_path / "sb.txt", tmp_path / "store"

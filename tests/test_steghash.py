@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perm_to_hashtags
 from stegdisc.errors import (
     AllocationStall,
     CodeOutOfRange,
     CounterOverflow,
     InvalidCounter,
-    SizeMismatch,
 )
 from stegdisc.steghash import (
     CheckpointLadder,
@@ -25,7 +25,6 @@ from stegdisc.steghash import (
     SamplerState,
     allocate_address,
     default_stall_limit,
-    perm_to_hashtags,
     rank,
     sampler_advance,
     sampler_replay,
@@ -92,10 +91,6 @@ class TestHashtagMapping:
 
     def test_single_tag(self):
         assert perm_to_hashtags((0,), HashtagAlphabet(["#x"])) == ("#x",)
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            perm_to_hashtags((0, 1), HashtagAlphabet(["#a", "#b", "#c"]))
 
     def test_distinct_perms_distinct_addresses(self):
         for n in range(1, 7):
