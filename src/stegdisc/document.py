@@ -94,6 +94,11 @@ class DiscConfig:
             raise ConfigInvalid(f"bad genesis: {exc}") from exc
         if len(self.genesis) != n:
             raise ConfigInvalid(f"genesis has {len(self.genesis)} elements, expected n={n}")
+        # the genesis block's address, and with rank codes the NULL identity
+        reserved = {self.genesis} if self.encoding.positions else {self.genesis, tuple(range(n))}
+        if len(reserved) == factorial(n):
+            raise ConfigInvalid(f"n={n} with genesis {','.join(map(str, self.genesis))} "
+                                "leaves no address for a data block")
         if not self.encoding.positions and 2 ** p <= factorial(n):
             raise ConfigInvalid(f"rank codes need 2^p > n! (p={p}, n={n})")
         if self.encoding.positions:  # a disc that cannot hold one block is refused

@@ -17,25 +17,22 @@ block, which digests the sequence once into the post's directory, then
 makes one stat of meta.txt and one os.open, os.reads until one returns
 nothing, and one os.close of object.bin: 4-8 us of file access per block
 on a shared 2-vCPU ext4 host, where isfile plus open().read() took 8-14.
-Every query passes one admission path: tag check, then a
-transient-failure draw.  The draw's rate and seed are constructor
-arguments of either backend, for resilience tests; the rate defaults to
-0, which never fails.
+Every query passes one admission path: its tags are checked, its key
+derived, and the post's presence checked where the verb needs it.  The
+backends never fail on their own: `BackendUnavailable`, the interface's
+transient failure, is raised by a test's wrapper at the query it picks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import random
 import shutil
 from contextlib import suppress
 
-from .errors import BackendUnavailable, DuplicateAddress, NotFound
+from .errors import DuplicateAddress, NotFound
 
 Hashtags = tuple[str, ...]
-
-_UNTAGGED = object()  # the sequence of a query that names no address
 
 
 def _check_hashtags(hashtags) -> Hashtags:
@@ -60,22 +57,14 @@ def _write_file(path: str, data: bytes) -> None:
 
 
 class _BackendBase:
-    """Shared plumbing: admission and failure injection.  Subclasses define
-    `_key` (a post's key), `_has`, `_put`, `_get` (None if absent), `_rewrite`, `_drop`, `_all`."""
+    """Shared plumbing: admission.  Subclasses define `_key` (a post's key),
+    `_has`, `_put`, `_get` (None if absent), `_rewrite`, `_drop`, `_all`."""
 
-    def __init__(self, failure_rate: float = 0.0, failure_seed: int = 0):
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError(f"failure_rate {failure_rate} not in [0, 1]")
-        self.failure_rate = failure_rate  # probability of a transient failure per query
-        self._chaos = random.Random(failure_seed)
-
-    def _query(self, hashtags=_UNTAGGED, present: bool = False):
-        """Admit one query: check its tags, draw the injected failure, then if
-        `present` check the post exists; returns the tags and the post's key."""
-        tags = () if hashtags is _UNTAGGED else _check_hashtags(hashtags)
-        if self.failure_rate and self._chaos.random() < self.failure_rate:
-            raise BackendUnavailable("injected transient failure")
-        key = tags and self._key(tags)
+    def _query(self, hashtags, present: bool = False):
+        """Admit one query: check its tags, then if `present` check the post
+        exists; returns the tags and the post's key."""
+        tags = _check_hashtags(hashtags)
+        key = self._key(tags)
         if present and not self._has(key):
             raise NotFound(f"no post at {' '.join(tags)}")
         return tags, key
@@ -105,7 +94,6 @@ class _BackendBase:
 
     def live_addresses(self) -> list[Hashtags]:
         """All occupied ordered sequences (test/inspection helper)."""
-        self._query()
         return self._all()
 
 
@@ -113,8 +101,7 @@ class MemoryBackend(_BackendBase):
     """Volatile backend; the default for tests and benchmarks.  It keeps
     each address's object bytes, keyed by the address itself."""
 
-    def __init__(self, failure_rate: float = 0.0, failure_seed: int = 0):
-        super().__init__(failure_rate, failure_seed)
+    def __init__(self):
         self._posts: dict[Hashtags, bytes] = {}
 
     @staticmethod
@@ -154,8 +141,7 @@ class DirectoryBackend(_BackendBase):
     OBJECT = "object.bin"
     META = "meta.txt"
 
-    def __init__(self, root, failure_rate: float = 0.0, failure_seed: int = 0):
-        super().__init__(failure_rate, failure_seed)
+    def __init__(self, root):
         self._root = os.fspath(root)  # root may be a str or a Path
         os.makedirs(self._root, exist_ok=True)
 

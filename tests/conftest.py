@@ -2,11 +2,12 @@
 
 import os
 import struct
+from collections import Counter
 from pathlib import Path
 
 import stegdisc
 from stegdisc.carrier import CarrierObject, _hidden, capacity, embed
-from stegdisc.errors import CapacityExceeded
+from stegdisc.errors import BackendUnavailable, CapacityExceeded
 
 # Directory that holds the imported ``stegdisc`` package: ``src`` in a
 # checkout, ``site-packages`` when installed.
@@ -25,6 +26,38 @@ def child_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + rest if rest else "")
     return env
+
+
+class FaultInjector:
+    """A backend wrapper that counts queries and fails the ones a test arms.
+
+    `counts` is a Counter of the verbs called through it, failed calls
+    included.  `arm(k, verb)` makes the k-th next query of `verb` (of any
+    verb if None) raise `error` instead of reaching the backend, once:
+    `BackendUnavailable`, a transient failure, or `SystemExit`, process
+    death.  Several may wait at once; `armed` holds those not yet due.
+    """
+
+    def __init__(self, inner):
+        self.inner, self.counts, self.armed = inner, Counter(), []
+
+    def arm(self, k, verb=None, error=BackendUnavailable):
+        self.armed.append([k, verb, error])
+
+    def __getattr__(self, verb):
+        method = getattr(self.inner, verb)
+
+        def query(*args):
+            self.counts[verb] += 1
+            for fault in self.armed:
+                if fault[1] in (None, verb):
+                    fault[0] -= 1
+            if due := [fault for fault in self.armed if fault[0] == 0]:
+                self.armed = [fault for fault in self.armed if fault[0]]
+                raise due[0][2](f"injected failure of {verb}")
+            return method(*args)
+
+        return query
 
 
 def perm_to_hashtags(perm, alphabet):
@@ -66,3 +99,20 @@ def lsb_channel_bytes(raw, size):
     significant bit first: raw hidden in a blank bitmap's pixel data."""
     bits = bytes(int(bit) for byte in raw for bit in format(byte, "08b"))
     return bits + bytes(size - len(bits))
+
+
+def _set_field(bmp, offset, value, size=4):
+    """bmp with the little-endian header field at `offset` set to `value`."""
+    return bmp[:offset] + value.to_bytes(size, "little") + bmp[offset + size:]
+
+
+# Edits of a good bitmap's bytes, each of which the bitmap parser refuses:
+# (id, the refusal's message as a regex, edit).
+BMP_REFUSALS = [
+    ("magic", "missing BM magic", lambda bmp: b"XX" + bmp[2:]),
+    ("info-header", r"unsupported BMP header \(size 12\)", lambda bmp: _set_field(bmp, 14, 12)),
+    ("planes", r"unsupported BMP header \(size 40\)", lambda bmp: _set_field(bmp, 26, 2, 2)),
+    ("bpp", r"only uncompressed 24bpp supported \(bpp=32\)", lambda bmp: _set_field(bmp, 28, 32, 2)),
+    ("compressed", r"only uncompressed 24bpp supported \(bpp=24\)", lambda bmp: _set_field(bmp, 30, 1)),
+    ("short", "pixel data shorter than declared dimensions", lambda bmp: bmp[:-1]),
+]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import extract, hide, lsb_channel_bytes, row_loop_bitmap
+from conftest import BMP_REFUSALS, extract, hide, lsb_channel_bytes, row_loop_bitmap
 from stegdisc.carrier import (
     FLAG_SUPERBLOCK,
     PAYLOAD_VERSION,
@@ -157,6 +157,18 @@ class TestBitmap:
         v5 = good[:14] + (124).to_bytes(4, "little") + good[18:]
         with pytest.raises(UnsupportedCarrier, match="inside the headers"):
             CarrierObject.from_bytes(v5)
+
+    @pytest.mark.parametrize("message, edit", [row[1:] for row in BMP_REFUSALS],
+                             ids=[row[0] for row in BMP_REFUSALS])
+    def test_header_refusals(self, message, edit):
+        good = make_bitmap(16, 13)
+        assert CarrierObject.from_bytes(good).geometry == (16, 13, 54)
+        with pytest.raises(UnsupportedCarrier, match=message):
+            CarrierObject.from_bytes(edit(good))
+
+    def test_channel_count_must_match_the_shape(self):
+        with pytest.raises(UnsupportedCarrier, match=r"11 channel bytes for 4x1 \(need 12\)"):
+            make_bitmap(4, 1, bytes(11))
 
     def test_sniffing(self):
         assert CarrierObject.from_bytes(make_bitmap(4, 3)).geometry[:2] == (4, 3)

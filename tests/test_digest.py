@@ -20,10 +20,10 @@ move it.
 
 import hashlib
 import random
-from collections import Counter
 
 import pytest
 
+from conftest import FaultInjector
 from stegdisc.disc import Disc, DiscConfig
 from stegdisc.errors import AllocationStall, StegDiscError
 from stegdisc.osn import DirectoryBackend, MemoryBackend
@@ -66,27 +66,11 @@ QUERIES = {
 }
 
 
-class Counted:
-    """A backend that counts its queries by verb."""
-
-    def __init__(self, inner):
-        self.inner, self.counts = inner, Counter()
-
-    def __getattr__(self, verb):
-        method = getattr(self.inner, verb)
-
-        def query(*args):
-            self.counts[verb] += 1
-            return method(*args)
-
-        return query
-
-
 def _digests(mode, backend, doc):
     """The (content, queries) hex digests of SCRIPT run in `mode`, and
     each step's outcome."""
     content, queries = hashlib.sha256(), hashlib.sha256()
-    counted = Counted(backend)
+    counted = FaultInjector(backend)
     config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id="digest")
     disc = Disc.format(config, counted, doc_path=doc)
     outcomes = []

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stegdisc.disc
-from conftest import lsb_channel_bytes, perm_to_hashtags, row_loop_bitmap
+from conftest import BMP_REFUSALS, FaultInjector, lsb_channel_bytes, perm_to_hashtags, row_loop_bitmap
 from stegdisc.carrier import (
     CarrierObject,
     CarrierPool,
@@ -114,11 +114,13 @@ class TestConfig:
 
     def test_mode_c_positions_must_reach_the_first_completion(self):
         # at n=4 the identity seed's stream first completes at 11 > 2^3 - 1;
-        # at n=1 it completes at once, so p=1 holds a block
+        # at n=2 it completes at 2, so p=2 holds a block and p=1 does not
         with pytest.raises(ConfigInvalid, match=r"\(p=3\)"):
             DiscConfig.create(n=4, p=3, m=4, mode="C")
         DiscConfig.create(n=4, p=4, m=4, mode="C")
-        DiscConfig.create(n=1, p=1, m=4, mode="C")
+        with pytest.raises(ConfigInvalid, match=r"first completion 2 passes 2\^p - 1 \(p=1\)"):
+            DiscConfig.create(n=2, p=1, m=4, mode="C")
+        DiscConfig.create(n=2, p=2, m=4, mode="C")
 
     def test_alphabet_must_match_n(self):
         with pytest.raises(ConfigInvalid):
@@ -263,7 +265,7 @@ class TestRead:
         import stegdisc.carrier as carrier_mod
         import stegdisc.steghash as steghash_mod
 
-        backend = ProxyBackend(MemoryBackend())
+        backend = FaultInjector(MemoryBackend())
         config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id=f"parse-{mode}")
         disc = Disc.format(config, backend)  # bitmap carriers
         files = {"f": b"12345", "g": bytes(range(20))}  # one block and three
@@ -522,6 +524,19 @@ def _padded_cover(disc, backend, code):
     return [("bad-block", code["a2"])], 3
 
 
+def _refused_bitmap(name, edit):
+    """A corruption that replaces a2's post with an edit of its bytes that
+    the bitmap parser refuses."""
+
+    def corrupt(disc, backend, code):
+        tags = perm_to_hashtags(code.addr["a2"], disc.config.alphabet)
+        backend.replace(tags, edit(backend.fetch(tags)))
+        return [("bad-block", code["a2"])], 3
+
+    corrupt.__name__ = f"_bitmap_{name}"
+    return corrupt
+
+
 def _out_of_range(disc, backend, code):
     bad = factorial(disc.config.n) + 5
     _rewrite_block(disc, backend, code.addr["a0"], next_counter=bad)
@@ -574,6 +589,7 @@ FSCK_FAULTS = [
     ("C", _file_truncated, "b"),
     ("B", _file_bytes, "a"),
     ("A", _block_count, None),
+    *((mode, _refused_bitmap(name, edit), "a") for mode, (name, _, edit) in zip(MODES * 2, BMP_REFUSALS)),
 ]
 CHAIN_FAULTS = [
     row for row in FSCK_FAULTS
@@ -643,7 +659,7 @@ class TestWalkCost:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_each_block_is_fetched_and_decoded_once(self, mode, monkeypatch):
-        disc, backend = self._written(mode, ProxyBackend(MemoryBackend()))
+        disc, backend = self._written(mode, FaultInjector(MemoryBackend()))
         m = disc.config.m
         blocks = {name: compute_chain_length(len(data), m) for name, data in self.FILES.items()}
         decodes = []
@@ -1221,14 +1237,13 @@ class TestCheckpointLadder:
             assert cold.stats().checkpoints > 0
 
     def test_rolled_back_write_leaves_sound_checkpoints(self):
-        disc, backend = make_disc("C", n=7, p=24, m=8)
-        backend.failure_rate = 0.02
+        disc, backend = make_disc("C", n=7, p=24, m=8, backend=FaultInjector(MemoryBackend()))
+        backend.arm(32, "post")
         with pytest.raises(BackendUnavailable):
             disc.write_file("big", bytes(range(256)) * 2)  # 64 blocks
         stats = disc.stats()
         assert stats.hash_iterations == 0  # no allocation committed ...
         assert stats.checkpoints >= 2  # ... yet the walk left checkpoints
-        backend.failure_rate = 0.0
         assert disc.fsck().ok
         rng = random.Random(2)
         files = {f"g{i}": rng.randbytes(rng.randrange(1, 60)) for i in range(40)}
@@ -1258,38 +1273,8 @@ class TestCheckpointLadder:
         assert (disc.stats().checkpoints > 0) == (mode == "C")
 
 
-class ProxyBackend:
-    """A backend that counts queries by verb and, once armed, fails the
-    k-th query (of one verb, or of any) with a transient error, once."""
-
-    VERBS = ("post", "exists", "fetch", "replace", "remove", "live_addresses")
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.counts = {verb: 0 for verb in self.VERBS}
-        self._left = None
-        self._verb = None
-
-    def arm(self, k, verb=None):
-        self._left, self._verb = k, verb
-
-    def _call(self, verb, *args):
-        self.counts[verb] += 1
-        if self._left is not None and self._verb in (None, verb):
-            self._left -= 1
-            if self._left == 0:
-                self._left = None
-                raise BackendUnavailable(f"injected failure of {verb}")
-        return getattr(self.inner, verb)(*args)
-
-    def __getattr__(self, verb):
-        if verb not in self.VERBS:
-            raise AttributeError(verb)
-        return lambda *args: self._call(verb, *args)
-
-
 def make_doc_disc(mode, tmp_path, n=7, p=24, m=8):
-    backend = ProxyBackend(MemoryBackend())
+    backend = FaultInjector(MemoryBackend())
     config = DiscConfig.create(n=n, p=p, m=m, mode=mode, disc_id=f"nb-{mode}")
     doc = tmp_path / "sb.txt"
     return Disc.format(config, backend, doc_path=doc), backend, doc
@@ -1476,7 +1461,7 @@ class TestDeleteFaults:
             disc.delete_file("b")
         except BackendUnavailable:
             disc.delete_file("b")
-        assert backend._left is None  # the failure did happen, inside rm
+        assert backend.armed == []  # the failure did happen, inside rm
         del files["b"]
         assert disc.fsck().ok
         with pytest.raises(FileNotFound):
@@ -1499,14 +1484,12 @@ class TestDeleteFaults:
         for name in ("a", "b", "c"):
             disc.write_file(name, name.encode() * 10)
 
-        def unavailable(*args):
-            raise BackendUnavailable("injected failure of remove")
-
         def crash(*args, **kwargs):
             raise SystemExit("killed before the document was written")
 
+        for k in (1, 2, 3):  # b's three posts all stay
+            backend.arm(k, "remove")
         with monkeypatch.context() as patch:
-            patch.setattr(backend.inner, "remove", unavailable)
             patch.setattr(disc_mod, "write_superblock", crash)
             with pytest.raises(SystemExit):
                 disc.delete_file("b")  # spliced out; its posts and its entry stay
@@ -1539,7 +1522,7 @@ class TestWriteFaults:
                 disc.write_file("c", files["c"])
             except BackendUnavailable:
                 disc.write_file("c", files["c"])
-            assert backend._left is None  # the failure did happen, inside put
+            assert backend.armed == []  # the failure did happen, inside put
             assert disc.fsck().ok
             for name, blob in files.items():
                 assert disc.read_file(name) == blob
@@ -1550,24 +1533,6 @@ class TestWriteFaults:
             fresh.write_file("fill", bytes(range(4 * free)))
             assert fresh.fsck().ok
             assert fresh.read_file("fill") == bytes(range(4 * free))
-
-
-class ScriptedBackend(ProxyBackend):
-    """Fails, once each, the n-th query of a verb counted from `script`."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self._due = {}
-
-    def script(self, **nth):
-        self._due = {verb: self.counts[verb] + n for verb, n in nth.items()}
-
-    def _call(self, verb, *args):
-        if self._due.get(verb) == self.counts[verb] + 1:
-            self.counts[verb] += 1
-            del self._due[verb]
-            raise BackendUnavailable(f"scripted failure of {verb}")
-        return super()._call(verb, *args)
 
 
 class TestUnrecordedPosts:
@@ -1596,13 +1561,12 @@ class TestUnrecordedPosts:
 
     @pytest.mark.parametrize("reopen", [False, True], ids=["same-session", "reopened"])
     def test_put_after_a_failed_rollback(self, reopen, tmp_path):
-        disc, _, doc, files = _two_files("A", tmp_path)
-        backend = ScriptedBackend(disc.backend.inner)
-        disc.backend = backend
-        backend.script(post=2, remove=1)  # the 1st post stays behind as an orphan
+        disc, backend, doc, files = _two_files("A", tmp_path)
+        backend.arm(2, "post")
+        backend.arm(1, "remove")  # the 1st post stays behind as an orphan
         with pytest.raises(BackendUnavailable):
             disc.write_file("c", b"c" * 10)
-        assert backend._due == {}
+        assert backend.armed == []
         if reopen:
             disc = Disc.open(doc, backend.inner)
         files["c"] = b"c" * 10

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import child_env, perm_to_hashtags
+from conftest import FaultInjector, child_env, perm_to_hashtags
 from stegdisc.carrier import BlockPayload, CarrierObject, embed, encode_payload, read_payload
 from stegdisc.disc import Disc, DiscConfig
 from stegdisc.errors import UsageError
@@ -76,10 +76,12 @@ class TestDispatch:
     def test_backend_failure_exit_three(self, tmp_path):
         sess = session(tmp_path)
         sess.execute(["format", "C", "4", "16", "8"])
-        sess.backend = MemoryBackend(failure_rate=1.0)
+        sess.backend = FaultInjector(sess.backend)
+        sess.backend.arm(1)
         sess.disc = None  # force reopen against the failing backend
         assert sess.execute(["ls"]) == 0  # catalog is local, no backend query
         assert sess.execute(["fsck"]) == 3
+        assert sess.backend.counts == {"fetch": 1}  # fsck's first, of the genesis block
 
     def test_unknown_backend_spec_exit_one(self, tmp_path, capsys):
         sess = session(tmp_path, backend_spec="s3:bucket")
@@ -125,6 +127,33 @@ class TestDispatch:
         assert main(["--disc", str(doc), "--backend", f"dir:{store}", "format", "C", "4", "1", "8"]) == 1
         assert capsys.readouterr().out == "error: the stream's first completion 11 passes 2^p - 1 (p=1)\n"
         assert not doc.exists() and DirectoryBackend(store).live_addresses() == []
+
+    @pytest.mark.parametrize("args, message", [
+        (["A", "1", "8", "8"], "n=1 with genesis 0 leaves no address for a data block"),
+        (["B", "1", "8", "8"], "n=1 with genesis 0 leaves no address for a data block"),
+        (["C", "1", "8", "8"], "n=1 with genesis 0 leaves no address for a data block"),
+        # the other permutation is the identity, which rank codes keep for NULL
+        (["A", "2", "8", "8", "--genesis", "1,0"], "n=2 with genesis 1,0 leaves no address for a data block"),
+        (["B", "2", "8", "8", "--genesis", "1,0"], "n=2 with genesis 1,0 leaves no address for a data block"),
+        (["A", "4", "16", "8", "--genesis", "1,0"], "genesis has 2 elements, expected n=4"),
+        (["A", "2", "8", "8", "--alphabet", "#a,b"], "bad hashtag 'b': must be #<tag>"),
+        (["A", "2", "8", "8", "--alphabet", "#a,#b c"], "bad hashtag '#b c': whitespace/comma not allowed"),
+        (["A", "2", "8", "8", "--alphabet", "#a,#a"], "alphabet tags must be pairwise distinct"),
+    ])
+    def test_format_refuses_a_bad_config(self, tmp_path, capsys, args, message):
+        doc, store = tmp_path / "sb.txt", tmp_path / "store"
+        assert main(["--disc", str(doc), "--backend", f"dir:{store}", "format", *args]) == 1
+        assert capsys.readouterr().out == f"error: {message}\n"
+        assert not doc.exists() and DirectoryBackend(store).live_addresses() == []
+
+    @pytest.mark.parametrize("args", [["C", "2", "8", "8", "--genesis", "1,0"], ["A", "2", "8", "8"]])
+    def test_the_smallest_discs_hold_a_block(self, tmp_path, args):
+        base = ["--disc", str(tmp_path / "sb.txt"), "--backend", f"dir:{tmp_path / 'store'}"]
+        (tmp_path / "one.bin").write_bytes(b"1")
+        assert main([*base, "format", *args]) == 0
+        assert main([*base, "put", str(tmp_path / "one.bin"), "one"]) == 0
+        assert main([*base, "get", "one", str(tmp_path / "out.bin")]) == 0
+        assert (tmp_path / "out.bin").read_bytes() == b"1"
 
     def test_fsck_reports_a_lost_post_and_a_bad_echo(self, tmp_path, capsys):
         doc, store = tmp_path / "sb.txt", tmp_path / "store"
@@ -279,6 +308,27 @@ class TestSubprocess:
         proc = run_cli([*base, "fsck"], tmp_path)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stdout + proc.stderr
+
+    def test_get_of_a_broken_file_exits_two(self, tmp_path):
+        (tmp_path / "f.bin").write_bytes(bytes(range(20)))  # three blocks
+        base = ["--disc", "sb.txt", "--backend", "dir:store"]
+        for args in (["format", "A", "4", "16", "8"], ["put", "f.bin", "doc"]):
+            setup = run_cli([*base, *args], tmp_path)
+            assert setup.returncode == 0, setup.stderr
+        disc = Disc.open(tmp_path / "sb.txt", DirectoryBackend(tmp_path / "store"))
+        tags = perm_to_hashtags(disc.chain_blocks()[1][1], disc.config.alphabet)
+        disc.backend.remove(tags)
+        proc = run_cli([*base, "get", "doc", "out.bin"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == f"error: no object at {' '.join(tags)}\n"
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_get_with_no_document_exits_one(self, tmp_path):
+        proc = run_cli(["--disc", "sb.txt", "--backend", "dir:store", "get", "doc", "out.bin"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == "error: no disc document at sb.txt; run format or open\n"
+        assert "Traceback" not in proc.stderr
 
     def test_json_flag(self, tmp_path):
         base = ["--disc", "sb.txt", "--backend", "dir:store", "--json"]

@@ -15,6 +15,7 @@ from conftest import perm_to_hashtags
 from stegdisc.errors import (
     AllocationStall,
     CodeOutOfRange,
+    ConfigInvalid,
     CounterOverflow,
     InvalidCounter,
 )
@@ -91,6 +92,18 @@ class TestHashtagMapping:
 
     def test_single_tag(self):
         assert perm_to_hashtags((0,), HashtagAlphabet(["#x"])) == ("#x",)
+
+    @pytest.mark.parametrize("tags, message", [
+        ([], "at least one hashtag"),
+        (["#a", "b"], "bad hashtag 'b': must be #<tag>"),
+        (["#a", "#"], "bad hashtag '#': must be #<tag>"),
+        (["#a", "#b c"], "bad hashtag '#b c': whitespace/comma not allowed"),
+        (["#a", "#b,c"], "bad hashtag '#b,c': whitespace/comma not allowed"),
+        (["#a", "#b", "#a"], "pairwise distinct"),
+    ])
+    def test_alphabet_refusals(self, tags, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            HashtagAlphabet(tags)
 
     def test_distinct_perms_distinct_addresses(self):
         for n in range(1, 7):
