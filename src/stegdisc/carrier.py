@@ -158,7 +158,7 @@ class CarrierObject:
 
     @classmethod
     def bitmap(cls, width: int, height: int, channel_bytes: Optional[bytes] = None) -> "CarrierObject":
-        return cls(make_bitmap(width, height, channel_bytes))
+        return cls(make_bitmap(width, height, channel_bytes), (width, height, _BMP_HEADERS.size))
 
 
 def capacity(carrier: CarrierObject) -> int:

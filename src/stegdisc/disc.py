@@ -41,8 +41,9 @@ points at NULL) for the first mutation of a session.  It walks the run
 of the previous non-empty entry (or takes the genesis block) and accepts
 its last block only if the pointer matches; on a mismatch or a broken
 run it walks `_chain`, but only as far as the first block that points
-there; in mode C the allocation sampler then continues from the tail
-lookup's cursor.  fsck and chain_blocks always walk the whole chain.
+there; in mode C the allocation sampler then resumes from the tail
+state that walk left in the ladder.  Each walk builds its own cursor
+from the config's seed.  fsck and chain_blocks walk the whole chain.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .steghash import (
     CheckpointLadder,
     Perm,
     ReplayCursor,
-    SamplerState,
     allocate_address,
     rank,
     sampler_advance,  # unused here; perfbench/tracing.py rebinds it
@@ -143,11 +143,10 @@ class Disc:
         self.pool = CarrierPool(config.disc_id)
         self.doc_path = Path(doc_path) if doc_path is not None else None
         # (pointer code, address) of the chain tail, looked up by the first
-        # mutation; mode C's sampler takes the lookup cursor's tail state
+        # mutation; mode C's sampler takes the tail's state from the ladder
         self._tail: Optional[tuple[int, Perm]] = None
-        # mode C: the session's resume points in the stream (never persisted) and every cursor's seed
+        # mode C: the session's resume points in the stream, never persisted
         self._ladder = CheckpointLadder(config.n) if config.encoding.positions else None
-        self._seed = SamplerState.fresh(config.genesis) if config.encoding.positions else None
         self.hash_iterations = 0  # stream hashes spent allocating
         self._replayed, self._cursor = 0, None  # replay hashes of earlier cursors, the newest cursor
         self._largest = carrier_bytes(config)  # a read extracts no more
@@ -213,10 +212,10 @@ class Disc:
             self.document.mark((code,), used=False)
 
     def _replay(self) -> Optional[ReplayCursor]:
-        """A replay cursor from the session's seed state in mode C, else None."""
-        if self._seed is None:
+        """Mode C: a replay cursor from the config's seed over the session's ladder; else None."""
+        if self._ladder is None:
             return None
-        self._replayed, self._cursor = self.replay_iterations, ReplayCursor(self._seed, self._ladder)
+        self._replayed, self._cursor = self.replay_iterations, ReplayCursor(self.config.seed, self._ladder)
         return self._cursor
 
     @property
@@ -227,12 +226,12 @@ class Disc:
     def _blocks_of(self, entry: FileEntry) -> int:
         return compute_chain_length(entry.length, self.config.m)
 
-    def _walk(self, code: int, cursor: Optional[ReplayCursor], count: Optional[int] = None):
+    def _walk(self, code: int, count: Optional[int] = None):
         """Follow pointers from `code`, yielding (code, address, carrier,
         payload) per block: `count` blocks, or up to the NULL pointer when
         `count` is None.  Every chain fault raises ChainBroken with its kind
         and the offending code."""
-        start, prev, seen = code, 0, set()
+        start, prev, seen, cursor = code, 0, set(), self._replay()
         positions, p, n, fetch = self.config.encoding.positions, self.config.p, self.config.n, self._fetch
         while count is None or len(seen) < count:
             if code == 0:
@@ -251,7 +250,7 @@ class Disc:
             if code >> p:  # only a catalog line can hold so wide a code
                 raise ChainBroken(f"pointer {code} is wider than p bits", "bad-block", code)
             seen.add(code)
-            try:  # mode C replays the stream through `cursor`
+            try:  # mode C replays the stream through the walk's cursor
                 addr = cursor.resolve(code) if cursor is not None else unrank(code, n)
             except (InvalidCounter, CodeOutOfRange) as exc:
                 raise ChainBroken(f"bad pointer {code}: {exc}", "bad-block", code) from exc
@@ -259,12 +258,12 @@ class Disc:
             yield block
             prev, code = code, block[3].next_counter
 
-    def _chain(self, cursor: Optional[ReplayCursor]):
+    def _chain(self):
         """The whole chain: the genesis block (code 0), then `_walk` from its
         pointer to the NULL pointer."""
         genesis = self._fetch(0, self.config.genesis)
         yield genesis
-        yield from self._walk(genesis[3].next_counter, cursor)
+        yield from self._walk(genesis[3].next_counter)
 
     def _locate(self, blocks, position: dict[int, int], entry: FileEntry):
         """`entry`'s run in a traversal's `blocks`; `position` maps each
@@ -283,7 +282,7 @@ class Disc:
             )
         return run
 
-    def _before(self, entry: Optional[FileEntry], cursor):
+    def _before(self, entry: Optional[FileEntry]):
         """The (code, address, carrier, payload) block whose pointer is
         `entry`'s start code, or NULL when `entry` is None (the tail).
 
@@ -297,10 +296,10 @@ class Disc:
         last = next((other for other in map(self.document.entry, earlier) if other.length), None)
         if last is not None:
             with suppress(ChainBroken):
-                *_, block = self._walk(last.start_counter, cursor, self._blocks_of(last))
+                *_, block = self._walk(last.start_counter, self._blocks_of(last))
                 if block[3].next_counter == target:
                     return block
-        for block in self._chain(cursor):
+        for block in self._chain():
             if block[3].next_counter == target:
                 return block
         raise ChainBroken(f"no block points at {target}", "file-missing", target)
@@ -326,38 +325,33 @@ class Disc:
         cfg, encoding = self.config, self.config.encoding
         count = compute_chain_length(len(data), cfg.m)
         used = self.document.used if encoding.used_set else None
-        if used is not None:  # fail fast; the identity (NULL) and the genesis are never free
-            free = factorial(cfg.n) - len({tuple(range(cfg.n)), cfg.genesis}) - len(used)
+        if used is not None:  # fail fast; the reserved addresses are never free
+            free = factorial(cfg.n) - len(cfg.reserved) - len(used)
             if count > free:
                 raise AllocationStall(f"a run of {count} blocks needs more than the {free} free codes")
         tail = None  # the tail block, as the session's first mutation fetched it
         if self._tail is None:  # the session's first mutation looks up the tail
-            cursor = self._replay()
-            tail = self._before(None, cursor)
-            if tail[0] and cursor is not None:
-                cursor.resolve(tail[0])  # no hash: the lookup left the cursor at the tail
-                self.document.sampler = cursor.state
+            tail = self._before(None)
+            if tail[0] and self._ladder is not None:  # no hash: the lookup's walk recorded the tail
+                self.document.sampler = self._ladder.resume(cfg.seed, tail[0])
             self._tail = tail[:2]
-        # stream positions stop at 2^p - 1; rank codes have no bound, and
-        # rank 0 (the identity) is the NULL pointer
-        limit, null = (2 ** cfg.p - 1, None) if encoding.positions else (None, tuple(range(cfg.n)))
         base = self.document.sampler.iteration
         while True:
             pending: set[Perm] = set()  # the run's addresses so far
             run: list[tuple[int, Perm]] = []  # (pointer code, address)
 
             def occupied(perm: Perm) -> bool:
-                if perm in pending or perm == null:
+                if perm in pending or perm in cfg.reserved:
                     return True
                 if used is not None:
-                    return perm == cfg.genesis or rank(perm) in used
+                    return rank(perm) in used
                 return self.backend.exists(self._tags(perm))
 
             state = self.document.sampler
             for _ in range(count):
                 # the ladder keeps what a rolled-back write walked: the stream
                 # is a pure function of the seed
-                addr, counter, state = allocate_address(state, occupied, ladder=self._ladder, limit=limit)
+                addr, counter, state = allocate_address(state, occupied, ladder=self._ladder, limit=cfg.limit)
                 run.append((counter if encoding.positions else rank(addr), addr))
                 pending.add(addr)
             posted = 0
@@ -387,9 +381,8 @@ class Disc:
         The predecessor rewrite is the point where the run leaves the
         chain.  Removal after it is best effort (`_remove`): raising there
         would leave a catalog entry naming a spliced-out run."""
-        cursor = self._replay()
-        before = self._before(entry, cursor)
-        run = list(self._walk(entry.start_counter, cursor, self._blocks_of(entry)))
+        before = self._before(entry)
+        run = list(self._walk(entry.start_counter, self._blocks_of(entry)))
         tail_ptr = run[-1][3].next_counter
         self._rewrite_next(before, tail_ptr)
         self._remove(block[:2] for block in run)
@@ -410,7 +403,7 @@ class Disc:
 
     def read_file(self, name: str) -> bytes:
         entry = self.document.entry(name)
-        walk = self._walk(entry.start_counter, self._replay(), self._blocks_of(entry))
+        walk = self._walk(entry.start_counter, self._blocks_of(entry))
         data = b"".join(payload.data for _, _, _, payload in walk)
         if len(data) != entry.length:
             raise ChainBroken(
@@ -449,7 +442,7 @@ class Disc:
     def chain_blocks(self) -> list[tuple[int, Perm, BlockPayload]]:
         """Read-only traversal from the genesis block: one
         (pointer code, address, payload) triple per data block, in chain order."""
-        return [(code, addr, payload) for code, addr, _, payload in self._chain(self._replay())][1:]
+        return [(code, addr, payload) for code, addr, _, payload in self._chain()][1:]
 
     # -- inspection ------------------------------------------------------------
 
@@ -458,7 +451,7 @@ class Disc:
         walker raises, which is reported as raised; catalog coverage is
         only judged on a fully traversed chain."""
         faults: list[ChainBroken] = []
-        chain = self._chain(self._replay())
+        chain = self._chain()
         try:
             genesis_payload = next(chain)[3]
         except ChainBroken as exc:

@@ -75,7 +75,10 @@ def _check_field(value: str, what: str) -> str:
 
 class DiscConfig:
     """A disc's parameters, checked when built; `encoding` follows from
-    `mode` alone, and no alphabet means the demo one of n hashtags."""
+    `mode` alone, and no alphabet means the demo one of n hashtags.
+    Three derived attributes own the address space: `reserved`, which no
+    data block takes (the genesis, and the NULL identity for rank codes),
+    `limit` (2^p - 1 for stream positions, else None) and the stream's `seed`."""
 
     def __init__(self, n: int, p: int, m: int, mode: str, alphabet: Optional[HashtagAlphabet],
                  genesis: Perm, disc_id: str):
@@ -94,16 +97,18 @@ class DiscConfig:
             raise ConfigInvalid(f"bad genesis: {exc}") from exc
         if len(self.genesis) != n:
             raise ConfigInvalid(f"genesis has {len(self.genesis)} elements, expected n={n}")
-        # the genesis block's address, and with rank codes the NULL identity
-        reserved = {self.genesis} if self.encoding.positions else {self.genesis, tuple(range(n))}
-        if len(reserved) == factorial(n):
+        positions = self.encoding.positions
+        self.reserved = frozenset({self.genesis} if positions else {self.genesis, tuple(range(n))})
+        if len(self.reserved) == factorial(n):
             raise ConfigInvalid(f"n={n} with genesis {','.join(map(str, self.genesis))} "
                                 "leaves no address for a data block")
-        if not self.encoding.positions and 2 ** p <= factorial(n):
+        if not positions and 2 ** p <= factorial(n):
             raise ConfigInvalid(f"rank codes need 2^p > n! (p={p}, n={n})")
-        if self.encoding.positions:  # a disc that cannot hold one block is refused
-            first = sampler_advance(SamplerState.fresh(self.genesis))[1]
-            if first > 2 ** p - 1:
+        self.limit = 2 ** p - 1 if positions else None  # rank codes have no bound
+        self.seed = SamplerState.fresh(self.genesis)
+        if self.limit is not None:  # a disc that cannot hold one block is refused
+            first = sampler_advance(self.seed)[1]
+            if first > self.limit:
                 raise ConfigInvalid(f"the stream's first completion {first} passes 2^p - 1 (p={p})")
         _check_field(disc_id, "disc_id")
         for tag in alphabet.tags:
@@ -270,7 +275,7 @@ class Document:
         self.entries: dict[str, str] = entries if entries is not None else {}
         self._used = used or [""]  # the used= value and code records, parsed in mode A alone
         # a document without a stream= line, and mode C, start at the seed
-        self.sampler = sampler if sampler is not None else SamplerState.fresh(config.genesis)
+        self.sampler = sampler if sampler is not None else config.seed
         self.written = written  # the file's (snapshot, journal) bytes; None: unknown, save a snapshot
         self._torn = False  # the file ends in a torn line: a group appended would join it
         self._saved = self.sampler  # the allocation position the file holds

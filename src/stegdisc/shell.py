@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+    return [int(v) for v in text.split(",")]  # an empty element is refused
 
 
 def _build_command_parsers() -> dict[str, _Parser]:
@@ -73,7 +73,7 @@ def _build_command_parsers() -> dict[str, _Parser]:
     fmt.add_argument("p", type=int, help="pointer bit width")
     fmt.add_argument("m", type=int, help="data bytes per block")
     fmt.add_argument("--id", dest="disc_id", default=None)
-    fmt.add_argument("--genesis", default=None, help="comma-joined permutation")
+    fmt.add_argument("--genesis", type=_int_list, default=None, help="comma-joined permutation")
     fmt.add_argument("--alphabet", default=None, help="comma-joined hashtags")
 
     make("open", description="load the disc named by --disc")
@@ -181,11 +181,10 @@ class ShellSession:
     # -- commands ---------------------------------------------------------
 
     def _cmd_format(self, opts) -> tuple[int, str, dict]:
-        genesis = _int_list(opts.genesis) if opts.genesis else None
         alphabet = HashtagAlphabet(opts.alphabet.split(",")) if opts.alphabet else None
         config = DiscConfig.create(
             n=opts.n, p=opts.p, m=opts.m, mode=opts.mode,
-            alphabet=alphabet, genesis=genesis, disc_id=opts.disc_id,
+            alphabet=alphabet, genesis=opts.genesis, disc_id=opts.disc_id,
         )
         self.disc_path.parent.mkdir(parents=True, exist_ok=True)
         self.disc = Disc.format(config, self._ensure_backend(), doc_path=self.disc_path)

@@ -203,8 +203,8 @@ class ReplayCursor:
     ladder.  Chain traversals resolve counters in increasing order, so one
     traversal costs one pass over the stream.  The result always equals
     sampler_replay(seed, counter).  `seed` is the seed permutation or its
-    SamplerState.fresh(seed), which a caller making a cursor per walk
-    builds once; `state` is the completion state last resolved.
+    SamplerState.fresh(seed), which a disc's config builds once for the
+    cursor each walk makes; `state` is the completion state last resolved.
     """
 
     def __init__(self, seed: SamplerState | Sequence[int], ladder: Optional[CheckpointLadder] = None):

@@ -20,6 +20,7 @@ from stegdisc.carrier import (
     embed,
     encode_payload,
     header_size,
+    _parse_bmp,
     make_bitmap,
     read_payload,
 )
@@ -398,6 +399,14 @@ class TestPool:
             carrier = pool.next_carrier(5, nbytes)
             assert carrier.geometry[:2] == (16, -(-nbytes // 6))  # a 16-pixel row: 48 bits, 6 bytes
             assert capacity(carrier) >= nbytes
+
+    def test_a_cover_keeps_the_geometry_its_bytes_parse_to(self):
+        # CarrierObject.bitmap hands on the geometry make_bitmap wrote, unparsed
+        pool = CarrierPool("x")
+        covers = [pool.next_carrier(3, nbytes) for nbytes in range(1, 97)]
+        covers += [CarrierObject.bitmap(w, h) for w in range(4, 44, 4) for h in range(1, 13)]
+        for cover in covers:
+            assert cover.geometry == _parse_bmp(cover.data)
 
     def test_a_short_cover_is_the_first_rows_of_a_tall_one(self):
         # SHAKE-256 output is prefix-stable, and 16-pixel rows have no padding

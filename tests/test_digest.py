@@ -62,7 +62,7 @@ CONTENT = {
 QUERIES = {
     "A": "8925652590fa098d67bfe9a4d9853e5ad7581207b79dd649edc59e3b6f64ffd1",
     "B": "6a659b16e85e249364e87881e03b1bcd48ac901038af02ba5d3479a366a2bc60",
-    "C": "a1da56541c77aa1da7b8d4ec2c09a82a92a06c70aa575e21adebe6e6def2b97f",
+    "C": "5c75bcd7863eab936594a2d50fcb0b0caa4a532c4ea23486beecb10e710becc4",
 }
 
 

@@ -452,6 +452,25 @@ class TestFsck:
         kinds = {v.kind for v in report.violations}
         assert "file-bytes" in kinds or "block-count" in kinds
 
+    @pytest.mark.parametrize("mode, genesis", [("B", (1, 0, 2)), ("C", (0, 1, 2))])
+    def test_puts_after_a_lost_genesis_post_leave_its_address_free(self, mode, genesis):
+        # modes B and C ask the backend whether an address is free, so once
+        # the genesis post is gone only the config's reserved set keeps a
+        # data block off the secret root address
+        disc, backend = make_disc(mode, n=3, p=16, m=4, genesis=genesis)
+        disc.write_file("a", b"a")
+        root = perm_to_hashtags(genesis, disc.config.alphabet)
+        backend.remove(root)
+        stalled = []
+        for name in "bcde":
+            try:
+                disc.write_file(name, name.encode())
+            except AllocationStall:
+                stalled.append(name)
+        assert stalled == (["e"] if mode == "B" else [])  # B reserves the identity too
+        assert root not in backend.live_addresses()
+        assert [fault.kind for fault in disc.fsck().violations] == ["genesis-missing"]
+
 
 def _rewrite_block(disc, backend, addr, **changes):
     """Re-embed one posted block with some payload fields changed."""
@@ -1801,7 +1820,7 @@ def _reopen_and_put(disc, backend, doc, files):
 class TestModeCTail:
     """Mode C keeps no stream position: a fresh session's first mutation
     replays the stream to the chain tail once, in the tail lookup, and the
-    allocation sampler continues from the lookup's cursor."""
+    allocation sampler resumes from the tail state the lookup's walk recorded."""
 
     def test_fresh_session_put_allocates_from_the_tail(self, tmp_path):
         disc, backend, doc = make_doc_disc("C", tmp_path, n=5, p=16)
