@@ -9,7 +9,12 @@ mode:
 - `CONTENT`: after every step, its outcome (the error's type name, or
   "ok" and the bytes a get read), the document file's text, and every
   live post's address and bytes in address order;
-- `QUERIES`: after every step, the backend's query counts by verb.
+- `QUERIES`: after every step, the backend's query counts by verb;
+- `COSTS`: after every step, the paper's tradeoff columns as counted
+  work: the session's allocation and replay hashes, the bytes of each
+  document text handed to `write_superblock` (an append marked "+"),
+  counted by a wrapper of the disc's writer and never read from the
+  file's size, and the bytes of each cover posted.
 
 Both backends must give the same digests.  A change that claims no
 behaviour change leaves both alone; a change to a format, or one that
@@ -23,6 +28,7 @@ import random
 
 import pytest
 
+import stegdisc.disc
 from conftest import FaultInjector
 from stegdisc.disc import Disc, DiscConfig
 from stegdisc.errors import AllocationStall, StegDiscError
@@ -64,12 +70,29 @@ QUERIES = {
     "B": "6a659b16e85e249364e87881e03b1bcd48ac901038af02ba5d3479a366a2bc60",
     "C": "5c75bcd7863eab936594a2d50fcb0b0caa4a532c4ea23486beecb10e710becc4",
 }
+COSTS = {
+    "A": "7f89c6f58d050e6b4c73169c9c2216df9f80f5ec08e8188709290bafd1de769e",
+    "B": "e26b678ad8b4cadae50f02946793cdbb0c11265ff2afb4f068f50214ce87d470",
+    "C": "b1c61ab4222b0baff82725894faaa12f3fc418e29360608da869ed9e177a2643",
+}
 
 
-def _digests(mode, backend, doc):
-    """The (content, queries) hex digests of SCRIPT run in `mode`, and
-    each step's outcome."""
-    content, queries = hashlib.sha256(), hashlib.sha256()
+def _digests(mode, backend, doc, monkeypatch):
+    """The (content, queries, costs) hex digests of SCRIPT run in `mode`,
+    and each step's outcome."""
+    content, queries, costs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    written, posted = [], []
+
+    def count_write(path, text, append=False, write=stegdisc.disc.write_superblock):
+        written.append(f"{'+' if append else ''}{len(text.encode('utf-8'))}")
+        write(path, text, append)
+
+    def count_post(data, hashtags, post=backend.post):
+        posted.append(len(data))
+        post(data, hashtags)
+
+    monkeypatch.setattr(stegdisc.disc, "write_superblock", count_write)
+    backend.post = count_post
     counted = FaultInjector(backend)
     config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id="digest")
     disc = Disc.format(config, counted, doc_path=doc)
@@ -97,16 +120,20 @@ def _digests(mode, backend, doc):
             post = backend.fetch(tags)
             content.update(f"{' '.join(tags)} {len(post)}\n".encode() + post)
         queries.update(f"{sorted(counted.counts.items())}\n".encode())
+        costs.update(f"{disc.hash_iterations} {disc.replay_iterations} {written} {posted}\n".encode())
+        written.clear()
+        posted.clear()
+    monkeypatch.undo()
     assert disc.fsck().ok
-    return content.hexdigest(), queries.hexdigest(), outcomes
+    return content.hexdigest(), queries.hexdigest(), costs.hexdigest(), outcomes
 
 
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
-def test_one_script_digest(mode, tmp_path):
-    memory = _digests(mode, MemoryBackend(), tmp_path / "memory.txt")
-    directory = _digests(mode, DirectoryBackend(tmp_path / "store"), tmp_path / "dir.txt")
+def test_one_script_digest(mode, tmp_path, monkeypatch):
+    memory = _digests(mode, MemoryBackend(), tmp_path / "memory.txt", monkeypatch)
+    directory = _digests(mode, DirectoryBackend(tmp_path / "store"), tmp_path / "dir.txt", monkeypatch)
     assert memory == directory
-    content, queries, outcomes = memory
+    content, queries, costs, outcomes = memory
     assert outcomes[-2] == AllocationStall.__name__
     assert {"NameExists", "FileNotFound"} <= set(outcomes)
-    assert (content, queries) == (CONTENT[mode], QUERIES[mode])
+    assert (content, queries, costs) == (CONTENT[mode], QUERIES[mode], COSTS[mode])
