@@ -37,13 +37,13 @@ Catalog order is chain order: writes and edits put their run at the
 chain tail and their entry at the end of the catalog.  One lookup,
 `Disc._before`, finds the block that points at a given code: the
 predecessor of a run a splice removes, or the tail (the block that
-points at NULL) for the first mutation of a session.  It walks the run
-of the previous non-empty entry (or takes the genesis block) and accepts
-its last block only if the pointer matches; on a mismatch or a broken
-run it walks `_chain`, but only as far as the first block that points
-there; in mode C the allocation sampler then resumes from the tail
-state that walk left in the ladder.  Each walk builds its own cursor
-from the config's seed.  fsck and chain_blocks walk the whole chain.
+points at NULL) for every put and edit.  The tail's first guess is the
+block the session last linked, kept if a fresh fetch still shows NULL,
+so a tail another writer moved is found; the next is the last block of
+the previous non-empty entry, kept if its pointer matches; else `_chain`
+is walked only as far as the first block that points there.  Mode C's
+sampler then moves forward to the tail state in the ladder.  Each walk
+builds its own cursor.  fsck and chain_blocks walk the whole chain.
 """
 
 from __future__ import annotations
@@ -142,8 +142,7 @@ class Disc:
         self.backend = backend
         self.pool = CarrierPool(config.disc_id)
         self.doc_path = Path(doc_path) if doc_path is not None else None
-        # (pointer code, address) of the chain tail, looked up by the first
-        # mutation; mode C's sampler takes the tail's state from the ladder
+        # (pointer code, address) this session last linked at the tail: `_before(None)`'s first guess
         self._tail: Optional[tuple[int, Perm]] = None
         # mode C: the session's resume points in the stream, never persisted
         self._ladder = CheckpointLadder(config.n) if config.encoding.positions else None
@@ -157,7 +156,6 @@ class Disc:
     def format(cls, config: DiscConfig, backend, *, doc_path=None) -> "Disc":
         disc = cls(Document(config), backend, doc_path=doc_path)
         disc._post(0, config.genesis, BlockPayload(0, config.echo_bytes(), FLAG_SUPERBLOCK))
-        disc._tail = (0, config.genesis)
         disc._persist()
         return disc
 
@@ -286,10 +284,15 @@ class Disc:
         """The (code, address, carrier, payload) block whose pointer is
         `entry`'s start code, or NULL when `entry` is None (the tail).
 
-        The guess is the last block of the last non-empty entry before
-        `entry`, or the genesis block; failing that, the chain is walked
-        from the genesis block up to the first block pointing there."""
+        Guesses: for the tail, the block this session last linked if a fresh
+        fetch shows NULL (a tail, not proof it is on the chain: an orphan
+        passes); the last block of the last non-empty entry before `entry`;
+        the chain from the genesis block up to the first block pointing there."""
         target = entry.start_counter if entry is not None else 0
+        if entry is None and self._tail is not None:
+            with suppress(ChainBroken):  # a missing post falls through
+                if (block := self._fetch(*self._tail))[3].next_counter == 0:
+                    return block
         earlier = reversed(self.document.entries)  # the tail's guess starts at the last entry
         if entry is not None:  # skip the names up to `entry`'s, comparing keys
             any(map(entry.name.__eq__, earlier))
@@ -329,12 +332,9 @@ class Disc:
             free = factorial(cfg.n) - len(cfg.reserved) - len(used)
             if count > free:
                 raise AllocationStall(f"a run of {count} blocks needs more than the {free} free codes")
-        tail = None  # the tail block, as the session's first mutation fetched it
-        if self._tail is None:  # the session's first mutation looks up the tail
-            tail = self._before(None)
-            if tail[0] and self._ladder is not None:  # no hash: the lookup's walk recorded the tail
-                self.document.sampler = self._ladder.resume(cfg.seed, tail[0])
-            self._tail = tail[:2]
+        tail = self._before(None)
+        if self._ladder is not None:  # forward only; no hash, as a walk or an allocation recorded the tail
+            self.document.sampler = self._ladder.resume(self.document.sampler, tail[0])
         base = self.document.sampler.iteration
         while True:
             pending: set[Perm] = set()  # the run's addresses so far
@@ -361,7 +361,7 @@ class Disc:
                     nxt = run[idx + 1][0] if idx + 1 < count else 0
                     self._post(code, addr, BlockPayload(nxt, chunk))
                     posted += 1
-                self._rewrite_next(tail or self._fetch(*self._tail), run[0][0])
+                self._rewrite_next(tail, run[0][0])
                 break
             except BaseException as exc:
                 self._remove(run[:posted])
@@ -386,7 +386,7 @@ class Disc:
         tail_ptr = run[-1][3].next_counter
         self._rewrite_next(before, tail_ptr)
         self._remove(block[:2] for block in run)
-        if tail_ptr == 0 and self._tail is not None:
+        if tail_ptr == 0:
             self._tail = before[:2]
 
     # -- file operations -----------------------------------------------------

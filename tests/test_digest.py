@@ -66,9 +66,9 @@ CONTENT = {
     "C": "06d157f5f172c7f5812e732d35bc48b367a06c4a8a460672683d582dd1a2ca3b",
 }
 QUERIES = {
-    "A": "8925652590fa098d67bfe9a4d9853e5ad7581207b79dd649edc59e3b6f64ffd1",
-    "B": "6a659b16e85e249364e87881e03b1bcd48ac901038af02ba5d3479a366a2bc60",
-    "C": "5c75bcd7863eab936594a2d50fcb0b0caa4a532c4ea23486beecb10e710becc4",
+    "A": "20806b15f1226ecd7ef51df9772c926873d70bf3712fdc4427b007e4c8e02c90",
+    "B": "8838c6c0131b0b235b959f602cafdd40a606c72071e32d14b3ed981295623443",
+    "C": "d1298ec7240b36e5f462a329d20faad4c01f6df30bcc4a61efb341de6db67cb0",
 }
 COSTS = {
     "A": "7f89c6f58d050e6b4c73169c9c2216df9f80f5ec08e8188709290bafd1de769e",

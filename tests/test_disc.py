@@ -1595,6 +1595,62 @@ class TestUnrecordedPosts:
             assert disc.read_file(name) == blob
 
 
+def _two_session_puts(mode, backend, doc, preload, n=7, p=24, m=32):
+    """Format a disc preloaded with `preload` files of 1-100 B, open two
+    sessions on its document, and let session 1 put a, session 2 put b and
+    session 1 put c.  A fresh session then finds every posted block on the
+    chain and reads back every name the catalog kept, and fsck reports a
+    lost name, and only that.  Returns each put's post queries (refused
+    ones included) and the two sessions."""
+    backend = FaultInjector(backend)
+    config = DiscConfig.create(n=n, p=p, m=m, mode=mode, disc_id=f"two-{mode}")
+    disc = Disc.format(config, backend, doc_path=doc)
+    rng = random.Random(preload)
+    files = {f"f{i:03d}": rng.randbytes(rng.randrange(1, 101)) for i in range(preload)}
+    for name, blob in files.items():
+        disc.write_file(name, blob)
+    one, two = Disc.open(doc, backend), Disc.open(doc, backend)
+    posted, attempts = set(), {}
+    for session, name in ((one, "a"), (two, "b"), (one, "c")):
+        files[name] = name.encode() * (m + 1)  # two blocks
+        live, posts = set(backend.live_addresses()), backend.counts["post"]
+        session.write_file(name, files[name])
+        posted |= set(backend.live_addresses()) - live
+        attempts[name] = backend.counts["post"] - posts
+    fresh = Disc.open(doc, backend)
+    assert posted <= {perm_to_hashtags(addr, config.alphabet) for _, addr, _ in fresh.chain_blocks()}
+    kept = {entry.name for entry in fresh.list_files()}
+    for name in kept:
+        assert fresh.read_file(name) == files[name]
+    lost = set(files) - kept
+    assert [fault.kind for fault in fresh.fsck().violations] == (["block-count"] if lost else [])
+    return attempts, (one, two)
+
+
+class TestTwoSessions:
+    """Two sessions of one disc, each with its own copy of the document
+    (ROADMAP item 3): every put links its run after the block that points
+    at NULL, so a run another session linked stays on the chain.  The last
+    document write may still drop the other session's name; fsck then
+    reports the run the catalog no longer accounts for."""
+
+    @pytest.mark.parametrize("preload", [2, 297])
+    @pytest.mark.parametrize("store", ["memory", "directory"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interleaved_puts_stay_on_the_chain(self, mode, store, preload, tmp_path):
+        backend = MemoryBackend() if store == "memory" else DirectoryBackend(tmp_path / "store")
+        _two_session_puts(mode, backend, tmp_path / "sb.txt", preload)
+
+    def test_stale_stream_position_collides_with_the_other_run(self, tmp_path):
+        """Mode A: each session's stream position and used set predate the
+        other's last put, so b first draws a's two codes and c draws b's.
+        Each post there raises DuplicateAddress; the code is marked used
+        and the run allocated again."""
+        attempts, (one, two) = _two_session_puts("A", MemoryBackend(), tmp_path / "sb.txt", 2, n=5, p=16, m=8)
+        assert attempts == {"a": 2, "b": 4, "c": 4}
+        assert two.document.used <= one.document.used  # a's codes and b's
+
+
 class TestCatalog:
     def test_duplicate_name_rejected(self, tmp_path):
         config = DiscConfig.create(n=4, p=16, m=8, mode="C", disc_id="dup")
