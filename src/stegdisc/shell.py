@@ -56,7 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]  # an empty element is refused
+    try:
+        return [int(v) for v in text.split(",")]  # an empty element is refused
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-joined integers, got {text!r}") from None
 
 
 def _build_command_parsers() -> dict[str, _Parser]:

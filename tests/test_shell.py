@@ -141,7 +141,7 @@ class TestDispatch:
         (["A", "2", "8", "8", "--alphabet", "#a,#a"], "alphabet tags must be pairwise distinct"),
         # an empty element is refused, not dropped, as the document reader refuses ",,"
         (["A", "5", "16", "8", "--genesis", "1,,0,2,3,4"],
-         "format: argument --genesis: invalid _int_list value: '1,,0,2,3,4'"),
+         "format: argument --genesis: expected comma-joined integers, got '1,,0,2,3,4'"),
     ])
     def test_format_refuses_a_bad_config(self, tmp_path, capsys, args, message):
         doc, store = tmp_path / "sb.txt", tmp_path / "store"
@@ -350,7 +350,7 @@ class TestUsageErrors:
         (["frobnicate"], "unknown command 'frobnicate'"),
         (["bench", "--modes", "Q"], "modes must come from ('A', 'B', 'C'): ('Q',)"),
         (["bench", "--counts", "0"], "block counts must be positive integers: (0,)"),
-        (["bench", "--counts", "10,,100"], "bench: argument --counts: invalid _int_list value: '10,,100'"),
+        (["bench", "--counts", "10,,100"], "bench: argument --counts: expected comma-joined integers, got '10,,100'"),
     ])
     def test_one_shot_text_and_json(self, tmp_path, capsys, command, message):
         base = ["--disc", str(tmp_path / "sb.txt")]
