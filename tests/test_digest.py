@@ -3,8 +3,8 @@
 A fixed-seed script runs in each mode on both backends: format, then
 puts, gets, edits and rms of a few names (some of which fail, as a put
 of a live name or an rm of none does), two reopens, and a put too large
-for the address space, which stalls.  Two SHA-256 digests are pinned per
-mode:
+for the address space, which stalls.  Three SHA-256 digests are pinned
+per mode:
 
 - `CONTENT`: after every step, its outcome (the error's type name, or
   "ok" and the bytes a get read), the document file's text, and every
@@ -17,9 +17,9 @@ mode:
   file's size, and the bytes of each cover posted.
 
 Both backends must give the same digests.  A change that claims no
-behaviour change leaves both alone; a change to a format, or one that
-cuts traffic, updates the digest it moves and says why.  The script is
-built from `random.Random`, not hypothesis, so no library version can
+behaviour change leaves all three alone; a change to a format, or one
+that cuts traffic, updates the digest it moves and says why.  The script
+is built from `random.Random`, not hypothesis, so no library version can
 move it.
 """
 
