@@ -3,49 +3,14 @@
 Blocks live inside multimedia objects posted to a (simulated) open
 social network; each object's address is a unique permutation of n
 hashtags, and hidden p-bit pointers chain the blocks into files.
+`__all__` names the library entry points; import other names from their modules.
 """
 
 from . import errors
-from .carrier import BlockPayload, CarrierObject, CarrierPool
-from .disc import ChainReport, Disc, TradeoffStats, compute_chain_length
-from .document import DiscConfig, FileEntry
-from .osn import DirectoryBackend, MemoryBackend, open_backend
-from .steghash import (
-    CheckpointLadder,
-    HashtagAlphabet,
-    ReplayCursor,
-    SamplerState,
-    allocate_address,
-    rank,
-    sampler_advance,
-    sampler_replay,
-    unrank,
-)
+from .disc import Disc
+from .document import DiscConfig
+from .osn import DirectoryBackend, MemoryBackend
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "BlockPayload",
-    "CarrierObject",
-    "CarrierPool",
-    "ChainReport",
-    "Disc",
-    "DiscConfig",
-    "FileEntry",
-    "TradeoffStats",
-    "compute_chain_length",
-    "DirectoryBackend",
-    "MemoryBackend",
-    "open_backend",
-    "CheckpointLadder",
-    "HashtagAlphabet",
-    "ReplayCursor",
-    "SamplerState",
-    "allocate_address",
-    "rank",
-    "sampler_advance",
-    "sampler_replay",
-    "unrank",
-    "__version__",
-]
+__all__ = ["errors", "Disc", "DiscConfig", "DirectoryBackend", "MemoryBackend", "__version__"]

@@ -32,7 +32,7 @@ class BenchmarkRow(NamedTuple):
     persistent_bytes: int  # whole superblock+catalog document
     state_bytes: int  # document minus the catalog lines
     dictionary_bytes: int  # mode A used-address line
-    hash_iterations: int  # allocation hashing for the write phase
+    hash_iterations: int  # hashes of the write phase's committed allocations
     write_seconds: float
     read_seconds: float  # warm reads
     per_read_iterations: Sequence[int] = ()  # fresh session per read

@@ -118,7 +118,9 @@ class TradeoffStats(NamedTuple):
     catalog_bytes: int  # the per-file lines alone
     dictionary_bytes: int  # mode A used-address line, 0 otherwise
     journal_bytes: int  # records appended after the document's snapshot
-    hash_iterations: int  # stream hashes spent allocating (this session)
+    # stream hashes of committed allocations (this session); a retried or
+    # rolled-back attempt is not counted
+    hash_iterations: int
     replay_iterations: int  # stream hashes spent resolving pointers on reads/traversals
     block_count: int  # live data blocks
     file_count: int
@@ -146,7 +148,7 @@ class Disc:
         self._tail: Optional[tuple[int, Perm]] = None
         # mode C: the session's resume points in the stream, never persisted
         self._ladder = CheckpointLadder(config.n) if config.encoding.positions else None
-        self.hash_iterations = 0  # stream hashes spent allocating
+        self.hash_iterations = 0  # stream hashes of committed allocations, as TradeoffStats says
         self._replayed, self._cursor = 0, None  # replay hashes of earlier cursors, the newest cursor
         self._largest = carrier_bytes(config)  # a read extracts no more
 

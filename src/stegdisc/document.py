@@ -110,9 +110,7 @@ class DiscConfig:
             first = sampler_advance(self.seed)[1]
             if first > self.limit:
                 raise ConfigInvalid(f"the stream's first completion {first} passes 2^p - 1 (p={p})")
-        _check_field(disc_id, "disc_id")
-        for tag in alphabet.tags:
-            _check_field(tag, "hashtag")
+        _check_field(disc_id, "disc_id")  # HashtagAlphabet checks its own tags
 
     @classmethod
     def create(cls, n: int, p: int, m: int, mode: str, alphabet: Optional[HashtagAlphabet] = None,

@@ -184,6 +184,8 @@ class ShellSession:
     # -- commands ---------------------------------------------------------
 
     def _cmd_format(self, opts) -> tuple[int, str, dict]:
+        if self.disc_path.exists():  # the document holds its disc's secret: the genesis and alphabet
+            raise UsageError(f"a disc document is already at {self.disc_path}; format will not overwrite it")
         alphabet = HashtagAlphabet(opts.alphabet.split(",")) if opts.alphabet else None
         config = DiscConfig.create(
             n=opts.n, p=opts.p, m=opts.m, mode=opts.mode,

@@ -56,6 +56,8 @@ class HashtagAlphabet:
                 raise ConfigInvalid(f"bad hashtag {tag!r}: must be #<tag>")
             if any(ch.isspace() for ch in tag) or "," in tag:
                 raise ConfigInvalid(f"bad hashtag {tag!r}: whitespace/comma not allowed")
+            if any(ch in ";=" or ch < " " for ch in tag):  # reserved in the document's header fields
+                raise ConfigInvalid(f"bad hashtag {tag!r}: ';', '=' and control characters not allowed")
         if len(set(tags)) != len(tags):
             raise ConfigInvalid("alphabet tags must be pairwise distinct")
         self.tags = tags

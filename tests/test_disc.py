@@ -1,6 +1,7 @@
 """Filesystem core: chains, catalog, splice, fsck, and the three modes."""
 
 import hashlib
+import importlib
 import random
 import tempfile
 from math import factorial
@@ -1494,6 +1495,33 @@ class TestDeleteFaults:
         assert fresh.fsck().ok
         assert fresh.read_file("fill") == bytes(range(4 * free))
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_post_already_gone_counts_as_removed(self, mode, monkeypatch, tmp_path):
+        disc, backend, doc = make_doc_disc(mode, tmp_path, n=5, p=16, m=4)
+        for name in ("a", "b", "c"):
+            disc.write_file(name, name.encode() * 10)
+        before = {code for code, _, _ in disc.chain_blocks()}
+        used = set(disc.document.used)
+        inner = backend.inner
+        remove = inner.remove
+
+        def gone_first(hashtags):  # another writer removes the post first
+            remove(hashtags)
+            remove(hashtags)  # raises NotFound
+
+        with monkeypatch.context() as patch:
+            patch.setattr(inner, "remove", gone_first)
+            disc.delete_file("b")
+        assert backend.counts["remove"] == 3  # each of b's posts was already gone
+        run = before - {code for code, _, _ in disc.chain_blocks()}
+        assert len(run) == 3 and len(inner.live_addresses()) == 1 + 6  # the genesis post, a's and c's
+        assert disc.fsck().ok
+        assert disc.read_file("a") == b"a" * 10 and disc.read_file("c") == b"c" * 10
+        # mode A frees the codes, in the session and in the document
+        expected = used - run if mode == "A" else set()
+        assert disc.document.used == expected
+        assert Disc.open(doc, inner).document.used == expected
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
     @pytest.mark.parametrize("mode", MODES)
     def test_rm_after_a_crash_in_rm(self, mode, monkeypatch, tmp_path):
@@ -1911,3 +1939,29 @@ class TestModeCTail:
         # d's run does not end the chain, so the lookup walks from the genesis block
         _reorder_catalog(doc, "abcd")
         _reopen_and_put(disc, backend, doc, files)
+
+
+class TestPackageSurface:
+    def test_the_package_gives_the_readme_library_names(self, tmp_path):
+        from stegdisc import Disc, DiscConfig, MemoryBackend  # the README's Library example
+
+        assert stegdisc.__all__ == ["errors", "Disc", "DiscConfig", "DirectoryBackend", "MemoryBackend",
+                                    "__version__"]
+        config = DiscConfig.create(n=5, p=16, m=32, mode="C")
+        disc = Disc.format(config, MemoryBackend(), doc_path=tmp_path / "my.sb")
+        disc.write_file("notes", b"hello hidden world")
+        assert disc.read_file("notes") == b"hello hidden world"
+        assert disc.stats().file_count == 1
+
+    @pytest.mark.parametrize("module, names", [
+        ("carrier", ["BlockPayload", "CarrierObject", "CarrierPool"]),
+        ("disc", ["ChainReport", "TradeoffStats", "compute_chain_length"]),
+        ("document", ["FileEntry"]),
+        ("osn", ["open_backend"]),
+        ("steghash", ["CheckpointLadder", "HashtagAlphabet", "ReplayCursor", "SamplerState",
+                      "allocate_address", "rank", "sampler_advance", "sampler_replay", "unrank"]),
+    ])
+    def test_every_other_name_imports_from_its_module(self, module, names):
+        loaded = importlib.import_module(f"stegdisc.{module}")
+        assert all(hasattr(loaded, name) for name in names)
+        assert not any(hasattr(stegdisc, name) for name in names)

@@ -435,6 +435,15 @@ class TestHeaderRule:
             with pytest.raises(ConfigInvalid, match="mode C"):
                 Disc.open(disc.doc_path, disc.backend)
 
+    @pytest.mark.parametrize("line", ["junk", "disc_id"])
+    def test_a_snapshot_line_with_neither_a_tab_nor_an_equals_sign_is_refused(self, line, tmp_path):
+        disc = make_disc("A", tmp_path)
+        disc.write_file("f", b"x" * 12)
+        text = disc.doc_path.read_text(encoding="utf-8")
+        Document.read(text)
+        with pytest.raises(ConfigInvalid, match=f"^bad header line '{line}'$"):
+            Document.read(text.replace("mode=", f"{line}\nmode=", 1))
+
 
 # -- the journal: a snapshot followed by appended record groups --------------
 

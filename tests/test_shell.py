@@ -142,12 +142,34 @@ class TestDispatch:
         # an empty element is refused, not dropped, as the document reader refuses ",,"
         (["A", "5", "16", "8", "--genesis", "1,,0,2,3,4"],
          "format: argument --genesis: expected comma-joined integers, got '1,,0,2,3,4'"),
+        (["A", "2", "8", "8", "--alphabet", "#a,#b=c"],
+         "bad hashtag '#b=c': ';', '=' and control characters not allowed"),
     ])
     def test_format_refuses_a_bad_config(self, tmp_path, capsys, args, message):
         doc, store = tmp_path / "sb.txt", tmp_path / "store"
         assert main(["--disc", str(doc), "--backend", f"dir:{store}", "format", *args]) == 1
         assert capsys.readouterr().out == f"error: {message}\n"
         assert not doc.exists() and DirectoryBackend(store).live_addresses() == []
+
+    @pytest.mark.parametrize("json_out", [False, True])
+    def test_format_refuses_to_overwrite_a_disc_document(self, tmp_path, capsys, json_out):
+        doc, store = tmp_path / "sb.txt", tmp_path / "store"
+        base = ["--disc", str(doc), "--backend", f"dir:{store}", *["--json"] * json_out]
+        (tmp_path / "f.bin").write_bytes(b"first disc")
+        assert main([*base, "format", "A", "5", "16", "8", "--genesis", "1,0,2,3,4"]) == 0
+        assert main([*base, "put", str(tmp_path / "f.bin"), "f"]) == 0
+        document, posts = doc.read_bytes(), DirectoryBackend(store).live_addresses()
+        capsys.readouterr()
+        assert main([*base, "format", "A", "5", "16", "8", "--genesis", "2,0,1,3,4"]) == 1
+        message = f"a disc document is already at {doc}; format will not overwrite it"
+        out = capsys.readouterr().out
+        if json_out:
+            assert json.loads(out) == {"status": 1, "error": message}
+        else:
+            assert out == f"error: {message}\n"
+        assert doc.read_bytes() == document and DirectoryBackend(store).live_addresses() == posts
+        assert main([*base, "get", "f", str(tmp_path / "out.bin")]) == 0
+        assert (tmp_path / "out.bin").read_bytes() == b"first disc"
 
     @pytest.mark.parametrize("args", [["C", "2", "8", "8", "--genesis", "1,0"], ["A", "2", "8", "8"]])
     def test_the_smallest_discs_hold_a_block(self, tmp_path, args):
@@ -359,6 +381,23 @@ class TestUsageErrors:
         assert main([*base, "--json", *command]) == 1
         assert json.loads(capsys.readouterr().out) == {"status": 1, "error": message}
         assert not (tmp_path / "sb.txt").exists()
+
+
+class TestVerbose:
+    """--verbose writes one stderr line per command, its status and its argv."""
+
+    def test_one_line_per_one_shot_command(self, tmp_path, capsys):
+        base = ["--disc", str(tmp_path / "sb.txt"), "--backend", f"dir:{tmp_path / 'store'}", "--verbose"]
+        (tmp_path / "f.bin").write_bytes(b"verbose")
+        assert main([*base, "format", "A", "5", "16", "8", "--id", "v"]) == 0
+        assert main([*base, "put", str(tmp_path / "f.bin"), "f"]) == 0
+        capsys.readouterr()
+        assert main([*base, "ls"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("f\t7\t") and out.count("\n") == 1
+        assert err == "[0] ls\n"
+        assert main([*base, "rm", "missing"]) == 1
+        assert capsys.readouterr() == ("error: file 'missing' not found\n", "[1] rm missing\n")
 
 
 class TestEnvironment:

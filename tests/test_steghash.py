@@ -18,6 +18,7 @@ from stegdisc.errors import (
     ConfigInvalid,
     CounterOverflow,
     InvalidCounter,
+    NotAPermutation,
 )
 from stegdisc.steghash import (
     CheckpointLadder,
@@ -100,6 +101,10 @@ class TestHashtagMapping:
         (["#a", "#b c"], "bad hashtag '#b c': whitespace/comma not allowed"),
         (["#a", "#b,c"], "bad hashtag '#b,c': whitespace/comma not allowed"),
         (["#a", "#b", "#a"], "pairwise distinct"),
+        # characters the document reserves in its header fields
+        (["#a", "#a;b"], "bad hashtag '#a;b': ';', '=' and control characters not allowed"),
+        (["#a", "#a=b"], "bad hashtag '#a=b': ';', '=' and control characters not allowed"),
+        (["#a", "#a\x01b"], r"bad hashtag '#a\\x01b': ';', '=' and control characters not allowed"),
     ])
     def test_alphabet_refusals(self, tags, message):
         with pytest.raises(ConfigInvalid, match=message):
@@ -134,6 +139,11 @@ class TestRankUnrank:
             unrank(6, 3)
         with pytest.raises(CodeOutOfRange):
             unrank(-1, 3)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_unrank_needs_a_positive_n(self, n):
+        with pytest.raises(NotAPermutation, match="n must be >= 1"):
+            unrank(0, n)
 
     def test_bijection_exhaustive(self):
         # brute force against sorted enumeration for every n up to 6
