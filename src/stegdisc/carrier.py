@@ -16,7 +16,8 @@ of the pixel data: embedding writes only that slice, and a read
 extracts the hidden bytes once, at most the caller's bound on a
 payload, and parses header and data from them.  Covers come from a pool
 of deterministic pseudo-random bitmaps derived from (disc id, block
-counter), each 16 pixels wide with just the rows its payload needs.
+counter), each WIDTH_UNIT (4) pixels wide with just the rows its payload
+needs, so a post carries under one row (12 channel bytes) of spare room.
 """
 
 from __future__ import annotations
@@ -87,13 +88,16 @@ _LSB_DIGITS = bytes(b"01"[value & 1] for value in range(256))
 # so the payload bits OR into their cleared channel bytes as one int
 _CLEAR_LSB = bytes(value & 0xFE for value in range(256))
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# a width that is a multiple of this many pixels needs no row padding; it is
+# also the narrowest such width, which every cover the pool builds has
+WIDTH_UNIT = 4
 
 
 def _check_dimensions(width: int, height: int) -> None:
     """UnsupportedCarrier unless both dimensions are positive and the width
-    is a multiple of 4, so that rows need no padding."""
-    if width < 1 or height < 1 or width % 4:
-        raise UnsupportedCarrier(f"bad dimensions {width}x{height} (width must be a multiple of 4)")
+    is a multiple of WIDTH_UNIT, so that rows need no padding."""
+    if width < 1 or height < 1 or width % WIDTH_UNIT:
+        raise UnsupportedCarrier(f"bad dimensions {width}x{height} (width must be a multiple of {WIDTH_UNIT})")
 
 
 def make_bitmap(width: int, height: int, channel_bytes: Optional[bytes] = None) -> bytes:
@@ -217,16 +221,14 @@ def cover_bitmap(disc_id: str, counter: int, width: int, height: int) -> Carrier
 
 class CarrierPool:
     """Covers for a disc's new posts, which follow from its disc id alone:
-    bitmaps deterministic in (disc id, block counter), `width` pixels wide
-    (48 channel bytes a row, no row padding) with the fewest rows that
-    hold a post's payload."""
-
-    width = 16
+    bitmaps deterministic in (disc id, block counter), WIDTH_UNIT pixels
+    wide (12 channel bytes a row, no row padding) with the fewest rows
+    that hold a post's payload: the smallest unpadded bitmap that holds it."""
 
     def __init__(self, disc_id: str):
         self.disc_id = disc_id
 
     def next_carrier(self, counter: int, nbytes: int) -> CarrierObject:
         """The cover for block `counter` that holds an `nbytes` payload."""
-        rows = -(-nbytes * 8 // (self.width * 3))
-        return cover_bitmap(self.disc_id, counter, self.width, max(rows, 1))
+        rows = -(-nbytes * 8 // (WIDTH_UNIT * 3))
+        return cover_bitmap(self.disc_id, counter, WIDTH_UNIT, max(rows, 1))

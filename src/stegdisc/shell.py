@@ -127,9 +127,10 @@ class ShellSession:
     """One open disc plus one backend, shared by all commands."""
 
     def __init__(self, disc_path=None, backend_spec: str = "memory",
-                 json_out: bool = False, verbose: bool = False):
+                 json_out: bool = False, verbose: bool = False, one_shot: bool = False):
         self.disc_path = Path(disc_path) if disc_path else default_disc_path()
         self.backend_spec = backend_spec
+        self.one_shot = one_shot  # the session ends with its one command, and a memory backend with it
         self.json_out = json_out
         self.verbose = verbose
         self.backend = None
@@ -191,6 +192,8 @@ class ShellSession:
             n=opts.n, p=opts.p, m=opts.m, mode=opts.mode,
             alphabet=alphabet, genesis=opts.genesis, disc_id=opts.disc_id,
         )
+        if self.one_shot and self.backend_spec == "memory":  # the genesis post would die with the process
+            raise UsageError("a one-shot format on the memory backend keeps no post; use --backend dir:<path>")
         self.disc_path.parent.mkdir(parents=True, exist_ok=True)
         self.disc = Disc.format(config, self._ensure_backend(), doc_path=self.disc_path)
         text = (
@@ -314,6 +317,7 @@ def main(argv=None) -> int:
         backend_spec=opts.backend,
         json_out=opts.json,
         verbose=opts.verbose,
+        one_shot=bool(opts.command),
     )
     try:
         if opts.command:

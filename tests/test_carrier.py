@@ -11,6 +11,7 @@ from conftest import BMP_REFUSALS, extract, hide, lsb_channel_bytes, row_loop_bi
 from stegdisc.carrier import (
     FLAG_SUPERBLOCK,
     PAYLOAD_VERSION,
+    WIDTH_UNIT,
     BlockPayload,
     CarrierObject,
     CarrierPool,
@@ -24,6 +25,7 @@ from stegdisc.carrier import (
     make_bitmap,
     read_payload,
 )
+from stegdisc.document import DiscConfig
 from stegdisc.errors import (
     BadVersion,
     CapacityExceeded,
@@ -389,16 +391,24 @@ class TestReadPayload:
 class TestPool:
     def test_synthetic_bitmap_pool(self):
         pool = CarrierPool("x")
-        assert pool.width == 16
         carrier = pool.next_carrier(1, 40)
         assert carrier.data == pool.next_carrier(1, 40).data  # same counter, same carrier
 
     def test_cover_has_the_fewest_rows_that_hold_the_payload(self):
+        # every payload a p-bit disc with m=64 posts, at p = 8, 16 and 24: 1
+        # byte to a full block, and the genesis echo.  Each cover is 4 pixels
+        # wide, and a 4-pixel row is 12 channel bytes, so fewer than 12
+        # spare ones means the cover has no row to spare.
         pool = CarrierPool("x")
-        for nbytes in range(1, 16 * 16 * 3 // 8 + 1):
-            carrier = pool.next_carrier(5, nbytes)
-            assert carrier.geometry[:2] == (16, -(-nbytes // 6))  # a 16-pixel row: 48 bits, 6 bytes
-            assert capacity(carrier) >= nbytes
+        for p in (8, 16, 24):
+            config = DiscConfig.create(n=4, p=p, m=64, mode="C", disc_id="x")
+            echo = header_size(p) + len(config.echo_bytes())
+            for nbytes in [*range(1, header_size(p) + config.m + 1), echo]:
+                carrier = pool.next_carrier(5, nbytes)
+                width, height, _ = carrier.geometry
+                assert capacity(carrier) >= nbytes
+                assert width == WIDTH_UNIT == 4
+                assert 0 <= width * height * 3 - 8 * nbytes < 12
 
     def test_a_cover_keeps_the_geometry_its_bytes_parse_to(self):
         # CarrierObject.bitmap hands on the geometry make_bitmap wrote, unparsed
@@ -409,9 +419,9 @@ class TestPool:
             assert cover.geometry == _parse_bmp(cover.data)
 
     def test_a_short_cover_is_the_first_rows_of_a_tall_one(self):
-        # SHAKE-256 output is prefix-stable, and 16-pixel rows have no padding
+        # SHAKE-256 output is prefix-stable, and 4-pixel rows have no padding
         pool = CarrierPool("x")
         short, tall = pool.next_carrier(9, 9), pool.next_carrier(9, 96)
         offset = short.geometry[2]
-        assert short.geometry[1] == 2 and tall.geometry[1] == 16
+        assert short.geometry[1] < tall.geometry[1]
         assert tall.data[offset:].startswith(short.data[offset:])

@@ -61,9 +61,9 @@ def _script(seed=20):
 SCRIPT = _script()
 
 CONTENT = {
-    "A": "618f2057b284d7d407b1fdbfe3d4b24970f52418c4ce21919b4c34fb9106c7bd",
-    "B": "0326e30c7b0e83971e500b3cf3652c29a67782645c51337b11610d8e40a08a90",
-    "C": "06d157f5f172c7f5812e732d35bc48b367a06c4a8a460672683d582dd1a2ca3b",
+    "A": "cd0f0ce93b925f7f468dbe2cbf5f5e0f55094217533da4bb588065055676f289",
+    "B": "034ca1056ba7196ef6a4cfcfbd89b84ede64d970d75483365c1bc5368877d0d7",
+    "C": "fb9e5bbb5629999f9d261f49e05e7c479e2bfbd44cc6b89d59c381667d00d61b",
 }
 QUERIES = {
     "A": "20806b15f1226ecd7ef51df9772c926873d70bf3712fdc4427b007e4c8e02c90",
@@ -71,9 +71,9 @@ QUERIES = {
     "C": "d1298ec7240b36e5f462a329d20faad4c01f6df30bcc4a61efb341de6db67cb0",
 }
 COSTS = {
-    "A": "7f89c6f58d050e6b4c73169c9c2216df9f80f5ec08e8188709290bafd1de769e",
-    "B": "e26b678ad8b4cadae50f02946793cdbb0c11265ff2afb4f068f50214ce87d470",
-    "C": "b1c61ab4222b0baff82725894faaa12f3fc418e29360608da869ed9e177a2643",
+    "A": "c38bc655a39f130b66020f3be07a24e698ff9290933929bdb001a7fc8cba08c4",
+    "B": "53647bf90098543a5e5df03dca5ff0ddbf054cecb3e49747b74a3d381750da0e",
+    "C": "45d464cfb6bdc202eeea3685ac1dcd38ad5a020b8331637908e2609428a20cd5",
 }
 
 

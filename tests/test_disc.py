@@ -500,7 +500,11 @@ def _genesis_flags(disc, backend, code):
 
 
 def _genesis_echo(disc, backend, code):
-    _rewrite_block(disc, backend, disc.config.genesis, data=b"n=4;p=16;m=4;mode=C;id=other")
+    # the forged echo is longer than the real one, so it takes a cover of its own
+    tags = perm_to_hashtags(disc.config.genesis, disc.config.alphabet)
+    payload = read_payload(CarrierObject.from_bytes(backend.fetch(tags)), disc.config.p)
+    raw = encode_payload(payload._replace(data=b"n=4;p=16;m=4;mode=C;id=other"), disc.config.p)
+    backend.replace(tags, embed(CarrierPool(disc.config.disc_id).next_carrier(0, len(raw)), raw).data)
     return [("genesis-echo", 0)], 6
 
 
@@ -722,10 +726,10 @@ def numpy_reference_cover(disc_id, counter, width, height):
 
 
 class NumpyCoverPool(CarrierPool):
-    """The covers posted before numpy was dropped: every post the pool's
-    full width x height, whatever its payload."""
+    """The covers posted before numpy was dropped: every post a 16 x 16
+    bitmap, whatever its payload."""
 
-    height = 16
+    width = height = 16
 
     def next_carrier(self, counter, nbytes):
         return numpy_reference_cover(self.disc_id, counter, self.width, self.height)
@@ -745,8 +749,9 @@ class SquareCoverPool(CarrierPool):
 
 def cover_size(nbytes):
     """BMP bytes of a disc's cover for an nbytes payload: the 54-byte
-    headers, then 16-pixel rows of 48 bytes (6 hidden bytes) with no padding."""
-    return 54 + 48 * -(-nbytes // 6)
+    headers, then the fewest 4-pixel rows of 12 channel bytes (1.5 hidden
+    bytes) that hold it, with no padding."""
+    return 54 + 12 * -(-nbytes * 8 // 12)
 
 
 def high_bits(data):
@@ -833,7 +838,7 @@ class TestSquareCovers:
 
 
 class TestCoverSizes:
-    """Each post's cover has the fewest 16-pixel rows that hold its payload."""
+    """Each post's cover has the fewest 4-pixel rows that hold its payload."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_posts_are_sized_to_their_payload(self, mode):
@@ -843,7 +848,7 @@ class TestCoverSizes:
         disc.write_file("full", bytes(64))
         disc.write_file("one", b"x")
         sizes = [len(backend.fetch(disc._tags(addr))) for _, addr, _ in disc.chain_blocks()]
-        assert sizes == [54 + 12 * 48, 150]
+        assert sizes == [630, 126]  # 48 and 6 rows of 12 channel bytes
         genesis = len(backend.fetch(disc._tags(config.genesis)))
         assert genesis == cover_size(header_size(16) + len(config.echo_bytes())) < 630
 
@@ -852,7 +857,33 @@ class TestCoverSizes:
         disc = Disc.format(config, MemoryBackend())
         disc.write_file("full", bytes(64))
         (_, addr, _), = disc.chain_blocks()
-        assert len(disc.backend.fetch(disc._tags(addr))) == 678
+        assert len(disc.backend.fetch(disc._tags(addr))) == 642  # 49 rows hold 73 bytes
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rewrites_keep_each_cover(self, mode):
+        # a put, an edit and an rm each rewrite a pointer into the cover the
+        # block was posted on, which holds the same payload length exactly
+        backend = MemoryBackend()
+        config = DiscConfig.create(n=5, p=16, m=16, mode=mode, disc_id=f"keep-{mode}")
+        disc = Disc.format(config, backend)
+        files = {f"f{i}": random.Random(i).randbytes(7 + 13 * i) for i in range(4)}
+        for name, data in files.items():
+            disc.write_file(name, data)
+        before = {code: (addr, len(backend.fetch(disc._tags(addr))), payload.next_counter)
+                  for code, addr, payload in disc.chain_blocks()}
+        disc.write_file("new", b"x" * 20)  # rewrites f3's last block
+        disc.modify_file("f1", b"y" * 40)  # rewrites f0's last block
+        disc.delete_file("f2")  # rewrites f0's last block again
+        rewritten = 0
+        for code, addr, payload in disc.chain_blocks():
+            post = backend.fetch(disc._tags(addr))
+            assert len(post) == cover_size(header_size(16) + len(payload.data))
+            assert CarrierObject.from_bytes(post).geometry[0] == 4
+            if code in before:
+                assert (addr, len(post)) == before[code][:2]
+                rewritten += payload.next_counter != before[code][2]
+        assert rewritten == 2
+        assert disc.fsck().ok
 
 
 class TestCoverFit:

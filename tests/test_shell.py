@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, exit codes, one-shot and shell modes."""
 
+import io
 import json
 import shutil
 import subprocess
@@ -412,6 +413,35 @@ class TestEnvironment:
     def test_main_help(self, capsys):
         assert main(["--help"]) == 0
         assert "stegdisc" in capsys.readouterr().out
+
+
+class TestOneShotMemoryFormat:
+    """A one-shot format on the memory backend would leave a document whose
+    genesis post died with the process, so it is refused before anything
+    is written; the shell loop keeps its memory disc for its own commands."""
+
+    MESSAGE = "a one-shot format on the memory backend keeps no post; use --backend dir:<path>"
+
+    def test_refused_in_text_and_json(self, monkeypatch, tmp_path, capsys):
+        home = tmp_path / "home"
+        monkeypatch.setenv("STEGDISC_HOME", str(home))
+        assert main(["format", "A", "5", "16", "8"]) == 1
+        assert capsys.readouterr() == (f"error: {self.MESSAGE}\n", "")
+        assert main(["--json", "format", "A", "5", "16", "8"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"status": 1, "error": self.MESSAGE}
+        assert not home.exists()
+        assert main(["--backend", f"dir:{tmp_path / 'store'}", "format", "A", "5", "16", "8"]) == 0
+        assert (home / "superblock.txt").exists()
+        assert main(["--backend", f"dir:{tmp_path / 'store'}", "fsck"]) == 0
+
+    def test_the_shell_loop_formats_a_memory_disc(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("STEGDISC_HOME", str(tmp_path / "home"))
+        (tmp_path / "f.bin").write_bytes(b"kept for the session")
+        lines = f"format C 4 16 8\nput {tmp_path / 'f.bin'} f\nget f {tmp_path / 'out.bin'}\nfsck\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        assert main([]) == 0
+        assert (tmp_path / "out.bin").read_bytes() == b"kept for the session"
+        assert capsys.readouterr().out.endswith("clean (4 blocks)\n")
 
 
 class TestBenchCommand:
