@@ -23,7 +23,7 @@ pointers (mode C) write no such line: the tail's pointer is its
 position.
 
 These lines are a snapshot, and a journal follows: a put, edit or rm
-appends one group of records with one write(), its catalog record last:
+appends one group of records, written whole, its catalog record last:
 `+<TAB><catalog line>` adds or moves an entry to the end, `+!<quoted
 name>` drops one, `+@<iteration>:<perm>` moves the allocation position,
 and `+*<codes>` / `+^<codes>` mark mode A codes used / free (the codes
@@ -152,10 +152,16 @@ def _position(state: SamplerState) -> str:
 
 
 def write_superblock(path, text: str, append: bool = False) -> None:
-    """Write `text` to `path`: appended with one write(), or atomically (a temp file renamed over)."""
+    """Write `text` to `path`: appended whole, however short each write, or
+    atomically (a temp file renamed over)."""
     if append:
-        with open(path, "ab", buffering=0) as handle:
-            handle.write(text.encode("utf-8"))
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        try:
+            view = memoryview(text.encode("utf-8"))
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         return
     # owner-only (0o600), as the document holds the genesis and the alphabet
     tmp = os.path.join(os.path.dirname(path), f".stegdisc-{os.urandom(8).hex()}")

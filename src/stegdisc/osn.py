@@ -177,7 +177,10 @@ class DirectoryBackend(_BackendBase):
     def _get(self, post_dir):
         if not self._has(post_dir):  # a post exists while its meta.txt does
             return None
-        fd, chunks = os.open(f"{post_dir}/{self.OBJECT}", os.O_RDONLY), []
+        try:
+            fd, chunks = os.open(f"{post_dir}/{self.OBJECT}", os.O_RDONLY), []
+        except FileNotFoundError:  # a meta.txt without its object holds no post to read
+            return None
         try:  # a short read is not the end of the file; an empty one is
             while chunk := os.read(fd, 1 << 16):
                 chunks.append(chunk)

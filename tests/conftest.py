@@ -115,4 +115,6 @@ BMP_REFUSALS = [
     ("bpp", r"only uncompressed 24bpp supported \(bpp=32\)", lambda bmp: _set_field(bmp, 28, 32, 2)),
     ("compressed", r"only uncompressed 24bpp supported \(bpp=24\)", lambda bmp: _set_field(bmp, 30, 1)),
     ("short", "pixel data shorter than declared dimensions", lambda bmp: bmp[:-1]),
+    ("depth-1", "reserved field 1 names no embedding depth", lambda bmp: _set_field(bmp, 6, 1, 2)),
+    ("depth-3", "reserved field 3 names no embedding depth", lambda bmp: _set_field(bmp, 6, 3, 2)),
 ]

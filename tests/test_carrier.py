@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import BMP_REFUSALS, extract, hide, lsb_channel_bytes, row_loop_bitmap
 from stegdisc.carrier import (
+    COVER_DEPTH,
     FLAG_SUPERBLOCK,
     PAYLOAD_VERSION,
     WIDTH_UNIT,
@@ -35,9 +36,10 @@ from stegdisc.errors import (
 )
 
 
-def lsb_oracle_extract(bitmap_bytes, nbytes):
-    """Pure-python reference: payload bits sit MSB-first in channel LSBs,
-    walking pixel rows and skipping any 4-byte row padding."""
+def lsb_oracle_extract(bitmap_bytes, nbytes, depth=1):
+    """Pure-python reference: payload bits sit MSB-first in the low `depth`
+    bits of each channel byte, walking pixel rows and skipping any 4-byte
+    row padding."""
     width = int.from_bytes(bitmap_bytes[18:22], "little")
     height = int.from_bytes(bitmap_bytes[22:26], "little")
     offset = int.from_bytes(bitmap_bytes[10:14], "little")
@@ -46,7 +48,7 @@ def lsb_oracle_extract(bitmap_bytes, nbytes):
     for row in range(height):
         base = offset + row * stride
         for k in range(width * 3):
-            bits.append(bitmap_bytes[base + k] & 1)
+            bits.extend(bitmap_bytes[base + k] >> shift & 1 for shift in reversed(range(depth)))
     out = bytearray()
     for i in range(nbytes):
         value = 0
@@ -397,8 +399,9 @@ class TestPool:
     def test_cover_has_the_fewest_rows_that_hold_the_payload(self):
         # every payload a p-bit disc with m=64 posts, at p = 8, 16 and 24: 1
         # byte to a full block, and the genesis echo.  Each cover is 4 pixels
-        # wide, and a 4-pixel row is 12 channel bytes, so fewer than 12
-        # spare ones means the cover has no row to spare.
+        # wide and 2 bits deep, and a 4-pixel row is 12 channel bytes holding
+        # 3 hidden bytes, so fewer than 12 spare ones means the cover has no
+        # row to spare.
         pool = CarrierPool("x")
         for p in (8, 16, 24):
             config = DiscConfig.create(n=4, p=p, m=64, mode="C", disc_id="x")
@@ -408,15 +411,18 @@ class TestPool:
                 width, height, _ = carrier.geometry
                 assert capacity(carrier) >= nbytes
                 assert width == WIDTH_UNIT == 4
-                assert 0 <= width * height * 3 - 8 * nbytes < 12
+                assert carrier.depth == COVER_DEPTH == 2
+                assert 0 <= width * height * 3 - 4 * nbytes < 12
 
     def test_a_cover_keeps_the_geometry_its_bytes_parse_to(self):
-        # CarrierObject.bitmap hands on the geometry make_bitmap wrote, unparsed
+        # CarrierObject.bitmap hands on the geometry and depth make_bitmap
+        # wrote, unparsed
         pool = CarrierPool("x")
         covers = [pool.next_carrier(3, nbytes) for nbytes in range(1, 97)]
-        covers += [CarrierObject.bitmap(w, h) for w in range(4, 44, 4) for h in range(1, 13)]
+        covers += [CarrierObject.bitmap(w, h, depth=depth)
+                   for w in range(4, 44, 4) for h in range(1, 13) for depth in (1, 2)]
         for cover in covers:
-            assert cover.geometry == _parse_bmp(cover.data)
+            assert (cover.geometry, cover.depth) == _parse_bmp(cover.data)
 
     def test_a_short_cover_is_the_first_rows_of_a_tall_one(self):
         # SHAKE-256 output is prefix-stable, and 4-pixel rows have no padding
@@ -425,3 +431,83 @@ class TestPool:
         offset = short.geometry[2]
         assert short.geometry[1] < tall.geometry[1]
         assert tall.data[offset:].startswith(short.data[offset:])
+
+
+def two_bit_oracle_embed(bitmap_bytes, payload):
+    """Pure-python reference: the bitmap with payload's bits, MSB first, two
+    at a time in the two low bits of its first channel bytes, walking pixel
+    rows of a bitmap whose rows need no padding."""
+    offset = int.from_bytes(bitmap_bytes[10:14], "little")
+    out = bytearray(bitmap_bytes)
+    bits = "".join(format(byte, "08b") for byte in payload)
+    for k in range(0, len(bits), 2):
+        at = offset + k // 2
+        out[at] = out[at] & 0xFC | int(bits[k:k + 2], 2)
+    return bytes(out)
+
+
+class TestDepth:
+    """A cover's first BMP reserved field names its depth: 0 (every cover
+    written before depths) one bit per channel byte, 2 two bits; the pool
+    writes 2; any other value is one of BMP_REFUSALS."""
+
+    @pytest.mark.parametrize("p", [8, 16, 24])
+    def test_every_payload_size_matches_the_oracle_at_depth_2(self, p):
+        # every payload size up to each pool cover's capacity, for the covers
+        # of every payload a p-bit disc with m=64 posts and its genesis echo
+        rng = random.Random(p)
+        pool = CarrierPool("depth")
+        config = DiscConfig.create(n=4, p=p, m=64, mode="C", disc_id="depth")
+        echo = header_size(p) + len(config.echo_bytes())
+        covers = {}
+        for nbytes in [*range(1, header_size(p) + config.m + 1), echo]:
+            cover = pool.next_carrier(7, nbytes)
+            covers.setdefault(cover.geometry, cover)
+        for cover in covers.values():
+            assert cover.data[6:8] == b"\x02\x00" and cover.depth == 2
+            assert capacity(cover) == len(cover.data[54:]) // 4
+            for size in range(capacity(cover) + 1):
+                payload = rng.randbytes(size)
+                stego = embed(cover, payload)
+                assert stego.data == two_bit_oracle_embed(cover.data, payload)
+                assert lsb_oracle_extract(stego.data, size, depth=2) == extract(stego, size) == payload
+                assert CarrierObject.from_bytes(stego.data).depth == 2
+
+    @pytest.mark.parametrize("p", [8, 16, 24])
+    def test_every_block_payload_round_trips_at_depth_2(self, p):
+        # every payload size the disc posts, 1 byte to a full block, read by
+        # one extraction; and the genesis echo
+        rng = random.Random(30 + p)
+        pool = CarrierPool("depth")
+        config = DiscConfig.create(n=4, p=p, m=64, mode="C", disc_id="depth")
+        payloads = [BlockPayload(rng.randrange(2 ** p), rng.randbytes(size), rng.choice([0, FLAG_SUPERBLOCK]))
+                    for size in range(config.m + 1)]
+        payloads.append(BlockPayload(0, config.echo_bytes(), FLAG_SUPERBLOCK))
+        for payload in payloads:
+            raw = encode_payload(payload, p)
+            stego = embed(pool.next_carrier(3, len(raw)), raw)
+            parsed = CarrierObject.from_bytes(stego.data)
+            assert lsb_oracle_extract(stego.data, len(raw), depth=2) == raw
+            assert read_payload(parsed, p) == read_payload(parsed, p, len(raw) - 1) == payload
+
+    def test_a_rewrite_keeps_the_depth(self):
+        one_bit, two_bit = cover_bitmap("d", 1, 4, 20), cover_bitmap("d", 1, 4, 20, depth=2)
+        for cover, depth in ((one_bit, 1), (two_bit, 2)):
+            first = embed(cover, bytes(range(7)))
+            again = embed(CarrierObject.from_bytes(first.data), b"rewritten")
+            assert again.depth == CarrierObject.from_bytes(again.data).depth == depth
+            assert again.data[:54] == cover.data[:54]
+            assert extract(again, 9) == b"rewritten"
+        assert capacity(two_bit) == 2 * capacity(one_bit) == 60
+
+    @pytest.mark.parametrize("flags", [0, FLAG_SUPERBLOCK])
+    def test_a_one_bit_reader_sees_version_16_or_17(self, flags):
+        # a reader from before depths ignores the field and reads the LSBs:
+        # the version digits 0,0,0,1 and the flags' first four give 16 or 17
+        p = 16
+        raw = encode_payload(BlockPayload(3, b"abc", flags), p)
+        stego = embed(CarrierPool("old").next_carrier(3, len(raw)), raw)
+        as_one_bit = CarrierObject.from_bytes(stego.data[:6] + b"\x00\x00" + stego.data[8:])
+        assert extract(as_one_bit, 1)[0] == 16 + flags
+        with pytest.raises((BadVersion, TruncatedPayload)):
+            read_payload(as_one_bit, p)

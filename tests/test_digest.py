@@ -61,9 +61,9 @@ def _script(seed=20):
 SCRIPT = _script()
 
 CONTENT = {
-    "A": "cd0f0ce93b925f7f468dbe2cbf5f5e0f55094217533da4bb588065055676f289",
-    "B": "034ca1056ba7196ef6a4cfcfbd89b84ede64d970d75483365c1bc5368877d0d7",
-    "C": "fb9e5bbb5629999f9d261f49e05e7c479e2bfbd44cc6b89d59c381667d00d61b",
+    "A": "bd512e85da1f2f597cd1921f723e697e7d7927622da2a3679c76fe4ab8cba694",
+    "B": "4b7975bdecf8e63e56105dfee654637583e6c1e9af60c2ef5b325de6f72fb03b",
+    "C": "cc879e7731bc76e1f3bb5611f6645f164dac89217a1a34a937760ab613bee0b8",
 }
 QUERIES = {
     "A": "20806b15f1226ecd7ef51df9772c926873d70bf3712fdc4427b007e4c8e02c90",
@@ -71,9 +71,9 @@ QUERIES = {
     "C": "d1298ec7240b36e5f462a329d20faad4c01f6df30bcc4a61efb341de6db67cb0",
 }
 COSTS = {
-    "A": "c38bc655a39f130b66020f3be07a24e698ff9290933929bdb001a7fc8cba08c4",
-    "B": "53647bf90098543a5e5df03dca5ff0ddbf054cecb3e49747b74a3d381750da0e",
-    "C": "45d464cfb6bdc202eeea3685ac1dcd38ad5a020b8331637908e2609428a20cd5",
+    "A": "db17b28e6d1946af905305d6568e555144340137b8f42829e5595a47100f3d9c",
+    "B": "1e0d6b10f3f1dd89063dd3dbcf5520181f07bba5a079f7c4060dcdd744726b5b",
+    "C": "fb33a1bec011082a0c2c144f6fb051db2c1875815c3e6965cd9c4050e12abc9f",
 }
 
 

@@ -44,6 +44,7 @@ from stegdisc.errors import (
     NameExists,
 )
 from stegdisc.osn import DirectoryBackend, MemoryBackend
+from stegdisc.shell import main
 from stegdisc.steghash import (
     HashtagAlphabet,
     SamplerState,
@@ -613,7 +614,7 @@ FSCK_FAULTS = [
     ("C", _file_truncated, "b"),
     ("B", _file_bytes, "a"),
     ("A", _block_count, None),
-    *((mode, _refused_bitmap(name, edit), "a") for mode, (name, _, edit) in zip(MODES * 2, BMP_REFUSALS)),
+    *((mode, _refused_bitmap(name, edit), "a") for mode, (name, _, edit) in zip(MODES * 3, BMP_REFUSALS)),
 ]
 CHAIN_FAULTS = [
     row for row in FSCK_FAULTS
@@ -675,8 +676,9 @@ class TestWalkCost:
 
     FILES = {"a": bytes(range(20)), "empty": b"", "b": b"x" * 8, "c": b"tail"}  # m=8
 
-    def _written(self, mode, backend):
-        disc, backend = make_disc(mode, backend=backend)
+    def _written(self, mode, backend, doc_path=None):
+        config = DiscConfig.create(n=4, p=16, m=8, mode=mode, disc_id=f"t-{mode}")
+        disc = Disc.format(config, backend, doc_path=doc_path)
         for name, data in self.FILES.items():
             disc.write_file(name, data)
         return disc, backend
@@ -716,6 +718,24 @@ class TestWalkCost:
             disc.read_file("a")
         assert (fault.value.kind, fault.value.counter) == ("bad-block", code)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_post_without_object_is_a_bad_block(self, mode, tmp_path, capsys):
+        # meta.txt says the post is there, and its object file is gone
+        root, doc = tmp_path / "osn", tmp_path / "sb.txt"
+        disc, _ = self._written(mode, DirectoryBackend(root), doc)
+        code, addr, _ = disc.chain_blocks()[2]  # the last block of "a"
+        digest = DirectoryBackend._digest(perm_to_hashtags(addr, disc.config.alphabet))
+        (root / digest / "object.bin").unlink()
+        report = disc.fsck()
+        assert [(v.kind, v.counter) for v in report.violations] == [("bad-block", code)]
+        assert report.block_count == 3
+        with pytest.raises(ChainBroken) as fault:
+            disc.read_file("a")
+        assert (fault.value.kind, fault.value.counter) == ("bad-block", code)
+        capsys.readouterr()
+        assert main(["--disc", str(doc), "--backend", f"dir:{root}", "fsck"]) == 2
+        assert capsys.readouterr().out.startswith(f"bad-block at {code}: ")
+
 
 def numpy_reference_cover(disc_id, counter, width, height):
     """The synthetic cover the package posted before it dropped numpy."""
@@ -749,13 +769,13 @@ class SquareCoverPool(CarrierPool):
 
 def cover_size(nbytes):
     """BMP bytes of a disc's cover for an nbytes payload: the 54-byte
-    headers, then the fewest 4-pixel rows of 12 channel bytes (1.5 hidden
-    bytes) that hold it, with no padding."""
-    return 54 + 12 * -(-nbytes * 8 // 12)
+    headers, then the fewest 4-pixel rows of 12 channel bytes (3 hidden
+    bytes at 2 bits each) that hold it, with no padding."""
+    return 54 + 12 * -(-nbytes // 3)
 
 
-def high_bits(data):
-    return bytes(value & 0xFE for value in data)
+def high_bits(data, depth):
+    return bytes(value >> depth << depth for value in data)
 
 
 class TestNumpyCovers:
@@ -790,8 +810,10 @@ class TestNumpyCovers:
         kept = 0
         for code, addr, payload in disc.chain_blocks():
             cover = old_pool if code in old_codes else new_pool
-            want = cover.next_carrier(code, header_size(16) + len(payload.data)).data
-            assert high_bits(backend.fetch(disc._tags(addr))) == high_bits(want)
+            want = cover.next_carrier(code, header_size(16) + len(payload.data))
+            post, start = backend.fetch(disc._tags(addr)), want.geometry[2]
+            assert post[:start] == want.data[:start]  # the headers, the depth's field with them
+            assert high_bits(post[start:], want.depth) == high_bits(want.data[start:], want.depth)
             kept += code in old_codes
         assert kept == sum(compute_chain_length(len(files[name]), 8) for name in ("f0", "f3"))
 
@@ -837,8 +859,64 @@ class TestSquareCovers:
             assert chain[code][1].next_counter != pointer
 
 
+class OneBitCoverPool(CarrierPool):
+    """The covers posted before two-bit covers: each 4 pixels wide with the
+    fewest rows that hold its payload at one bit per channel byte, with 0
+    in its reserved field."""
+
+    def next_carrier(self, counter, nbytes):
+        return cover_bitmap(self.disc_id, counter, 4, max(1, -(-nbytes * 8 // 12)))
+
+
+class TestOneBitCovers:
+    """A disc whose posts were written on field-0 covers reads, checks
+    clean and takes a put, an edit and an rm: a rewrite keeps its cover's
+    one-bit depth and length, and every new post is two bits deep."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_old_disc_takes_put_edit_and_rm(self, mode, tmp_path, monkeypatch):
+        backend = MemoryBackend()
+        config = DiscConfig.create(n=5, p=16, m=64, mode=mode, disc_id=f"one-{mode}")
+        doc = tmp_path / "sb.txt"
+        files = {f"f{i}": random.Random(i).randbytes(30 + 50 * i) for i in range(4)}
+        with monkeypatch.context() as patch:  # the old disc's genesis and writes take one-bit covers
+            patch.setattr(stegdisc.disc, "CarrierPool", OneBitCoverPool)
+            old = Disc.format(config, backend, doc_path=doc)
+            for name, data in files.items():
+                old.write_file(name, data)
+        old_posts = {code: backend.fetch(old._tags(addr)) for code, addr, _ in old.chain_blocks()}
+        assert all(post[6:8] == b"\x00\x00" for post in old_posts.values())
+
+        disc = Disc.open(doc, backend)
+        assert disc.fsck().ok
+        assert {name: disc.read_file(name) for name in files} == files
+        files["new"] = b"posted on a two-bit cover"
+        disc.write_file("new", files["new"])  # rewrites f3's last block, an old one
+        files["f1"] = random.Random(9).randbytes(100)
+        disc.modify_file("f1", files["f1"])  # rewrites f0's last block
+        disc.delete_file("f2")  # rewrites f0's last block again
+        del files["f2"]
+
+        for fresh in (disc, Disc.open(doc, backend)):
+            assert fresh.fsck().ok
+            assert {name: fresh.read_file(name) for name in files} == files
+        rewritten = 0
+        for code, addr, payload in disc.chain_blocks():
+            post = CarrierObject.from_bytes(backend.fetch(disc._tags(addr)))
+            if code in old_posts:
+                assert (post.depth, post.data[6:8], len(post.data)) == (1, b"\x00\x00", len(old_posts[code]))
+                rewritten += post.data != old_posts[code]
+            else:
+                assert (post.depth, post.data[6:8]) == (2, b"\x02\x00")
+                assert len(post.data) == cover_size(header_size(16) + len(payload.data))
+        assert rewritten == 2
+        genesis = CarrierObject.from_bytes(backend.fetch(disc._tags(config.genesis)))
+        assert genesis.depth == 1 and read_payload(genesis, 16).is_superblock
+
+
 class TestCoverSizes:
-    """Each post's cover has the fewest 4-pixel rows that hold its payload."""
+    """Each post's cover is 2 bits deep, with the fewest 4-pixel rows that
+    hold its payload."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_posts_are_sized_to_their_payload(self, mode):
@@ -848,16 +926,16 @@ class TestCoverSizes:
         disc.write_file("full", bytes(64))
         disc.write_file("one", b"x")
         sizes = [len(backend.fetch(disc._tags(addr))) for _, addr, _ in disc.chain_blocks()]
-        assert sizes == [630, 126]  # 48 and 6 rows of 12 channel bytes
+        assert sizes == [342, 90]  # 24 and 3 rows of 12 channel bytes
         genesis = len(backend.fetch(disc._tags(config.genesis)))
-        assert genesis == cover_size(header_size(16) + len(config.echo_bytes())) < 630
+        assert genesis == cover_size(header_size(16) + len(config.echo_bytes())) < 342
 
     def test_wider_pointers_take_a_taller_cover(self):
         config = DiscConfig.create(n=7, p=24, m=64, mode="C", disc_id="size-p24")
         disc = Disc.format(config, MemoryBackend())
         disc.write_file("full", bytes(64))
         (_, addr, _), = disc.chain_blocks()
-        assert len(disc.backend.fetch(disc._tags(addr))) == 642  # 49 rows hold 73 bytes
+        assert len(disc.backend.fetch(disc._tags(addr))) == 354  # 25 rows hold 73 bytes
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rewrites_keep_each_cover(self, mode):

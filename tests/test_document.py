@@ -583,6 +583,27 @@ class TestJournal:
         assert appended > 20
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_an_append_written_in_pieces_lands_whole(self, mode, monkeypatch, tmp_path):
+        disc = big_disc(mode, tmp_path)
+        compact(disc)
+        real, pieces = os.write, []
+
+        def short(fd, data):
+            pieces.append(len(data))
+            return real(fd, data[:7])
+
+        monkeypatch.setattr(os, "write", short)
+        for step in (lambda: disc.write_file("new", b"n" * 20), lambda: disc.modify_file("file 0003", b"e" * 9),
+                     lambda: disc.delete_file("file 0005")):
+            before, pieces[:] = disc.doc_path.read_text(encoding="utf-8"), []
+            step()
+            text = disc.doc_path.read_text(encoding="utf-8")
+            assert text.startswith(before) and text[len(before):].startswith("+")  # a group was appended
+            assert len(pieces) > 1  # in more than one write
+            assert Document.read(text).text() == disc.document.text()
+            same_state(Disc.open(disc.doc_path, disc.backend), disc)
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_a_write_that_raises_is_followed_by_a_snapshot(self, mode, monkeypatch, tmp_path):
         import stegdisc.disc as disc_mod
 
